@@ -148,7 +148,8 @@ def degeneracy_report(sys: SpectralSystem) -> dict:
         "second_derivative_at_1": sys.base_poly.second_derivative_at_one(),
         "q": sys.degeneracy,
     }
-    assert report["second_derivative_at_1"] == -2 * sys.degeneracy
+    if report["second_derivative_at_1"] != -2 * sys.degeneracy:
+        raise DegenerateSystem(f"base''(1) contradicts q = {sys.degeneracy}")
     return report
 
 
@@ -162,9 +163,10 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
         raise DegenerateSystem("degeneracy constant q=0: formula undefined")
     reduced = sys.reduced_base()
     boundary = abs(reduced(1))
-    assert boundary != 0, "z=1 root of multiplicity > 2 contradicts q > 0"
+    if boundary == 0:
+        raise DegenerateSystem("z=1 root of multiplicity > 2 contradicts q > 0")
     if sys.family == 1:
-        factor = abs_resultant_with_power(reduced, n, -1) / boundary
+        factor = Fraction(abs_resultant_with_power(reduced, n, -1), boundary)
         tau = Fraction(n * sys.spokes) * factor
         parts = {"cyclotomic_resultant": factor}
     else:
@@ -172,7 +174,7 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
             raise ValueError("families 2-4 are defined for even n only")
         half = n // 2
         odd_part = abs_resultant_with_power(sys.family_poly.to_poly(), half, 1)
-        even_part = abs_resultant_with_power(reduced, half, -1) / boundary
+        even_part = Fraction(abs_resultant_with_power(reduced, half, -1), boundary)
         tau = Fraction(n * sys.spokes, 4) * odd_part * even_part
         parts = {"odd_frequency_resultant": odd_part, "even_frequency_resultant": even_part}
     if tau.denominator != 1:

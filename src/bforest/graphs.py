@@ -1,17 +1,20 @@
-"""Bicirculant graph specifications and their adjacency realizations.
+"""Bicirculant graph specifications, arithmetic connectivity and realizations.
 
 A bicirculant graph lives on two copies of Z_n.  The right copy carries a
 circulant layer generated by ``{+-a : a in alphas}`` (optionally plus n/2),
 the left copy one generated by the betas, and the two copies are joined by
 spoke edges: right vertex h is adjacent to left vertex h + g for every g in
 ``gammas``.
+
+Connectivity is the exact voltage-graph gcd test of :func:`is_connected`
+(Gross & Tucker, *Topological Graph Theory*, 1987, ch. 2): O(#generators)
+time, no adjacency.  Only the matrix-tree oracle calls :func:`realize`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,11 +162,12 @@ def _gcd_many(n: int, values) -> int:
 
 
 def check_connectivity(spec: ConnectionSpec) -> dict:
-    """Sufficient gcd conditions plus ground-truth search connectivity.
+    """Sufficient gcd conditions plus the exact connectivity verdict.
 
     The three gcd flags are sufficient but not necessary, so both are
-    reported.  For a single spoke the pairwise-difference gcd condition has
-    an empty difference set and is reported as False.
+    reported; ``connected`` is the exact test of :func:`is_connected`.  For a
+    single spoke the pairwise-difference gcd condition has an empty
+    difference set and is reported as False.
     """
     cond_a = spec.s > 0 and _gcd_many(spec.n, spec.alphas) == 1
     cond_b = spec.s > 0 and _gcd_many(spec.n, spec.betas) == 1
@@ -173,35 +177,27 @@ def check_connectivity(spec: ConnectionSpec) -> dict:
         for i in range(j + 1, spec.s)
     ]
     cond_c = bool(diffs) and _gcd_many(spec.n, diffs) == 1
-    return {
-        "gcd_flags": (cond_a, cond_b, cond_c),
-        "connected": _connected_by_search(realize(spec)),
-    }
-
-
-def _connected_by_search(g: GraphRealization) -> bool:
-    adj = g.adjacency
-    total = g.vertex_count
-    seen = [False] * total
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in np.nonzero(adj[v])[0]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(int(w))
-    return count == total
+    return {"gcd_flags": (cond_a, cond_b, cond_c), "connected": is_connected(spec)}
 
 
 def is_connected(spec: ConnectionSpec) -> bool:
-    return _connected_by_search(realize(spec))
+    """Exact test: ``s >= 1`` and ``gcd(n, alphas, betas, n/2 if a half
+    flag, g_i - g_0) = 1``.
+
+    These are the voltages of closed walks at right vertex 0 (along a layer,
+    across a spoke and back, out one spoke and back another); the graph is
+    connected iff they generate Z_n (Gross & Tucker, *Topological Graph
+    Theory*, 1987, ch. 2).
+    """
+    if not spec.gammas:
+        return False
+    half = (spec.n // 2,) if spec.half_r or spec.half_t else ()
+    diffs = (g - spec.gammas[0] for g in spec.gammas)
+    return _gcd_many(spec.n, (*spec.alphas, *spec.betas, *half, *diffs)) == 1
 
 
 def realize(spec: ConnectionSpec) -> GraphRealization:
-    """Build the 2n x 2n 0/1 adjacency matrix in block-circulant form."""
+    """Build the 2n x 2n 0/1 adjacency matrix (O(n^2) memory; oracle only)."""
     n = spec.n
     right_set = set()
     for a in spec.alphas:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import InexactDivision, UnitCircleAmbiguity, ZeroPolynomial
+from .errors import InexactDivision, NonIntegralResult, UnitCircleAmbiguity, ZeroPolynomial
 from .matrixtree import det_fraction_free
 
 __all__ = [
@@ -311,7 +311,8 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
             r = [c // cont for c in r]
             acc *= Fraction(cont) ** db
         a, b = b, r
-    assert acc.denominator == 1, "resultant accumulator must be integral"
+    if acc.denominator != 1:
+        raise NonIntegralResult(f"resultant accumulator is not integral: {acc}")
     return int(acc)
 
 
@@ -339,81 +340,79 @@ def resultant_sylvester(f: IntPoly, g: IntPoly) -> int:
     return det_fraction_free(sylvester_matrix(f, g))
 
 
-def _frac_poly_mod(a: list[Fraction], f: IntPoly) -> list[Fraction]:
-    """Remainder of a (ascending Fractions) modulo f, over Q."""
-    lead = Fraction(f.lead)
-    df = f.degree
-    r = list(a)
-    while len(r) - 1 >= df and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        factor = r[-1] / lead
-        shift = len(r) - 1 - df
-        for i, c in enumerate(f.coeffs):
+def _pseudo_mod(r: list[int], f: IntPoly) -> tuple[list[int], int]:
+    """(R, k) with r = R / lc(f)^k (mod f) and deg R < deg f, over Z.
+
+    Each step removes the top term of r, dividing it exactly by lc(f) where
+    possible and otherwise scaling r by lc(f) first, which bumps k; for
+    |lc f| = 1 this is plain integer reduction and k stays 0.
+    """
+    lead, df = f.lead, f.degree
+    k = 0
+    while len(r) > df:
+        top = r.pop()
+        factor, rem = divmod(top, lead)
+        if rem:
+            r, factor, k = [lead * c for c in r], top, k + 1
+        shift = len(r) - df
+        for i, c in enumerate(f.coeffs[:-1]):
             r[shift + i] -= factor * c
-        r.pop()
     while r and r[-1] == 0:
         r.pop()
-    return r
+    return r, k
 
 
-def _pow_z_mod(f: IntPoly, m: int) -> list[Fraction]:
-    """z^m reduced modulo f, by binary exponentiation over Q."""
-    result = [Fraction(1)]
-    base = _frac_poly_mod([Fraction(0), Fraction(1)], f)
-    e = m
-    while e:
-        if e & 1:
-            prod = [Fraction(0)] * (len(result) + len(base) - 1)
-            for i, x in enumerate(result):
-                for j, y in enumerate(base):
-                    prod[i + j] += x * y
-            result = _frac_poly_mod(prod, f)
-            if not result:
-                return []
-        e >>= 1
-        if e:
-            prod = [Fraction(0)] * (2 * len(base) - 1)
-            for i, x in enumerate(base):
-                for j, y in enumerate(base):
-                    prod[i + j] += x * y
-            base = _frac_poly_mod(prod, f)
-    return result
+def _pow_z_mod(f: IntPoly, m: int) -> tuple[list[int], int]:
+    """(P, e) with z^m = P / lc(f)^e (mod f), P integral with deg P < deg f.
+
+    Left-to-right square-and-multiply: square, shift by z on a set bit of m,
+    reduce.  Squaring P / lc^e doubles e before the reduction adds its own.
+    """
+    p, e = [1], 0
+    for bit in bin(m)[2:]:
+        sq = [0] * (2 * len(p) - 1)
+        for i, x in enumerate(p):
+            if x:
+                for j, y in enumerate(p):
+                    sq[i + j] += x * y
+        if bit == "1":
+            sq.insert(0, 0)
+        p, k = _pseudo_mod(sq, f)
+        e = 2 * e + k
+    return p, e
 
 
-def abs_resultant_with_power(f: IntPoly, m: int, c: int) -> Fraction:
+def abs_resultant_with_power(f: IntPoly, m: int, c: int) -> int:
     """|Res(f, z^m + c)| for c in {+1, -1}, cheap for huge m.
 
-    z^m is reduced modulo f by square-and-multiply over exact rationals,
-    then a low-degree integer resultant finishes the job, with the
-    leading-coefficient power correction |lc f|^(m - deg r).
+    With z^m = P / L (mod f) and L = lc(f)^e signed, z^m + c agrees with
+    Q / L on the roots of f, where Q = P + c L.  A low-degree integer
+    resultant of f and the primitive part of Q finishes the job:
+    |Res(f, z^m + c)| = |lc f|^(m - deg Q - e deg f) |cont Q|^(deg f) |Res(f, Q / cont Q)|.
     """
     if f.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
     if m == 0:
         if 1 + c == 0:
             raise ZeroPolynomial("z^0 - 1 is the zero polynomial")
-        return Fraction(abs(1 + c)) ** f.degree
+        return abs(1 + c) ** f.degree
     if f.degree == 0:
-        return Fraction(abs(f.coeffs[0])) ** m
+        return abs(f.coeffs[0]) ** m
 
-    reduced = _pow_z_mod(f, m)
-    reduced = reduced + [Fraction(0)] * (1 - len(reduced))
-    reduced[0] += c
-    while reduced and reduced[-1] == 0:
-        reduced.pop()
-    if not reduced:
-        return Fraction(0)
-    denom = math.lcm(*(q.denominator for q in reduced))
-    cleared = IntPoly([q * denom for q in reduced])
-    res = resultant(f, cleared)
+    p, e = _pow_z_mod(f, m)
+    q = IntPoly(p) + IntPoly([c * f.lead**e])
+    if q.is_zero:
+        return 0
+    cont = q.content()
+    value = abs(resultant(f, IntPoly(x // cont for x in q.coeffs))) * cont**f.degree
+    shift = m - q.degree - e * f.degree
     lead = abs(f.lead)
-    return (
-        Fraction(abs(res))
-        * Fraction(lead) ** (m - cleared.degree)
-        / Fraction(denom) ** f.degree
-    )
+    if shift >= 0:
+        return value * lead**shift
+    value, rem = divmod(value, lead**-shift)
+    if rem:
+        raise NonIntegralResult(f"|Res(f, z^{m} {c:+d})| came out non-integral")
+    return value
 
 
 def exact_divide(f: IntPoly, g: IntPoly) -> IntPoly:

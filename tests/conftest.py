@@ -1,10 +1,31 @@
 """Shared fixtures: the four worked-example connection specs and helpers."""
 
 import random
+from collections import deque
 
+import numpy as np
 import pytest
 
-from bforest import is_connected, validate_spec
+from bforest import is_connected, realize, validate_spec
+
+
+def connected_by_search(spec) -> bool:
+    """Breadth-first search over the realized adjacency: the ground truth
+    the arithmetic connectivity test is cross-checked against."""
+    adj = realize(spec).adjacency
+    total = len(adj)
+    seen = [False] * total
+    seen[0] = True
+    queue = deque([0])
+    count = 1
+    while queue:
+        v = queue.popleft()
+        for w in np.nonzero(adj[v])[0]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                queue.append(int(w))
+    return count == total
 
 
 @pytest.fixture(scope="session")

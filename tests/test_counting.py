@@ -1,11 +1,15 @@
 """Spectral systems and the closed-form / Chebyshev counting paths."""
 
+import dataclasses
+
 import pytest
 
+import bforest
 from bforest import (
     DegenerateSystem,
     IntPoly,
     NotConnected,
+    SymmetricLaurentPoly,
     closed_count_formal,
     degeneracy_report,
     spectral_system,
@@ -13,6 +17,7 @@ from bforest import (
     tree_count_closed,
     tree_count_oracle,
     validate_spec,
+    verify_square_structure,
 )
 from tests.conftest import random_connected_specs
 
@@ -41,6 +46,22 @@ def test_degeneracy_report_structure(family_specs):
     assert report["derivative_at_1"] == 0
     assert report["second_derivative_at_1"] == -4
     assert report["q"] == 2
+
+
+def test_degeneracy_report_rejects_inconsistent_q(family_specs):
+    sys = dataclasses.replace(spectral_system(family_specs[1]), degeneracy=5)
+    with pytest.raises(DegenerateSystem):
+        degeneracy_report(sys)
+
+
+def test_formal_count_rejects_higher_order_root_at_one(family_specs):
+    # (z - 1)^4 / z^2 keeps a double root at z=1 after the (z-1)^2 division,
+    # which a positive q rules out
+    sys = dataclasses.replace(
+        spectral_system(family_specs[1]), base_poly=SymmetricLaurentPoly([6, -4, 1])
+    )
+    with pytest.raises(DegenerateSystem):
+        closed_count_formal(sys, 5)
 
 
 def test_reduced_base_strips_double_root(family_specs):
@@ -94,6 +115,26 @@ def test_closed_scales_to_large_orders(family_specs):
     tau = closed_count_formal(sys, 2000).tau
     assert tau % (2000 * 1) == 0
     assert tau > 10**1000
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"alphas": [1], "betas": [1], "gammas": [0]},
+        {"alphas": [1], "betas": [], "gammas": [0], "half_r": True, "half_t": True},
+    ],
+    ids=["prism", "family4"],
+)
+def test_closed_form_at_large_order_builds_no_adjacency(monkeypatch, data):
+    def refuse(spec):
+        raise AssertionError("the closed-form path realized the adjacency")
+
+    for module in (bforest, bforest.graphs, bforest.matrixtree):
+        monkeypatch.setattr(module, "realize", refuse)
+    spec = validate_spec({**data, "n": 40000})
+    tau = tree_count_closed(spec)
+    assert tau.tau > 10**20000
+    verify_square_structure(spec, tau)
 
 
 def test_chebyshev_path_agrees_with_exact(family_specs):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bforest import (
     ConnectionSpec,
@@ -15,6 +17,28 @@ from bforest import (
     realize,
     validate_spec,
 )
+from tests.conftest import connected_by_search
+
+
+@st.composite
+def any_specs(draw):
+    """Valid specs of every family, n in 1..40, zero spokes allowed."""
+    half_r, half_t = draw(st.booleans()), draw(st.booleans())
+    n = draw(st.integers(1, 40))
+    if (half_r or half_t) and n % 2:
+        n += 1
+    top = (n - 1) // 2
+    generators = st.lists(st.integers(1, top), max_size=3) if top else st.just([])
+    return validate_spec(
+        {
+            "n": n,
+            "alphas": draw(generators),
+            "betas": draw(generators),
+            "gammas": draw(st.lists(st.integers(0, n - 1), max_size=4)),
+            "half_r": half_r,
+            "half_t": half_t,
+        }
+    )
 
 
 def test_normalization_sorts_and_dedupes():
@@ -95,3 +119,17 @@ def test_disconnected_layers():
     spec = validate_spec({"n": 8, "alphas": [2], "betas": [2], "gammas": [0]})
     assert not is_connected(spec)
     assert classify_family(spec) == 1
+
+
+@given(any_specs())
+@example(validate_spec({"n": 1, "alphas": [], "betas": [], "gammas": []}))
+@example(validate_spec({"n": 1, "alphas": [], "betas": [], "gammas": [0]}))
+# the n/2 chord does not join the parity classes of steps of 2; an odd spoke
+# difference does
+@example(validate_spec({"n": 8, "alphas": [2], "betas": [2], "gammas": [0], "half_r": True}))
+@example(validate_spec({"n": 8, "alphas": [2], "betas": [2], "gammas": [0, 1], "half_r": True}))
+@settings(max_examples=400, deadline=None)
+def test_arithmetic_connectivity_matches_search(spec):
+    truth = connected_by_search(spec)
+    assert is_connected(spec) == truth
+    assert check_connectivity(spec)["connected"] == truth

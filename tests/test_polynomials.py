@@ -17,8 +17,10 @@ from bforest import (
     roots_numeric,
     squarefree_part,
 )
-from bforest.errors import InexactDivision, ZeroPolynomial
+from bforest import polynomials
+from bforest.errors import InexactDivision, NonIntegralResult, ZeroPolynomial
 from bforest.polynomials import (
+    _pow_z_mod,
     abs_resultant_with_power,
     cyclotomic_quotient,
     is_palindromic,
@@ -27,6 +29,12 @@ from bforest.polynomials import (
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+# leading coefficient off +-1, so reducing modulo them needs pseudo-division
+non_unit_lead_polys = st.builds(
+    lambda low, lead: IntPoly(low + [lead]),
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.sampled_from([-6, -3, -2, 2, 3, 5]),
+)
 
 
 # ---------------------------------------------------------------- IntPoly
@@ -138,11 +146,34 @@ def test_resultant_known_value():
         resultant(IntPoly([]), IntPoly([1]))
 
 
-@given(nonzero_polys, st.integers(1, 40), st.sampled_from([-1, 1]))
-@settings(max_examples=80)
+@given(
+    st.one_of(nonzero_polys, non_unit_lead_polys),
+    st.integers(1, 200),
+    st.sampled_from([-1, 1]),
+)
+@settings(max_examples=120, deadline=None)
 def test_power_resultant_matches_direct(f, m, c):
     direct = abs(resultant(f, IntPoly([c] + [0] * (m - 1) + [1])))
     assert abs_resultant_with_power(f, m, c) == direct
+
+
+@given(st.one_of(nonzero_polys, non_unit_lead_polys).filter(lambda f: f.degree >= 1), st.integers(0, 200))
+@settings(max_examples=80, deadline=None)
+def test_pow_z_mod_is_an_integral_pseudo_remainder(f, m):
+    p, e = _pow_z_mod(f, m)
+    assert len(p) <= f.degree
+    assert all(isinstance(c, int) for c in p)
+    if abs(f.lead) == 1:
+        assert e == 0
+    # lc(f)^e z^m - P is a multiple of f over Z
+    exact_divide(IntPoly([0] * m + [f.lead**e]) - IntPoly(p), f)
+
+
+def test_resultant_rejects_nonintegral_accumulator(monkeypatch):
+    # a pseudo-remainder that skipped its lc(b)^k scaling leaves 1/lc(b) behind
+    monkeypatch.setattr(polynomials, "_prem", lambda a, b: [1])
+    with pytest.raises(NonIntegralResult):
+        resultant(IntPoly([0, 0, 0, 1]), IntPoly([1, 0, 2]))
 
 
 def test_cyclotomic_quotient():
