@@ -28,9 +28,11 @@ from .errors import (
     EmptySpokes,
     HalfWithoutEvenN,
     InexactDivision,
+    InvariantViolation,
     NonConvergence,
     NonDivisible,
     NonIntegralResult,
+    NonMonicDenominator,
     NonPositiveStructure,
     NotAPerfectSquare,
     NotConnected,
@@ -98,9 +100,11 @@ __all__ = [
     "EmptySpokes",
     "HalfWithoutEvenN",
     "InexactDivision",
+    "InvariantViolation",
     "NonConvergence",
     "NonDivisible",
     "NonIntegralResult",
+    "NonMonicDenominator",
     "NonPositiveStructure",
     "NotAPerfectSquare",
     "NotConnected",

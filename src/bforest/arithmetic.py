@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import TreeCount
-from .errors import NonDivisible, NonPositiveStructure, NotAPerfectSquare
+from .counting import TreeCount, spectral_system
+from .errors import DegenerateSystem, NonDivisible, NonPositiveStructure, NotAPerfectSquare
 from .graphs import ConnectionSpec
 from .polynomials import squarefree_part
 
@@ -57,30 +57,19 @@ def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
     k1 = sum(1 for a in spec.alphas if a % 2 == 1)
     m1 = sum(1 for b in spec.betas if b % 2 == 1)
     h1 = sum(1 for g in spec.gammas if g % 2 == 1)
-    k2, m2, h2 = spec.r - k1, spec.t - m1, spec.s - h1
-    s = spec.s
-    spoke_term = (h2 - h1) ** 2
-    right_at_minus1 = 4 * k1 + s
-    left_at_minus1 = 4 * m1 + s
-
-    base_raw = right_at_minus1 * left_at_minus1 - spoke_term
-    family = spec.family
-    if family == 1:
-        family_raw = base_raw
-    elif family == 2:
-        family_raw = (right_at_minus1 + 2) * left_at_minus1 - spoke_term
-    elif family == 3:
-        family_raw = right_at_minus1 * (left_at_minus1 + 2) - spoke_term
-    else:
-        family_raw = (right_at_minus1 + 2) * (left_at_minus1 + 2) - spoke_term
-
+    try:
+        sys = spectral_system(spec)
+        family_raw = sys.family_poly.value_at_minus_one()
+        base_raw = sys.base_poly.value_at_minus_one()
+    except DegenerateSystem:  # a vanishing base polynomial has no branches
+        family_raw = base_raw = 0
     return ArithmeticProfile(
         odd_alphas=k1,
-        even_alphas=k2,
+        even_alphas=spec.r - k1,
         odd_betas=m1,
-        even_betas=m2,
+        even_betas=spec.t - m1,
         odd_gammas=h1,
-        even_gammas=h2,
+        even_gammas=spec.s - h1,
         structure_odd=_structure_value(family_raw),
         structure_even=_structure_value(base_raw),
     )
@@ -89,33 +78,27 @@ def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
 def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> SquareWitness:
     """Factor tau as cofactor * witness^2 and return the integer witness.
 
-    Family 1 branches on the parity of n with cofactors n*s and
-    n*s*(even structure); families 2-4 branch on the parity of n/2 with
-    cofactors n*s*(structure)/4.  Raises :class:`NotAPerfectSquare` or
-    :class:`NonDivisible` if the claimed decomposition fails.
+    At n = stride * m the branch is the parity of m, and the cofactor is
+    n * s / stride^2 times the square-free part of poly(-1) for the factor
+    (poly, c) whose z^m + c vanishes at z = -1 (no such factor: times 1).
+    Raises :class:`NotAPerfectSquare` or :class:`NonDivisible` if the
+    claimed decomposition fails.
     """
     value = tau.tau if isinstance(tau, TreeCount) else int(tau)
-    profile = arithmetic_profile(spec)
+    sys = spectral_system(spec)
     n, s = spec.n, spec.s
-    def needed(constant: int | None) -> int:
-        if constant is None:
-            raise NonPositiveStructure(
-                "structure constant undefined: the spectral value at z=-1 "
-                "vanishes, so the graph is disconnected on this branch"
-            )
-        return constant
-
-    if spec.family == 1:
-        if n % 2 == 1:
-            branch, cofactor = "odd", Fraction(n * s)
-        else:
-            branch, cofactor = "even", Fraction(n * s * needed(profile.structure_even))
-    else:
-        half = n // 2
-        if half % 2 == 1:
-            branch, cofactor = "odd", Fraction(n * s * needed(profile.structure_odd), 4)
-        else:
-            branch, cofactor = "even", Fraction(n * s * needed(profile.structure_even), 4)
+    m = n // sys.stride
+    branch = "odd" if m % 2 == 1 else "even"
+    structure = 1
+    for poly, c in sys.factors:
+        if (-1) ** m + c == 0:
+            structure = _structure_value(poly.value_at_minus_one())
+            if structure is None:
+                raise NonPositiveStructure(
+                    "structure constant undefined: the spectral value at z=-1 "
+                    "vanishes, so the graph is disconnected on this branch"
+                )
+    cofactor = Fraction(n * s * structure, sys.stride**2)
 
     ratio = Fraction(value) / cofactor
     if ratio.denominator != 1:
@@ -126,8 +109,7 @@ def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> Squar
         raise NotAPerfectSquare(
             f"tau/cofactor = {square} is not a perfect square (tau={value})"
         )
-
-    structure = profile.structure_odd if branch == "odd" else profile.structure_even
-    if spec.family != 1 and branch == "odd" and (n // 2) % 2 == 1 and s % 2 == 1 and structure % 2 == 1:
-        assert witness % 2 == 0, "odd n/2, s and structure force an even witness"
+    # odd n/2, odd s and an odd structure constant force an even witness
+    if sys.stride == 2 and branch == "odd" and s % 2 == 1 and structure % 2 == 1 and witness % 2:
+        raise NonDivisible(f"odd n/2, s and structure force an even witness, got {witness}")
     return SquareWitness(branch, cofactor, witness)

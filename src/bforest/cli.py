@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -72,61 +73,50 @@ def _at_order(spec: ConnectionSpec, n: int) -> ConnectionSpec:
     return validate_spec(data)
 
 
-# Worker functions are module-level so a process pool can pickle them.
+# Row functions are module-level so a process pool can pickle them.
 
 
-def _row_closed(task):
+def _row(compute, task):
     spec_dict, n = task
     try:
-        sp = _at_order(validate_spec(spec_dict), n)
-        return {"n": n, "tau": tree_count_closed(sp).tau}
+        return {"n": n, **compute(_at_order(validate_spec(spec_dict), n))}
     except BforestError as exc:
         return {"n": n, "error": str(exc)}
 
 
-def _row_oracle(task):
-    spec_dict, n = task
-    try:
-        sp = _at_order(validate_spec(spec_dict), n)
-        return {"n": n, "tau": tree_count_oracle(sp)}
-    except BforestError as exc:
-        return {"n": n, "error": str(exc)}
+def _closed(sp):
+    return {"tau": tree_count_closed(sp).tau}
 
 
-def _row_compare(task):
-    spec_dict, n = task
-    try:
-        sp = _at_order(validate_spec(spec_dict), n)
-        closed = tree_count_closed(sp).tau
-        oracle = tree_count_oracle(sp)
-        return {"n": n, "closed": closed, "oracle": oracle, "equal": closed == oracle}
-    except BforestError as exc:
-        return {"n": n, "error": str(exc)}
+def _oracle(sp):
+    return {"tau": tree_count_oracle(sp)}
 
 
-def _row_arithmetic(task):
-    spec_dict, n = task
-    try:
-        sp = _at_order(validate_spec(spec_dict), n)
-        tau = tree_count_closed(sp)
-        witness = verify_square_structure(sp, tau)
-        return {
-            "n": n,
-            "tau": tau.tau,
-            "branch": witness.branch,
-            "cofactor_numerator": witness.cofactor.numerator,
-            "cofactor_denominator": witness.cofactor.denominator,
-            "witness": witness.witness,
-        }
-    except BforestError as exc:
-        return {"n": n, "error": str(exc)}
+def _compare(sp):
+    closed = tree_count_closed(sp).tau
+    oracle = tree_count_oracle(sp)
+    return {"closed": closed, "oracle": oracle, "equal": closed == oracle}
 
 
-def _map_rows(worker, spec: ConnectionSpec, ns: list[int], jobs: int) -> list[dict]:
+def _arithmetic(sp):
+    tau = tree_count_closed(sp)
+    witness = verify_square_structure(sp, tau)
+    return {
+        "tau": tau.tau,
+        "branch": witness.branch,
+        "cofactor_numerator": witness.cofactor.numerator,
+        "cofactor_denominator": witness.cofactor.denominator,
+        "witness": witness.witness,
+    }
+
+
+def _map_rows(compute, spec: ConnectionSpec, ns: list[int], jobs: int) -> list[dict]:
+    worker = functools.partial(_row, compute)
     tasks = [(spec.to_dict(), n) for n in ns]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -141,21 +131,21 @@ def _cmd_validate(spec: ConnectionSpec, args) -> dict:
 
 
 def _cmd_count(spec: ConnectionSpec, args) -> dict:
-    return {"rows": _map_rows(_row_closed, spec, _n_values(args, spec), args.jobs)}
+    return {"rows": _map_rows(_closed, spec, _n_values(args, spec), args.jobs)}
 
 
 def _cmd_oracle(spec: ConnectionSpec, args) -> dict:
-    return {"rows": _map_rows(_row_oracle, spec, _n_values(args, spec), args.jobs)}
+    return {"rows": _map_rows(_oracle, spec, _n_values(args, spec), args.jobs)}
 
 
 def _cmd_compare(spec: ConnectionSpec, args) -> dict:
-    rows = _map_rows(_row_compare, spec, _n_values(args, spec), args.jobs)
+    rows = _map_rows(_compare, spec, _n_values(args, spec), args.jobs)
     checked = [r for r in rows if "equal" in r]
     return {"rows": rows, "all_equal": bool(checked) and all(r["equal"] for r in checked)}
 
 
 def _cmd_arithmetic(spec: ConnectionSpec, args) -> dict:
-    rows = _map_rows(_row_arithmetic, spec, _n_values(args, spec), args.jobs)
+    rows = _map_rows(_arithmetic, spec, _n_values(args, spec), args.jobs)
     profile = arithmetic_profile(spec)
     return {
         "structure_odd": profile.structure_odd,
@@ -166,9 +156,7 @@ def _cmd_arithmetic(spec: ConnectionSpec, args) -> dict:
 
 def _cmd_asymptotics(spec: ConnectionSpec, args) -> dict:
     root = growth_base(spec, digits=args.precision)
-    sys = spectral_system(spec)
-    poly = sys.base_poly if sys.family == 1 else sys.family_poly * sys.base_poly
-    quad = mahler_quadrature(poly)
+    quad = mahler_quadrature(spectral_system(spec).growth_poly)
     rows = convergence_report(spec, _n_values(args, spec), digits=args.precision)
     return {
         "measure": {
@@ -185,10 +173,11 @@ def _cmd_genfun(spec: ConnectionSpec, args) -> dict:
     recurrence = find_recurrence(seq, max_order=args.max_order)
     gf = genfun(seq, recurrence)
     scale = symmetry_scale(spec)
+    stride = spectral_system(spec).stride
     indexing = (
         "term k is the tree count at group order k"
-        if spec.family == 1
-        else "term k is the tree count at group order 2k (vertex count 4k)"
+        if stride == 1
+        else f"term k is the tree count at group order {stride}k (vertex count {2 * stride}k)"
     )
     return {
         "recurrence": list(recurrence),
@@ -220,8 +209,6 @@ _COMMANDS = {
     "genfun": _cmd_genfun,
     "report": _cmd_report,
 }
-
-_TABULAR_KEYS = {"rows": None, "convergence": None}
 
 
 def _emit_json(payload: dict) -> str:
@@ -320,7 +307,7 @@ def run(argv=None) -> int:
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 1
-    except (BforestError, AssertionError) as exc:
+    except BforestError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

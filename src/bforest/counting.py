@@ -10,6 +10,8 @@ The spanning-tree number is computed two independent ways:
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from .polynomials import (
     chebyshev_transform,
     exact_divide,
     roots_numeric,
+    squarefree_layers,
 )
 
 __all__ = [
@@ -38,28 +41,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralSystem:
-    """Derived polynomials of a spec; independent of the group order n."""
+    """Derived polynomials of a spec; independent of the group order n.
+
+    The count at group order n = stride * m is the prefactor
+    n * s / stride^2 times one resultant |Res(poly, z^m + c)| per entry of
+    ``factors``.  The c = -1 entry is the base polynomial, whose double root
+    at z = 1 is divided out (the division by its value there supplies q).
+    Family 1 has stride 1 and the base alone; families 2-4 have stride 2
+    and the family polynomial (c = +1) in front of the base.
+    """
 
     family: int
     spokes: int
-    right_factor: SymmetricLaurentPoly  # (2r+s) - sum (z^a + z^-a)
-    left_factor: SymmetricLaurentPoly  # (2t+s) - sum (z^b + z^-b)
-    spoke_poly: IntPoly  # sum z^g
     base_poly: SymmetricLaurentPoly  # doubly degenerate at z=1
     family_poly: SymmetricLaurentPoly  # equals base_poly for family 1
     degeneracy: int  # the positive constant q with base''(1) = -2q
+    stride: int
 
     @property
-    def degree(self) -> int:
-        return self.base_poly.degree
+    def factors(self) -> tuple[tuple[SymmetricLaurentPoly, int], ...]:
+        base = ((self.base_poly, -1),)
+        return base if self.stride == 1 else ((self.family_poly, 1),) + base
 
     @property
-    def base_lead(self) -> int:
-        return self.base_poly.lead
-
-    @property
-    def family_lead(self) -> int:
-        return self.family_poly.lead
+    def growth_poly(self) -> SymmetricLaurentPoly:
+        """Product of the factor polynomials, whose Mahler measure is the growth base."""
+        return functools.reduce(operator.mul, (poly for poly, _ in self.factors))
 
     def reduced_base(self) -> IntPoly:
         """z^k * base(z) with the (z-1)^2 degeneracy stripped, over Z."""
@@ -107,21 +114,16 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
     gram = _spoke_gram(spec.gammas)
 
     base = right * left - gram
-    family = spec.family
-    if family == 1:
-        family_poly = base
-    elif family == 2:
-        family_poly = (right + 2) * left - gram
-    elif family == 3:
-        family_poly = right * (left + 2) - gram
-    else:
-        family_poly = (right + 2) * (left + 2) - gram
-
     if base.is_zero:
         raise DegenerateSystem(
             "base spectral polynomial vanishes identically; "
             "the spec has no cycle structure to count"
         )
+    # the n/2 chords add 2 to a vertex factor at the odd frequencies
+    stride = 1 if spec.family == 1 else 2
+    family_poly = (
+        base if stride == 1 else (right + 2 * spec.half_r) * (left + 2 * spec.half_t) - gram
+    )
 
     q = (
         s * sum(a * a for a in spec.alphas)
@@ -132,12 +134,7 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
             for i in range(j + 1, s)
         )
     )
-    spoke_poly = IntPoly(
-        [1 if g in spec.gammas else 0 for g in range(max(spec.gammas) + 1)]
-        if spec.gammas
-        else []
-    )
-    return SpectralSystem(family, s, right, left, spoke_poly, base, family_poly, q)
+    return SpectralSystem(spec.family, s, base, family_poly, q, stride)
 
 
 def degeneracy_report(sys: SpectralSystem) -> dict:
@@ -165,18 +162,16 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     boundary = abs(reduced(1))
     if boundary == 0:
         raise DegenerateSystem("z=1 root of multiplicity > 2 contradicts q > 0")
-    if sys.family == 1:
-        factor = Fraction(abs_resultant_with_power(reduced, n, -1), boundary)
-        tau = Fraction(n * sys.spokes) * factor
-        parts = {"cyclotomic_resultant": factor}
-    else:
-        if n % 2 != 0:
-            raise ValueError("families 2-4 are defined for even n only")
-        half = n // 2
-        odd_part = abs_resultant_with_power(sys.family_poly.to_poly(), half, 1)
-        even_part = Fraction(abs_resultant_with_power(reduced, half, -1), boundary)
-        tau = Fraction(n * sys.spokes, 4) * odd_part * even_part
-        parts = {"odd_frequency_resultant": odd_part, "even_frequency_resultant": even_part}
+    if n % sys.stride != 0:
+        raise ValueError("families 2-4 are defined for even n only")
+    m = n // sys.stride
+    tau = Fraction(n * sys.spokes, sys.stride**2)
+    parts = {}
+    for poly, c in sys.factors:
+        # the base (c = -1) enters without its double root at z = 1
+        f, divisor = (reduced, boundary) if c == -1 else (poly.to_poly(), 1)
+        parts[f"z^m{c:+d}"] = part = Fraction(abs_resultant_with_power(f, m, c), divisor)
+        tau *= part
     if tau.denominator != 1:
         raise NonIntegralResult(f"closed-form count is not an integer: {tau}")
     return TreeCount(int(tau), "resultant-exact", parts)
@@ -211,31 +206,17 @@ def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
 
     def evaluate(dps):
         with mpmath.workdps(dps):
-            n = spec.n
-            base_transform = chebyshev_transform(sys.base_poly)
-            deflated = exact_divide(base_transform, IntPoly([-1, 1]))
-            if sys.family == 1:
-                value = mpmath.mpf(n * sys.spokes) / sys.degeneracy
-                value *= mpmath.mpf(abs(sys.base_lead)) ** n
-                if deflated.degree >= 1:
-                    for w, _, _ in roots_numeric(deflated, digits=dps):
-                        value *= abs(2 * _chebyshev_value(mpmath.mpc(w), n) - 2)
-                elif deflated.degree == 0:
-                    # constant transform factor: |2^(k-1) eta_k| absorbed in lead power
-                    pass
-            else:
-                half = n // 2
-                value = mpmath.mpf(n * sys.spokes) / (4 * sys.degeneracy)
-                value *= mpmath.mpf(abs(sys.base_lead * sys.family_lead)) ** half
-                family_transform = chebyshev_transform(sys.family_poly)
-                if family_transform.degree >= 1:
-                    for v, _, _ in roots_numeric(family_transform, digits=dps):
-                        value *= abs(2 * _chebyshev_value(mpmath.mpc(v), half) + 2)
-                # degree-0 family polynomial: its |lead|^(n/2) factor above
-                # already carries the whole odd-frequency product
-                if deflated.degree >= 1:
-                    for w, _, _ in roots_numeric(deflated, digits=dps):
-                        value *= abs(2 * _chebyshev_value(mpmath.mpc(w), half) - 2)
+            m = spec.n // sys.stride
+            value = mpmath.mpf(spec.n * sys.spokes) / (sys.stride**2 * sys.degeneracy)
+            for poly, c in sys.factors:
+                value *= mpmath.mpf(abs(poly.lead)) ** m
+                transform = chebyshev_transform(poly)
+                if c == -1:
+                    transform = exact_divide(transform, IntPoly([-1, 1]))
+                # a constant transform leaves only the |lead|^m factor above
+                for layer in squarefree_layers(transform):
+                    for w, _, _ in roots_numeric(layer, digits=dps):
+                        value *= abs(2 * _chebyshev_value(mpmath.mpc(w), m) + 2 * c)
             return value
 
     value = evaluate(digits)

@@ -63,3 +63,11 @@ class NonPositiveStructure(BforestError, ArithmeticError):
 
 class OrderExceeded(BforestError, ValueError):
     pass
+
+
+class NonMonicDenominator(BforestError, ValueError):
+    """A generating-function denominator without constant term 1."""
+
+
+class InvariantViolation(BforestError, ArithmeticError):
+    """An identity the mathematics guarantees failed: a bug, not bad input."""

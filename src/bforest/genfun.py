@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import SpectralSystem, closed_count_formal, spectral_system
-from .errors import OrderExceeded
+from .counting import closed_count_formal, spectral_system
+from .errors import InvariantViolation, NonMonicDenominator, OrderExceeded
 from .graphs import ConnectionSpec
 from .polynomials import IntPoly
 
@@ -71,13 +71,8 @@ def tau_sequence(spec: ConnectionSpec, count: int) -> TauSequence:
     if count < 1:
         raise ValueError("need at least one term")
     sys = spectral_system(spec)
-    return TauSequence(sys.family, tuple(_terms(sys, count)))
-
-
-def _terms(sys: SpectralSystem, count: int) -> list[int]:
-    if sys.family == 1:
-        return [closed_count_formal(sys, n).tau for n in range(1, count + 1)]
-    return [closed_count_formal(sys, 2 * n).tau for n in range(1, count + 1)]
+    terms = (closed_count_formal(sys, sys.stride * k).tau for k in range(1, count + 1))
+    return TauSequence(sys.family, tuple(terms))
 
 
 def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
@@ -123,8 +118,8 @@ def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
         )
     conn = conn[: order + 1]
     for i in range(order, len(terms)):
-        check = sum(conn[j] * terms[i - j] for j in range(order + 1))
-        assert check == 0, "Berlekamp-Massey output fails on the training terms"
+        if sum(conn[j] * terms[i - j] for j in range(order + 1)) != 0:
+            raise InvariantViolation("Berlekamp-Massey output fails on the training terms")
 
     denom = math.lcm(*(c.denominator for c in conn))
     ints = [int(c * denom) for c in conn]
@@ -145,6 +140,8 @@ def genfun(seq, recurrence) -> RationalGF:
     """
     terms = list(seq.values if isinstance(seq, TauSequence) else seq)
     e = list(recurrence)
+    if not e or e[0] != 1:
+        raise NonMonicDenominator(f"recurrence {e} does not start with 1 (Fatou normalization)")
     order = len(e) - 1
     denominator = IntPoly(e)
 
@@ -154,7 +151,6 @@ def genfun(seq, recurrence) -> RationalGF:
     numerator = IntPoly(
         [sum(e[i] * term(j - i) for i in range(min(j, order) + 1)) for j in range(order + 1)]
     )
-    assert e[0] == 1, "integer sequence must admit a Fatou normalization"
     return RationalGF(numerator, denominator, tuple(e))
 
 
@@ -166,7 +162,8 @@ def expand_series(gf: RationalGF, count: int) -> list[int]:
     """First ``count`` series coefficients a(1).. of the rational function."""
     num = gf.numerator.coeffs
     den = gf.denominator.coeffs
-    assert den and den[0] == 1
+    if not den or den[0] != 1:
+        raise NonMonicDenominator(f"denominator {list(den)} does not have constant term 1")
     coeffs: list[int] = []  # coeffs[j-1] = a(j); a(0) = 0 by construction
     for j in range(1, count + 1):
         value = num[j] if j < len(num) else 0
@@ -177,10 +174,7 @@ def expand_series(gf: RationalGF, count: int) -> list[int]:
 
 def symmetry_scale(spec: ConnectionSpec) -> int:
     """|product of leading spectral coefficients| rescaling the symmetry."""
-    sys = spectral_system(spec)
-    if sys.family == 1:
-        return abs(sys.base_lead)
-    return abs(sys.base_lead * sys.family_lead)
+    return abs(math.prod(poly.lead for poly, _ in spectral_system(spec).factors))
 
 
 def _scaled(p: IntPoly, scale: int) -> IntPoly:

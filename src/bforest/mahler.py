@@ -1,9 +1,9 @@
 """Mahler measures of the spectral polynomials and tree-count asymptotics.
 
 Tree counts grow geometrically; the growth base is the Mahler measure of
-the spectral polynomial (family 1) or of the product of the family and base
-polynomials (families 2-4).  The measure is computed two independent ways:
-from the root moduli and from the defining log-integral over the circle.
+the product of the spectral system's factor polynomials.  The measure is
+computed two independent ways: from the root moduli and from the defining
+log-integral over the circle.
 """
 
 from __future__ import annotations
@@ -13,10 +13,17 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .counting import closed_count_formal, spectral_system
+from .counting import SpectralSystem, closed_count_formal, spectral_system
 from .errors import NonConvergence, NotConnected, UnitCircleAmbiguity
 from .graphs import ConnectionSpec, is_connected
-from .polynomials import IntPoly, SymmetricLaurentPoly, is_palindromic, roots_numeric
+from .polynomials import (
+    IntPoly,
+    SymmetricLaurentPoly,
+    exact_divide,
+    is_palindromic,
+    roots_numeric,
+    squarefree_layers,
+)
 
 __all__ = [
     "MahlerEstimate",
@@ -38,43 +45,29 @@ class MahlerEstimate:
     label: str
 
 
-def _as_poly(p) -> IntPoly:
-    if isinstance(p, SymmetricLaurentPoly):
-        return p.to_poly()
-    return p
+def _root_product(p, digits: int):
+    """(M, relative error bound) as mpf values: |lead| times the root moduli > 1.
 
-
-def mahler_root_product(p, digits: int = 64) -> MahlerEstimate:
-    """|lead| times the product of root moduli outside the unit circle.
-
-    Roots flagged as on-circle contribute a factor 1; that is only safe when
-    they genuinely lie on the circle, so for non-palindromic polynomials with
-    unexplained near-circle roots the precision is doubled (up to 256 digits)
+    Roots at z = +-1 lie on the circle and contribute 1, so they are divided
+    out exactly first; the rest is split into square-free layers, on which
+    Aberth iteration converges.  Roots flagged as on-circle contribute 1
+    too; that is only safe when they genuinely lie on the circle, so for
+    non-palindromic input the precision is doubled (up to 256 digits)
     before giving up with :class:`UnitCircleAmbiguity`.
     """
-    poly = _as_poly(p)
-    label = repr(p)
-    if poly.degree < 1:
-        return MahlerEstimate(abs(float(poly.coeffs[0])), "root-product", 0.0, label)
-
+    poly = p.to_poly() if isinstance(p, SymmetricLaurentPoly) else p
+    for root in (1, -1):
+        while poly.degree >= 1 and poly(root) == 0:
+            poly = exact_divide(poly, IntPoly([-root, 1]))
     working = digits
     while True:
-        roots = roots_numeric(poly, digits=working)
+        roots = [r for layer in squarefree_layers(poly) for r in roots_numeric(layer, digits=working)]
         flagged = [r for r, _, on in roots if on]
-        if flagged and not is_palindromic(poly):
-            explained = all(
-                (abs(r - 1) < 1e-6 and poly(1) == 0)
-                or (abs(r + 1) < 1e-6 and poly(-1) == 0)
-                for r in flagged
-            )
-            if not explained:
-                if working * 2 <= _MAX_DIGITS:
-                    working *= 2
-                    continue
-                raise UnitCircleAmbiguity(
-                    f"cannot classify roots {flagged} against the unit circle"
-                )
-        break
+        if not flagged or is_palindromic(poly):
+            break
+        if working * 2 > _MAX_DIGITS:
+            raise UnitCircleAmbiguity(f"cannot classify roots {flagged} against the unit circle")
+        working *= 2
 
     with mpmath.workdps(working):
         value = mpmath.mpf(abs(poly.lead))
@@ -84,7 +77,13 @@ def mahler_root_product(p, digits: int = 64) -> MahlerEstimate:
             if not on_circle and modulus > 1:
                 value *= modulus
                 rel_error += mpmath.mpf(radius) / modulus
-        return MahlerEstimate(float(value), "root-product", float(value * rel_error), label)
+        return value, rel_error
+
+
+def mahler_root_product(p, digits: int = 64) -> MahlerEstimate:
+    """|lead| times the product of root moduli outside the unit circle."""
+    value, rel_error = _root_product(p, digits)
+    return MahlerEstimate(float(value), "root-product", float(value * rel_error), repr(p))
 
 
 def _abs_on_circle(p, t: np.ndarray) -> np.ndarray:
@@ -131,39 +130,25 @@ def mahler_quadrature(p, subdivisions: int = 1 << 20) -> MahlerEstimate:
 
 def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:
     """Mahler measure governing the growth of the tree counts."""
-    sys = spectral_system(spec)
-    if sys.family == 1:
-        return mahler_root_product(sys.base_poly, digits)
-    return mahler_root_product(sys.family_poly * sys.base_poly, digits)
+    return mahler_root_product(spectral_system(spec).growth_poly, digits)
+
+
+def _prediction(sys: SpectralSystem, n: int, measure):
+    if n % sys.stride != 0:
+        raise ValueError("families 2-4 are defined for even n only")
+    prefactor = mpmath.mpf(n * sys.spokes) / (sys.stride**2 * sys.degeneracy)
+    return prefactor * measure ** (n // sys.stride)
 
 
 def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
     """Leading-order prediction of the tree count at order n.
 
-    Family 1 grows like (n s / q) M^n; families 2-4 like
-    (n s / 4q) M^(n/2) with M the measure of the product polynomial.
+    The count at n = stride * m grows like (n s / (stride^2 q)) M^m, with M
+    the measure of the product of the factor polynomials.
     """
     sys = spectral_system(spec)
     with mpmath.workdps(digits):
-        poly = sys.base_poly if sys.family == 1 else sys.family_poly * sys.base_poly
-        full = _precise_measure(poly, digits)
-        if sys.family == 1:
-            return mpmath.mpf(n * sys.spokes) / sys.degeneracy * full**n
-        if n % 2 != 0:
-            raise ValueError("families 2-4 are defined for even n only")
-        return mpmath.mpf(n * sys.spokes) / (4 * sys.degeneracy) * full ** (n // 2)
-
-
-def _precise_measure(p: SymmetricLaurentPoly, digits: int):
-    poly = p.to_poly()
-    with mpmath.workdps(digits):
-        value = mpmath.mpf(abs(poly.lead))
-        if poly.degree >= 1:
-            for root, _, on_circle in roots_numeric(poly, digits=digits):
-                modulus = abs(mpmath.mpc(root))
-                if not on_circle and modulus > 1:
-                    value *= modulus
-        return value
+        return _prediction(sys, n, _root_product(sys.growth_poly, digits)[0])
 
 
 def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[dict]:
@@ -173,9 +158,10 @@ def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[d
     sys = spectral_system(spec)
     rows = []
     with mpmath.workdps(digits):
+        measure, _ = _root_product(sys.growth_poly, digits)
         for n in n_list:
             tau = closed_count_formal(sys, n).tau
-            prediction = asymptotic_prediction(spec, n, digits)
+            prediction = _prediction(sys, n, measure)
             ratio = prediction / mpmath.mpf(tau)
             rows.append(
                 {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InexactDivision, InvariantViolation
 from .graphs import ConnectionSpec, GraphRealization, realize
 
 __all__ = ["laplacian", "det_fraction_free", "tree_count_oracle"]
@@ -29,7 +30,7 @@ def det_fraction_free(matrix) -> int:
 
     Pivoting takes the first nonzero entry in each column; exact integer
     arithmetic needs no magnitude heuristics.  Every interior division is
-    exact by construction, asserted rather than trusted.
+    exact by construction, checked rather than trusted.
     """
     a = [[int(x) for x in row] for row in matrix]
     size = len(a)
@@ -56,7 +57,8 @@ def det_fraction_free(matrix) -> int:
             for j in range(k + 1, size):
                 num = row_i[j] * pivot - lead * row_k[j]
                 quot, rem = divmod(num, prev_pivot)
-                assert rem == 0, "fraction-free elimination produced an inexact division"
+                if rem:
+                    raise InexactDivision("fraction-free elimination produced an inexact division")
                 row_i[j] = quot
             row_i[k] = 0
         prev_pivot = pivot
@@ -74,5 +76,6 @@ def tree_count_oracle(g: GraphRealization | ConnectionSpec) -> int:
     lap = laplacian(g)
     reduced = [row[:-1] for row in lap[:-1]]
     value = det_fraction_free(reduced)
-    assert value >= 0, "Laplacian cofactor cannot be negative"
+    if value < 0:
+        raise InvariantViolation("Laplacian cofactor cannot be negative")
     return value

@@ -3,8 +3,7 @@
 Two carriers: dense integer polynomials (``IntPoly``) and palindromic
 Laurent polynomials stored by their cosine-side coefficients
 (``SymmetricLaurentPoly``).  Resultants use a primitive polynomial remainder
-sequence over exact integers, with the Sylvester determinant kept as an
-independent cross-check (see ``resultant_sylvester``).
+sequence over exact integers.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import InexactDivision, NonIntegralResult, UnitCircleAmbiguity, ZeroPolynomial
-from .matrixtree import det_fraction_free
+from .errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPolynomial
 
 __all__ = [
     "IntPoly",
@@ -24,11 +22,10 @@ __all__ = [
     "chebyshev_T",
     "chebyshev_transform",
     "resultant",
-    "resultant_sylvester",
     "abs_resultant_with_power",
     "exact_divide",
-    "cyclotomic_quotient",
     "squarefree_part",
+    "squarefree_layers",
     "roots_numeric",
 ]
 
@@ -146,13 +143,6 @@ class SymmetricLaurentPoly:
             zi *= z
         return total
 
-    def on_circle(self, theta: float) -> float:
-        """Real value at z = exp(i*theta)."""
-        total = float(self.eta[0])
-        for j, c in enumerate(self.eta[1:], start=1):
-            total += 2.0 * c * math.cos(j * theta)
-        return total
-
     def __add__(self, other):
         if isinstance(other, int):
             return SymmetricLaurentPoly((self.eta[0] + other,) + self.eta[1:])
@@ -170,8 +160,6 @@ class SymmetricLaurentPoly:
         return SymmetricLaurentPoly(tuple(-c for c in self.eta))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return self + (-other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -206,6 +194,9 @@ class SymmetricLaurentPoly:
 
     def value_at_one(self) -> int:
         return self.eta[0] + 2 * sum(self.eta[1:])
+
+    def value_at_minus_one(self) -> int:
+        return self.eta[0] + 2 * sum(c * (-1) ** j for j, c in enumerate(self.eta[1:], start=1))
 
     def derivative_at_one(self) -> int:
         # d/dz (z^j + z^-j) at z=1 is j - j = 0 for every term
@@ -316,30 +307,6 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     return int(acc)
 
 
-def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
-    n, m = f.degree, g.degree
-    size = n + m
-    rows = []
-    fdesc = list(reversed(f.coeffs))
-    gdesc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([0] * i + fdesc + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gdesc + [0] * (size - m - 1 - i))
-    return rows
-
-
-def resultant_sylvester(f: IntPoly, g: IntPoly) -> int:
-    """Sylvester-determinant resultant; independent oracle for small degrees."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
-    return det_fraction_free(sylvester_matrix(f, g))
-
-
 def _pseudo_mod(r: list[int], f: IntPoly) -> tuple[list[int], int]:
     """(R, k) with r = R / lc(f)^k (mod f) and deg R < deg f, over Z.
 
@@ -438,13 +405,6 @@ def exact_divide(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(int(q) for q in quot)
 
 
-def cyclotomic_quotient(n: int) -> IntPoly:
-    """(z^n - 1)/(z - 1) = 1 + z + ... + z^(n-1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return IntPoly([1] * n)
-
-
 def squarefree_part(u: int) -> int:
     """The unique square-free v with u = v * r^2, by trial division."""
     if u < 1:
@@ -461,6 +421,30 @@ def squarefree_part(u: int) -> int:
                 v *= d
         d += 1 if d == 2 else 2
     return v * u
+
+
+def _primitive(f: IntPoly) -> IntPoly:
+    """f divided by its content, with a positive leading coefficient."""
+    unit = f.content() if f.lead > 0 else -f.content()
+    return IntPoly(c // unit for c in f.coeffs)
+
+
+def squarefree_layers(f: IntPoly) -> list[IntPoly]:
+    """Square-free polynomials whose product is f up to a constant factor.
+
+    Layer i holds the roots of multiplicity >= i once each: divide f by
+    g = gcd(f, f') (a primitive remainder sequence), then repeat on g.
+    """
+    layers = []
+    while f.degree >= 1:
+        a, b = _primitive(f), _primitive(f.derivative())
+        while b.degree >= 1:
+            r = IntPoly(_prem(list(a.coeffs), list(b.coeffs)))
+            a, b = b, (r if r.is_zero else _primitive(r))
+        g = a if b.is_zero else IntPoly([1])
+        layers.append(exact_divide(f, g))
+        f = g
+    return layers
 
 
 def roots_numeric(f: IntPoly, digits: int = 64, max_iters: int = 400):
@@ -516,6 +500,11 @@ def roots_numeric(f: IntPoly, digits: int = 64, max_iters: int = 400):
             approx = new
             if moved < tol:
                 break
+        else:
+            raise NonConvergence(
+                f"Aberth iteration did not settle in {max_iters} steps; "
+                "repeated roots converge only linearly"
+            )
 
         results = []
         circle_tol = mpmath.mpf(10) ** (-(digits // 2))

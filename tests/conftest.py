@@ -6,7 +6,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from bforest import is_connected, realize, validate_spec
+from bforest import IntPoly, det_fraction_free, is_connected, realize, validate_spec
+from bforest.errors import ZeroPolynomial
 
 
 def connected_by_search(spec) -> bool:
@@ -26,6 +27,35 @@ def connected_by_search(spec) -> bool:
                 count += 1
                 queue.append(int(w))
     return count == total
+
+
+def sylvester_matrix(f, g):
+    n, m = f.degree, g.degree
+    size = n + m
+    fdesc = list(reversed(f.coeffs))
+    gdesc = list(reversed(g.coeffs))
+    rows = [[0] * i + fdesc + [0] * (size - n - 1 - i) for i in range(m)]
+    rows += [[0] * i + gdesc + [0] * (size - m - 1 - i) for i in range(n)]
+    return rows
+
+
+def resultant_sylvester(f, g) -> int:
+    """Sylvester-determinant resultant: the independent oracle the
+    remainder-sequence resultant is cross-checked against."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
+    if f.degree == 0:
+        return f.coeffs[0] ** g.degree
+    if g.degree == 0:
+        return g.coeffs[0] ** f.degree
+    return det_fraction_free(sylvester_matrix(f, g))
+
+
+def cyclotomic_quotient(n: int):
+    """(z^n - 1)/(z - 1) = 1 + z + ... + z^(n-1)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return IntPoly([1] * n)
 
 
 @pytest.fixture(scope="session")

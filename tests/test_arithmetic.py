@@ -96,6 +96,9 @@ def test_structure_constant_missing_for_degenerate_branch():
     assert profile.structure_even is None
     with pytest.raises(NonPositiveStructure):
         verify_square_structure(spec, 4)
+    # no spokes and no betas: the base polynomial vanishes identically
+    degenerate = arithmetic_profile(validate_spec({"n": 5, "alphas": [1], "gammas": []}))
+    assert (degenerate.structure_odd, degenerate.structure_even) == (None, None)
 
 
 def test_random_specs_factor_as_squares():

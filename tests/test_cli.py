@@ -151,3 +151,20 @@ def test_env_var_sets_default_precision(capsys, monkeypatch):
     code, _, err = invoke(capsys, "asymptotics", "--spec", PRISM)
     assert code == 1
     assert "precision" in err
+
+
+def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
+    # no process pool for a single n, nor when one CPU is available
+    import bforest.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process pool")
+
+    monkeypatch.setattr(bforest.cli, "ProcessPoolExecutor", refuse)
+    code, out, _ = invoke(capsys, "count", "--spec", PRISM, "--jobs", "64")
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"n": 3, "tau": 75}]
+    monkeypatch.setattr(bforest.cli.os, "cpu_count", lambda: 1)
+    code, out, _ = invoke(capsys, "count", "--spec", PRISM, "--n-end", "6", "--jobs", "64")
+    assert code == 0
+    assert [r["tau"] for r in json.loads(out)["rows"]] == [75, 384, 1805, 8100]

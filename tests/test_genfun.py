@@ -6,7 +6,9 @@ import pytest
 
 from bforest import (
     IntPoly,
+    NonMonicDenominator,
     OrderExceeded,
+    RationalGF,
     expand_series,
     find_recurrence,
     genfun,
@@ -104,3 +106,14 @@ def test_gf_eval_is_exact_rational():
     assert gf.numerator == IntPoly([0, 1])
     assert gf.denominator == IntPoly([1, -2])
     assert gf_eval(gf, Fraction(1, 3)) == Fraction(1, 1)
+
+
+def test_genfun_rejects_non_monic_recurrence():
+    with pytest.raises(NonMonicDenominator):
+        genfun([1, 2, 4, 8, 16, 32], (2, -1))
+
+
+def test_expand_series_rejects_non_monic_denominator():
+    gf = RationalGF(IntPoly([0, 1]), IntPoly([2, -1]), (2, -1))
+    with pytest.raises(NonMonicDenominator):
+        expand_series(gf, 5)

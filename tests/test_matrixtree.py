@@ -86,3 +86,12 @@ def test_oracle_prism_and_moebius():
     assert tree_count_oracle(prism) == 75
     cube = validate_spec({"n": 4, "alphas": [1], "betas": [1], "gammas": [0]})
     assert tree_count_oracle(cube) == 384
+
+
+def test_oracle_rejects_negative_cofactor(monkeypatch):
+    # a typed error, not an assert, so the check survives python -O
+    from bforest import InvariantViolation, matrixtree
+
+    monkeypatch.setattr(matrixtree, "laplacian", lambda g: [[-1, 1], [1, -1]])
+    with pytest.raises(InvariantViolation):
+        tree_count_oracle(validate_spec({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]}))

@@ -13,19 +13,20 @@ from bforest import (
     chebyshev_T,
     chebyshev_transform,
     exact_divide,
+    mahler_root_product,
     resultant,
     roots_numeric,
     squarefree_part,
 )
 from bforest import polynomials
-from bforest.errors import InexactDivision, NonIntegralResult, ZeroPolynomial
+from bforest.errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPolynomial
 from bforest.polynomials import (
     _pow_z_mod,
     abs_resultant_with_power,
-    cyclotomic_quotient,
     is_palindromic,
-    resultant_sylvester,
+    squarefree_layers,
 )
+from tests.conftest import cyclotomic_quotient, resultant_sylvester
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
@@ -224,6 +225,28 @@ def test_roots_of_factored_polynomial():
     assert abs(moduli[3] - 3) < 1e-30
     on_circle = [on for _, _, on in roots]
     assert sum(on_circle) == 2
+
+
+def test_roots_raise_when_iteration_does_not_settle():
+    # (z-1)^2 (z^2 - 4z + 1), the prism's base polynomial: Aberth iteration
+    # converges only linearly at the double root and exhausts its budget
+    with pytest.raises(NonConvergence):
+        roots_numeric(IntPoly([1, -6, 10, -6, 1]))
+    # the measure divides the root at z = 1 out first: 2 + sqrt(3)
+    measure = mahler_root_product(IntPoly([1, -6, 10, -6, 1])).value
+    assert abs(measure - (2 + math.sqrt(3))) < 1e-12
+
+
+@given(nonzero_polys, nonzero_polys)
+@settings(max_examples=80)
+def test_squarefree_layers_multiply_back(f, g):
+    p = f * f * g
+    product = IntPoly([1])
+    for layer in squarefree_layers(p):
+        # a nonzero discriminant: no repeated root
+        assert resultant(layer, layer.derivative()) != 0
+        product = product * layer
+    assert exact_divide(p, product).degree == 0
 
 
 def test_roots_error_bounds_cover_true_roots():
