@@ -59,9 +59,10 @@ def _root_product(p, digits: int):
     for root in (1, -1):
         while poly.degree >= 1 and poly(root) == 0:
             poly = exact_divide(poly, IntPoly([-root, 1]))
+    layers = squarefree_layers(poly)
     working = digits
     while True:
-        roots = [r for layer in squarefree_layers(poly) for r in roots_numeric(layer, digits=working)]
+        roots = [r for layer in layers for r in roots_numeric(layer, digits=working)]
         flagged = [r for r, _, on in roots if on]
         if not flagged or is_palindromic(poly):
             break
