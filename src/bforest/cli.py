@@ -29,7 +29,7 @@ from .genfun import (
     verify_symmetry,
 )
 from .graphs import ConnectionSpec, check_connectivity, validate_spec
-from .mahler import convergence_report, growth_base, mahler_quadrature
+from .mahler import MAX_DIGITS, convergence_report, growth_base, mahler_quadrature
 from .matrixtree import tree_count_oracle
 
 __all__ = ["main", "run"]
@@ -261,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spanning-tree counts of bicirculant graphs: exact counting, "
         "arithmetic structure, asymptotics and generating functions.",
     )
-    default_precision = int(os.environ.get("BFOREST_PRECISION", "64"))
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("validate", "normalize a spec and report connectivity"),
@@ -281,8 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--precision",
             type=int,
-            default=default_precision,
-            help="working decimal digits for float paths (env BFOREST_PRECISION)",
+            default=None,
+            help=f"float-path decimal digits, {_MIN_PRECISION}-{MAX_DIGITS} (env BFOREST_PRECISION)",
         )
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--jobs", type=int, default=1, help="worker processes across n-values")
@@ -293,8 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.precision < _MIN_PRECISION:
-            raise SpecError(f"--precision must be at least {_MIN_PRECISION}")
+        if args.precision is None:
+            env = os.environ.get("BFOREST_PRECISION", "64")
+            try:
+                args.precision = int(env)
+            except ValueError:
+                raise SpecError(f"BFOREST_PRECISION must be an integer, got {env!r}") from None
+        if not _MIN_PRECISION <= args.precision <= MAX_DIGITS:
+            raise SpecError(f"--precision must be between {_MIN_PRECISION} and {MAX_DIGITS}")
         spec = validate_spec(_load_spec_source(args.spec))
         payload = _COMMANDS[args.command](spec, args)
         if args.format == "json":

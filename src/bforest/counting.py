@@ -27,6 +27,7 @@ from .polynomials import (
     exact_divide,
     roots_numeric,
     squarefree_layers,
+    trace_polynomial,
 )
 
 __all__ = [
@@ -67,10 +68,6 @@ class SpectralSystem:
     def growth_poly(self) -> SymmetricLaurentPoly:
         """Product of the factor polynomials, whose Mahler measure is the growth base."""
         return functools.reduce(operator.mul, (poly for poly, _ in self.factors))
-
-    def reduced_base(self) -> IntPoly:
-        """z^k * base(z) with the (z-1)^2 degeneracy stripped, over Z."""
-        return exact_divide(self.base_poly.to_poly(), IntPoly([1, -2, 1]))
 
 
 @dataclass(frozen=True)
@@ -158,19 +155,21 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     """
     if sys.degeneracy == 0:
         raise DegenerateSystem("degeneracy constant q=0: formula undefined")
-    reduced = sys.reduced_base()
-    boundary = abs(reduced(1))
-    if boundary == 0:
-        raise DegenerateSystem("z=1 root of multiplicity > 2 contradicts q > 0")
     if n % sys.stride != 0:
         raise ValueError("families 2-4 are defined for even n only")
     m = n // sys.stride
     tau = Fraction(n * sys.spokes, sys.stride**2)
     parts = {}
     for poly, c in sys.factors:
-        # the base (c = -1) enters without its double root at z = 1
-        f, divisor = (reduced, boundary) if c == -1 else (poly.to_poly(), 1)
-        parts[f"z^m{c:+d}"] = part = Fraction(abs_resultant_with_power(f, m, c), divisor)
+        # each factor in x = z + 1/z; the base (c = -1) enters without its
+        # double root at z = 1, the simple root x = 2 of its trace polynomial
+        k, divisor = trace_polynomial(poly), 1
+        if c == -1:
+            k = exact_divide(k, IntPoly([-2, 1]))
+            divisor = abs(k(2))
+            if divisor == 0:
+                raise DegenerateSystem("z=1 root of multiplicity > 2 contradicts q > 0")
+        parts[f"z^m{c:+d}"] = part = Fraction(abs_resultant_with_power(k, m, c), divisor)
         tau *= part
     if tau.denominator != 1:
         raise NonIntegralResult(f"closed-form count is not an integer: {tau}")

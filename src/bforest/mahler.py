@@ -34,7 +34,7 @@ __all__ = [
     "convergence_report",
 ]
 
-_MAX_DIGITS = 256
+MAX_DIGITS = 256  # precision cap for the measure and the CLI
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _root_product(p, digits: int):
         flagged = [r for r, _, on in roots if on]
         if not flagged or is_palindromic(poly):
             break
-        if working * 2 > _MAX_DIGITS:
+        if working * 2 > MAX_DIGITS:
             raise UnitCircleAmbiguity(f"cannot classify roots {flagged} against the unit circle")
         working *= 2
 
@@ -106,24 +106,24 @@ def mahler_quadrature(p, subdivisions: int = 1 << 20) -> MahlerEstimate:
     The midpoint grid never samples t=0, which keeps the integrable log
     singularity of degenerate polynomials off the nodes; any other
     accidental zero hit is excluded from the sum (a measure-zero window).
-    Successive grid doublings provide the error estimate.
+    The difference from the grid of half the size is the error estimate.
     """
     if subdivisions < 8:
         raise ValueError("need at least 8 subdivisions")
+    if subdivisions < 2048:
+        raise NonConvergence("subdivision cap too small for an error estimate")
+    # the largest grid 1024 * 2^j within the cap, then its half, whose arrays
+    # are the smaller ones to hold next to the other grid's
+    top = 1024 << ((subdivisions // 1024).bit_length() - 1)
     estimates = []
-    n = max(1024, 8)
-    while n <= subdivisions:
+    for n in (top, top // 2):
         t = (np.arange(n) + 0.5) / n
         values = _abs_on_circle(p, t)
         good = values > 1e-300
         if not np.any(good):
             raise NonConvergence("polynomial vanishes on the whole sample grid")
-        integral = float(np.sum(np.log(values[good])) / n)
-        estimates.append(integral)
-        n *= 2
-    if len(estimates) < 2:
-        raise NonConvergence("subdivision cap too small for an error estimate")
-    last, prev = estimates[-1], estimates[-2]
+        estimates.append(float(np.sum(np.log(values[good])) / n))
+    last, prev = estimates
     error = abs(last - prev)
     value = float(np.exp(last))
     return MahlerEstimate(value, "quadrature", value * (error + 4.0 / subdivisions), repr(p))

@@ -4,6 +4,10 @@ Two carriers: dense integer polynomials (``IntPoly``) and palindromic
 Laurent polynomials stored by their cosine-side coefficients
 (``SymmetricLaurentPoly``).  Resultants use a primitive polynomial remainder
 sequence over exact integers.
+
+A palindromic P has the trace polynomial K, P(z) = K(z + 1/z), of half the
+degree of z^k P(z); the exact count's resultants against z^m + c run over
+the roots x = z + 1/z of K, with the Lucas polynomial V_m reduced modulo K.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "SymmetricLaurentPoly",
     "chebyshev_T",
     "chebyshev_transform",
+    "trace_polynomial",
     "resultant",
     "abs_resultant_with_power",
     "exact_divide",
@@ -229,23 +234,21 @@ def chebyshev_T(n: int, x):
     return tm
 
 
-def _chebyshev_basis(k: int) -> list[IntPoly]:
-    """Integer coefficient lists of T_0..T_k."""
-    basis = [IntPoly([1])]
-    if k >= 1:
-        basis.append(IntPoly([0, 1]))
-    for _ in range(2, k + 1):
-        basis.append(IntPoly([0, 2]) * basis[-1] - basis[-2])
-    return basis
-
-
 def chebyshev_transform(p: SymmetricLaurentPoly) -> IntPoly:
     """K(w) with P(z) = K((z + 1/z)/2); deg K = deg P, lead 2^k * eta_k."""
-    basis = _chebyshev_basis(p.degree)
-    out = IntPoly([p.eta[0]])
-    for j, c in enumerate(p.eta[1:], start=1):
-        out = out + 2 * c * basis[j]
+    out, prev, cheb = IntPoly([p.eta[0]]), IntPoly([1]), IntPoly([0, 1])  # T_0, T_1
+    for c in p.eta[1:]:
+        out = out + 2 * c * cheb
+        prev, cheb = cheb, IntPoly([0, 2]) * cheb - prev
     return out
+
+
+def trace_polynomial(p: SymmetricLaurentPoly) -> IntPoly:
+    """K(x) with P(z) = K(z + 1/z): the Chebyshev transform at w = x/2.
+
+    Its coefficient i divides exactly by 2^i: 2 T_j(x/2) is the Lucas V_j(x).
+    """
+    return IntPoly(c >> i for i, c in enumerate(chebyshev_transform(p).coeffs))
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -329,45 +332,60 @@ def _pseudo_mod(r: list[int], f: IntPoly) -> tuple[list[int], int]:
     return r, k
 
 
-def _pow_z_mod(f: IntPoly, m: int) -> tuple[list[int], int]:
-    """(P, e) with z^m = P / lc(f)^e (mod f), P integral with deg P < deg f.
+def _mul_add(a: list[int], b: list[int], c: list[int]) -> list[int]:
+    """Coefficients of a * b + c."""
+    out = c + [0] * (len(a) + len(b) - 1 - len(c))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
-    Left-to-right square-and-multiply: square, shift by z on a set bit of m,
-    reduce.  Squaring P / lc^e doubles e before the reduction adds its own.
+
+def _lucas_mod(f: IntPoly, m: int) -> tuple[list[int], int]:
+    """(A, e) with V_m(x) = A / lc(f)^e (mod f), A integral with deg A < deg f.
+
+    V_m(z + 1/z) = z^m + z^-m is the monic integer Lucas polynomial.  Scan
+    the bits of m keeping (V_j, V_j+1) over one shared exponent e, by
+    V_2j = V_j^2 - 2 and V_2j+1 = V_j V_j+1 - x; a product of two terms over
+    lc^e is over lc^2e before its reduction adds its own exponent.
     """
-    p, e = [1], 0
+    lead = f.lead
+    a, b, e = [2], [0, 1], 0  # V_0, V_1
     for bit in bin(m)[2:]:
-        sq = [0] * (2 * len(p) - 1)
-        for i, x in enumerate(p):
-            if x:
-                for j, y in enumerate(p):
-                    sq[i + j] += x * y
-        if bit == "1":
-            sq.insert(0, 0)
-        p, k = _pseudo_mod(sq, f)
+        scale = lead ** (2 * e)
+        u = b if bit == "1" else a
+        sq, cross = _mul_add(u, u, [-2 * scale]), _mul_add(a, b, [0, -scale])
+        pair = (cross, sq) if bit == "1" else (sq, cross)
+        (a, ka), (b, kb) = (_pseudo_mod(v, f) for v in pair)
+        k = max(ka, kb)
+        a, b = [c * lead ** (k - ka) for c in a], [c * lead ** (k - kb) for c in b]
         e = 2 * e + k
-    return p, e
+    return a, e
 
 
 def abs_resultant_with_power(f: IntPoly, m: int, c: int) -> int:
-    """|Res(f, z^m + c)| for c in {+1, -1}, cheap for huge m.
+    """|Res(F, z^m + c)| for c in {+1, -1} and F(z) = z^d f(z + 1/z), d = deg f.
 
-    With z^m = P / L (mod f) and L = lc(f)^e signed, z^m + c agrees with
-    Q / L on the roots of f, where Q = P + c L.  A low-degree integer
+    Cheap for huge m, and in half the degree of F: the roots of F pair up as
+    (r, 1/r) over the roots x = r + 1/r of f, and (r^m + c)(r^-m + c) is
+    2 + c V_m(x), so |Res(F, z^m + c)| = |lc f|^m |prod_{f(x)=0} (2 + c V_m(x))|.
+    With V_m = A / L (mod f) and L = lc(f)^e signed, 2 + c V_m agrees with
+    Q / L on the roots of f, where Q = c A + 2 L.  A low-degree integer
     resultant of f and the primitive part of Q finishes the job:
-    |Res(f, z^m + c)| = |lc f|^(m - deg Q - e deg f) |cont Q|^(deg f) |Res(f, Q / cont Q)|.
+    |Res(F, z^m + c)| = |lc f|^(m - deg Q - e deg f) |cont Q|^(deg f) |Res(f, Q / cont Q)|.
     """
     if f.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
     if m == 0:
         if 1 + c == 0:
             raise ZeroPolynomial("z^0 - 1 is the zero polynomial")
-        return abs(1 + c) ** f.degree
+        return abs(1 + c) ** (2 * f.degree)
     if f.degree == 0:
         return abs(f.coeffs[0]) ** m
 
-    p, e = _pow_z_mod(f, m)
-    q = IntPoly(p) + IntPoly([c * f.lead**e])
+    a, e = _lucas_mod(f, m)
+    q = IntPoly(a) * c + IntPoly([2 * f.lead**e])
     if q.is_zero:
         return 0
     cont = q.content()
@@ -378,7 +396,7 @@ def abs_resultant_with_power(f: IntPoly, m: int, c: int) -> int:
         return value * lead**shift
     value, rem = divmod(value, lead**-shift)
     if rem:
-        raise NonIntegralResult(f"|Res(f, z^{m} {c:+d})| came out non-integral")
+        raise NonIntegralResult(f"|Res(F, z^{m} {c:+d})| came out non-integral")
     return value
 
 

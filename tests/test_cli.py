@@ -153,6 +153,23 @@ def test_env_var_sets_default_precision(capsys, monkeypatch):
     assert "precision" in err
 
 
+def test_malformed_precision_env_var_is_a_spec_error(capsys, monkeypatch):
+    monkeypatch.setenv("BFOREST_PRECISION", "abc")
+    for command in ("validate", "count", "asymptotics"):
+        code, out, err = invoke(capsys, command, "--spec", PRISM)
+        assert (code, out) == (1, "")
+        assert "BFOREST_PRECISION" in err
+
+
+def test_precision_capped_at_the_measure_limit(capsys):
+    code, _, err = invoke(capsys, "asymptotics", "--spec", PRISM, "--precision", "257")
+    assert code == 1
+    assert "256" in err
+    code, out, _ = invoke(capsys, "count", "--spec", PRISM, "--precision", "256")
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"n": 3, "tau": 75}]
+
+
 def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
     # no process pool for a single n, nor when one CPU is available
     import bforest.cli

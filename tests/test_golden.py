@@ -4,6 +4,9 @@ arithmetic, genfun and Mahler paths became folds over the factor table.
 Exact outputs (count, arithmetic, genfun JSON) are pinned by sha256; the
 asymptotics floats are pinned value by value.  The root-product error bound
 is left out: it is an a-posteriori bound that depends on the iteration path.
+Tree counts at orders past the oracle's reach are pinned by the sha256 of
+their hex form, recorded before the exact count moved from resultants in z
+to resultants over x = z + 1/z.
 """
 
 import hashlib
@@ -11,6 +14,7 @@ import json
 
 import pytest
 
+from bforest import tree_count_closed, validate_spec
 from bforest.cli import run
 
 SPECS = {
@@ -82,6 +86,21 @@ ASYMPTOTICS = {
     ],
 }
 
+BIG = {"alphas": [1, 3, 5], "betas": [2, 7], "gammas": [0, 1, 4]}  # degree-22 reduced base
+LARGE_ORDER_SPECS = {
+    "big": BIG,
+    "big-family4": {**BIG, "half_r": True, "half_t": True},
+    "prism": {"alphas": [1], "betas": [1], "gammas": [0]},
+    "family4": {"alphas": [1], "betas": [], "gammas": [0], "half_r": True, "half_t": True},
+}
+LARGE_ORDER_DIGESTS = {
+    ("big", 1000): "6b69d049305c915741a17e93d73243f82c3f1496e6ad2c51f702c691532113a0",
+    ("big", 2000): "a81ea15a9d696635ab0117fe8b6b2ebb8bb6d433fc10b0880972fb28eb1452ea",
+    ("big-family4", 2000): "fe22fb155617bd879e6393a378bb61ecd433693dc9b6564cf8fb245d46cc773f",
+    ("prism", 40000): "99e980ba171258c4c38a6fc5b4255a8396e61ff3af81fbbe319bb4e088cedb4e",
+    ("family4", 40000): "b0df97491bee5942aeb4a041380ee71b233a06afc336e669870485e7c6a6375d",
+}
+
 
 def stdout_of(capsys, *argv) -> str:
     assert run(list(argv)) == 0
@@ -110,3 +129,9 @@ def test_asymptotics_match_golden_values(capsys, family):
     assert got[:2] == [ASYMPTOTICS[family][0], pytest.approx(ASYMPTOTICS[family][1], rel=1e-13)]
     assert got[2] == pytest.approx(ASYMPTOTICS[family][2], rel=1e-6)
     assert got[3:] == ASYMPTOTICS[family][3:]
+
+
+@pytest.mark.parametrize("label,n", sorted(LARGE_ORDER_DIGESTS))
+def test_large_order_counts_match_golden_digest(label, n):
+    tau = tree_count_closed(validate_spec({**LARGE_ORDER_SPECS[label], "n": n})).tau
+    assert hashlib.sha256(hex(tau).encode()).hexdigest() == LARGE_ORDER_DIGESTS[label, n]

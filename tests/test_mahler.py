@@ -6,6 +6,7 @@ import pytest
 
 from bforest import (
     IntPoly,
+    NonConvergence,
     NotConnected,
     SymmetricLaurentPoly,
     asymptotic_prediction,
@@ -44,6 +45,32 @@ def test_quadrature_handles_vanishing_at_one():
     p = SymmetricLaurentPoly([10, -6, 1])
     est = mahler_quadrature(p)
     assert abs(est.value - (2 + math.sqrt(3))) < 1e-4
+
+
+# (value, error bound) of the prism's growth polynomial by subdivision cap,
+# recorded when the quadrature still evaluated every grid from 1024 upwards
+PRISM_QUADRATURE = {
+    2048: (3.734577893719714, 0.009822038987893605),
+    3000: (3.734577893719714, 0.007507378730848573),
+    5000: (3.7333141368199816, 0.00425019436150248),
+    1 << 20: (3.732055741993919, 1.9170432783187083e-05),
+}
+
+
+@pytest.mark.parametrize("subdivisions", sorted(PRISM_QUADRATURE))
+def test_quadrature_uses_the_top_two_grids_bit_identically(family_specs, subdivisions):
+    est = mahler_quadrature(spectral_system(family_specs[1]).growth_poly, subdivisions)
+    assert (est.value, est.error_bound) == PRISM_QUADRATURE[subdivisions]
+
+
+def test_quadrature_needs_two_grids_and_a_nonzero_polynomial():
+    with pytest.raises(ValueError):
+        mahler_quadrature(IntPoly([-1, -1, 1]), 7)
+    for cap in (8, 1024, 2047):
+        with pytest.raises(NonConvergence):
+            mahler_quadrature(IntPoly([-1, -1, 1]), cap)
+    with pytest.raises(NonConvergence):
+        mahler_quadrature(IntPoly(), 4096)
 
 
 def test_growth_bases_of_worked_examples(family_specs):

@@ -1,6 +1,8 @@
 """Polynomial arithmetic, Chebyshev machinery, resultants and roots."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -21,21 +23,44 @@ from bforest import (
 from bforest import polynomials
 from bforest.errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPolynomial
 from bforest.polynomials import (
-    _pow_z_mod,
+    _lucas_mod,
     abs_resultant_with_power,
     is_palindromic,
     squarefree_layers,
+    trace_polynomial,
 )
 from tests.conftest import cyclotomic_quotient, resultant_sylvester
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
-# leading coefficient off +-1, so reducing modulo them needs pseudo-division
-non_unit_lead_polys = st.builds(
-    lambda low, lead: IntPoly(low + [lead]),
+# trace polynomials K in x = z + 1/z, optionally with roots at x = +-2
+# (z = +-1 double roots of the lifted polynomial); a lead off +-1 makes
+# reducing modulo K need pseudo-division
+trace_polys = st.builds(
+    lambda low, lead, roots: functools.reduce(
+        operator.mul, [IntPoly([-r, 1]) for r in roots], IntPoly(low + [lead])
+    ),
     st.lists(st.integers(-9, 9), max_size=5),
-    st.sampled_from([-6, -3, -2, 2, 3, 5]),
+    st.sampled_from([1, -1, -6, -3, -2, 2, 3, 5]),
+    st.lists(st.sampled_from([2, -2]), max_size=2),
 )
+
+
+def lift(k: IntPoly) -> IntPoly:
+    """z^d K(z + 1/z) with d = deg K, a palindromic polynomial of degree 2d."""
+    out, power = IntPoly(), IntPoly([1])  # power = (z^2 + 1)^i
+    for i, c in enumerate(k.coeffs):
+        out = out + (power * c).shift(k.degree - i)
+        power = power * IntPoly([1, 0, 1])
+    return out
+
+
+def lucas(m: int) -> IntPoly:
+    """V_m with V_m(z + 1/z) = z^m + z^-m, by V_j+1 = x V_j - V_j-1."""
+    a, b = IntPoly([2]), IntPoly([0, 1])
+    for _ in range(m):
+        a, b = b, IntPoly([0, 1]) * b - a
+    return a
 
 
 # ---------------------------------------------------------------- IntPoly
@@ -125,6 +150,17 @@ def test_chebyshev_transform_round_trip():
     assert k.lead == 2 ** p.degree * p.lead
 
 
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7))
+def test_trace_polynomial_is_the_rescaled_chebyshev_transform(eta):
+    p = SymmetricLaurentPoly(eta)
+    k = trace_polynomial(p)
+    # K(x) = T(x/2) for the Chebyshev transform T: equal at deg + 1 points
+    transform = chebyshev_transform(p)
+    assert all(k(x) == transform(Fraction(x, 2)) for x in range(p.degree + 1))
+    assert k.degree == p.degree or p.is_zero
+    assert lift(k) == p.to_poly()
+
+
 # ------------------------------------------------------------- resultants
 
 
@@ -147,27 +183,23 @@ def test_resultant_known_value():
         resultant(IntPoly([]), IntPoly([1]))
 
 
-@given(
-    st.one_of(nonzero_polys, non_unit_lead_polys),
-    st.integers(1, 200),
-    st.sampled_from([-1, 1]),
-)
+@given(trace_polys, st.integers(1, 200), st.sampled_from([-1, 1]))
 @settings(max_examples=120, deadline=None)
-def test_power_resultant_matches_direct(f, m, c):
-    direct = abs(resultant(f, IntPoly([c] + [0] * (m - 1) + [1])))
-    assert abs_resultant_with_power(f, m, c) == direct
+def test_power_resultant_matches_direct(k, m, c):
+    direct = abs(resultant(lift(k), IntPoly([c] + [0] * (m - 1) + [1])))
+    assert abs_resultant_with_power(k, m, c) == direct
 
 
-@given(st.one_of(nonzero_polys, non_unit_lead_polys).filter(lambda f: f.degree >= 1), st.integers(0, 200))
+@given(trace_polys.filter(lambda k: k.degree >= 1), st.integers(0, 200))
 @settings(max_examples=80, deadline=None)
-def test_pow_z_mod_is_an_integral_pseudo_remainder(f, m):
-    p, e = _pow_z_mod(f, m)
-    assert len(p) <= f.degree
-    assert all(isinstance(c, int) for c in p)
-    if abs(f.lead) == 1:
+def test_lucas_mod_is_an_integral_pseudo_remainder(k, m):
+    a, e = _lucas_mod(k, m)
+    assert len(a) <= k.degree  # deg A < deg K
+    assert all(isinstance(c, int) for c in a)
+    if abs(k.lead) == 1:
         assert e == 0
-    # lc(f)^e z^m - P is a multiple of f over Z
-    exact_divide(IntPoly([0] * m + [f.lead**e]) - IntPoly(p), f)
+    # lc(K)^e V_m - A is a multiple of K over Z
+    exact_divide(lucas(m) * k.lead**e - IntPoly(a), k)
 
 
 def test_resultant_rejects_nonintegral_accumulator(monkeypatch):
