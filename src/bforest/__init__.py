@@ -74,7 +74,6 @@ from .polynomials import (
     IntPoly,
     SymmetricLaurentPoly,
     chebyshev_T,
-    chebyshev_transform,
     exact_divide,
     resultant,
     roots_numeric,
@@ -141,7 +140,6 @@ __all__ = [
     "IntPoly",
     "SymmetricLaurentPoly",
     "chebyshev_T",
-    "chebyshev_transform",
     "exact_divide",
     "resultant",
     "roots_numeric",

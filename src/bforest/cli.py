@@ -24,6 +24,7 @@ from .errors import BforestError, SpecError
 from .genfun import (
     find_recurrence,
     genfun,
+    gf_eval,
     symmetry_scale,
     tau_sequence,
     verify_symmetry,
@@ -185,7 +186,7 @@ def _cmd_genfun(spec: ConnectionSpec, args) -> dict:
         "symmetry_scale": scale,
         "symmetry": verify_symmetry(gf, scale),
         "indexing": indexing,
-        "value_at_0.1": float(Fraction(gf.numerator(Fraction(1, 10)), gf.denominator(Fraction(1, 10)))),
+        "value_at_0.1": float(gf_eval(gf, Fraction(1, 10))),
     }
 
 

@@ -11,9 +11,9 @@ The spanning-tree number is computed two independent ways:
 from __future__ import annotations
 
 import functools
+import math
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import mpmath
 
@@ -23,7 +23,6 @@ from .polynomials import (
     IntPoly,
     SymmetricLaurentPoly,
     abs_resultant_with_power,
-    chebyshev_transform,
     exact_divide,
     roots_numeric,
     squarefree_layers,
@@ -45,11 +44,11 @@ class SpectralSystem:
     """Derived polynomials of a spec; independent of the group order n.
 
     The count at group order n = stride * m is the prefactor
-    n * s / stride^2 times one resultant |Res(poly, z^m + c)| per entry of
-    ``factors``.  The c = -1 entry is the base polynomial, whose double root
-    at z = 1 is divided out (the division by its value there supplies q).
-    Family 1 has stride 1 and the base alone; families 2-4 have stride 2
-    and the family polynomial (c = +1) in front of the base.
+    n * s / (stride^2 q) times one resultant |Res(poly, z^m + c)| per entry
+    of ``factors``.  The c = -1 entry is the base polynomial, whose double
+    root at z = 1 is divided out.  Family 1 has stride 1 and the base alone;
+    families 2-4 have stride 2 and the family polynomial (c = +1) in front
+    of the base.  Both counting paths fold over ``trace_factors``.
     """
 
     family: int
@@ -69,12 +68,27 @@ class SpectralSystem:
         """Product of the factor polynomials, whose Mahler measure is the growth base."""
         return functools.reduce(operator.mul, (poly for poly, _ in self.factors))
 
+    @functools.cached_property
+    def trace_factors(self) -> tuple[tuple[IntPoly, int], ...]:
+        """``factors`` in x = z + 1/z: (K, c) with poly(z) = K(z + 1/z).
+
+        The base enters as K / (x - 2), without its double root at z = 1 (the
+        simple root x = 2 of K); near z = 1 the base is K_red(2) (z - 1)^2, so
+        base''(1) = -2q makes K_red(2) = -q.  Built once per system.
+        """
+        table = [(trace_polynomial(poly), c) for poly, c in self.factors]
+        reduced = exact_divide(table[-1][0], IntPoly([-2, 1]))
+        q = self.degeneracy
+        if q <= 0 or reduced(2) != -q:
+            raise DegenerateSystem(f"base K/(x - 2) is {reduced(2)} at x = 2, not -q for q = {q} > 0")
+        table[-1] = (reduced, -1)
+        return tuple(table)
+
 
 @dataclass(frozen=True)
 class TreeCount:
     tau: int
     method: str
-    parts: dict = field(default_factory=dict)
 
 
 def _spoke_gram(gammas) -> SymmetricLaurentPoly:
@@ -153,27 +167,15 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     No validity or connectivity check: this evaluates the counting formula
     itself, which is what generating-function work needs for small n.
     """
-    if sys.degeneracy == 0:
-        raise DegenerateSystem("degeneracy constant q=0: formula undefined")
+    table = sys.trace_factors
     if n % sys.stride != 0:
         raise ValueError("families 2-4 are defined for even n only")
     m = n // sys.stride
-    tau = Fraction(n * sys.spokes, sys.stride**2)
-    parts = {}
-    for poly, c in sys.factors:
-        # each factor in x = z + 1/z; the base (c = -1) enters without its
-        # double root at z = 1, the simple root x = 2 of its trace polynomial
-        k, divisor = trace_polynomial(poly), 1
-        if c == -1:
-            k = exact_divide(k, IntPoly([-2, 1]))
-            divisor = abs(k(2))
-            if divisor == 0:
-                raise DegenerateSystem("z=1 root of multiplicity > 2 contradicts q > 0")
-        parts[f"z^m{c:+d}"] = part = Fraction(abs_resultant_with_power(k, m, c), divisor)
-        tau *= part
-    if tau.denominator != 1:
-        raise NonIntegralResult(f"closed-form count is not an integer: {tau}")
-    return TreeCount(int(tau), "resultant-exact", parts)
+    product = n * sys.spokes * math.prod(abs_resultant_with_power(k, m, c) for k, c in table)
+    tau, rem = divmod(product, sys.stride**2 * sys.degeneracy)
+    if rem:
+        raise NonIntegralResult(f"closed-form count is not an integer: remainder {rem}")
+    return TreeCount(tau, "resultant-exact")
 
 
 def tree_count_closed(spec: ConnectionSpec) -> TreeCount:
@@ -200,22 +202,17 @@ def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
     if not is_connected(spec):
         raise NotConnected(f"spec {spec.to_json()} is not connected")
     sys = spectral_system(spec)
-    if sys.degeneracy == 0:
-        raise DegenerateSystem("degeneracy constant q=0: formula undefined")
 
     def evaluate(dps):
         with mpmath.workdps(dps):
             m = spec.n // sys.stride
             value = mpmath.mpf(spec.n * sys.spokes) / (sys.stride**2 * sys.degeneracy)
-            for poly, c in sys.factors:
-                value *= mpmath.mpf(abs(poly.lead)) ** m
-                transform = chebyshev_transform(poly)
-                if c == -1:
-                    transform = exact_divide(transform, IntPoly([-1, 1]))
-                # a constant transform leaves only the |lead|^m factor above
-                for layer in squarefree_layers(transform):
-                    for w, _, _ in roots_numeric(layer, digits=dps):
-                        value *= abs(2 * _chebyshev_value(mpmath.mpc(w), m) + 2 * c)
+            for k, c in sys.trace_factors:
+                value *= mpmath.mpf(abs(k.lead)) ** m
+                # a constant K leaves only the |lead|^m factor above
+                for layer in squarefree_layers(k):
+                    for x, _, _ in roots_numeric(layer, digits=dps):
+                        value *= abs(2 * _chebyshev_value(mpmath.mpc(x) / 2, m) + 2 * c)
             return value
 
     value = evaluate(digits)

@@ -3,7 +3,9 @@
 Two carriers: dense integer polynomials (``IntPoly``) and palindromic
 Laurent polynomials stored by their cosine-side coefficients
 (``SymmetricLaurentPoly``).  Resultants use a primitive polynomial remainder
-sequence over exact integers.
+sequence over exact integers.  There is one pseudo-division, ``_pseudo_mod``,
+which reports the power of the divisor's lead it scaled by; the remainder
+sequence, the square-free split and the Lucas reduction all use it.
 
 A palindromic P has the trace polynomial K, P(z) = K(z + 1/z), of half the
 degree of z^k P(z); the exact count's resultants against z^m + c run over
@@ -24,7 +26,6 @@ __all__ = [
     "IntPoly",
     "SymmetricLaurentPoly",
     "chebyshev_T",
-    "chebyshev_transform",
     "trace_polynomial",
     "resultant",
     "abs_resultant_with_power",
@@ -234,44 +235,40 @@ def chebyshev_T(n: int, x):
     return tm
 
 
-def chebyshev_transform(p: SymmetricLaurentPoly) -> IntPoly:
-    """K(w) with P(z) = K((z + 1/z)/2); deg K = deg P, lead 2^k * eta_k."""
-    out, prev, cheb = IntPoly([p.eta[0]]), IntPoly([1]), IntPoly([0, 1])  # T_0, T_1
+def trace_polynomial(p: SymmetricLaurentPoly) -> IntPoly:
+    """K(x) with P(z) = K(z + 1/z); deg K = deg P and the same lead.
+
+    K = eta0 + sum_j eta_j V_j over the monic Lucas polynomials
+    V_j(z + 1/z) = z^j + z^-j, with V_0 = 2, V_1 = x, V_j+1 = x V_j - V_j-1.
+    """
+    out, prev, lucas = IntPoly([p.eta[0]]), IntPoly([2]), IntPoly([0, 1])  # V_0, V_1
     for c in p.eta[1:]:
-        out = out + 2 * c * cheb
-        prev, cheb = cheb, IntPoly([0, 2]) * cheb - prev
+        out = out + c * lucas
+        prev, lucas = lucas, lucas.shift(1) - prev
     return out
 
 
-def trace_polynomial(p: SymmetricLaurentPoly) -> IntPoly:
-    """K(x) with P(z) = K(z + 1/z): the Chebyshev transform at w = x/2.
+def _pseudo_mod(r: list[int], b) -> tuple[list[int], int]:
+    """(R, k) with r = R / lc(b)^k (mod b) and deg R < deg b, over Z.
 
-    Its coefficient i divides exactly by 2^i: 2 T_j(x/2) is the Lucas V_j(x).
+    ``b`` is a coefficient sequence with a nonzero last entry; ``r`` is
+    consumed.  Each step removes the top term of r, dividing it exactly by
+    lc(b) where possible and otherwise scaling r by lc(b) first, which bumps
+    k; for |lc b| = 1 this is plain integer reduction and k stays 0.
     """
-    return IntPoly(c >> i for i, c in enumerate(chebyshev_transform(p).coeffs))
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b: rem(lc(b)^(da-db+1) * a, b) over Z."""
-    db = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    steps = len(a) - len(b) + 1
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if not r or len(r) - 1 < db:
-            break
-        top = r[-1]
-        shift = len(r) - 1 - db
-        r = [lead * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= top * bc
-        steps -= 1
-    if steps > 0 and r:
-        mult = lead**steps
-        r = [mult * c for c in r]
-    return r
+    lead, db = b[-1], len(b) - 1
+    k = 0
+    while len(r) > db:
+        top = r.pop()
+        factor, rem = divmod(top, lead)
+        if rem:
+            r, factor, k = [lead * c for c in r], top, k + 1
+        shift = len(r) - db
+        for i, c in enumerate(b[:-1]):
+            r[shift + i] -= factor * c
+    while r and r[-1] == 0:
+        r.pop()
+    return r, k
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -291,15 +288,14 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         if db == 0:
             acc *= Fraction(b[0]) ** da
             break
-        r = _prem(a, b)
+        r, k = _pseudo_mod(a, b)
         if not r:
             return 0
         dr = len(r) - 1
-        lead_b = b[-1]
-        # Res(a,b) = (-1)^(da*db) lc(b)^(da - dr - (da-db+1)*db) Res(b, r)
+        # a = r / lc(b)^k (mod b): Res(a,b) = (-1)^(da*db) lc(b)^(da - dr - k*db) Res(b, r)
         if da % 2 == 1 and db % 2 == 1:
             acc = -acc
-        acc *= Fraction(lead_b) ** (da - dr - (da - db + 1) * db)
+        acc *= Fraction(b[-1]) ** (da - dr - k * db)
         cont = math.gcd(*r)
         if cont > 1:
             r = [c // cont for c in r]
@@ -308,28 +304,6 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     if acc.denominator != 1:
         raise NonIntegralResult(f"resultant accumulator is not integral: {acc}")
     return int(acc)
-
-
-def _pseudo_mod(r: list[int], f: IntPoly) -> tuple[list[int], int]:
-    """(R, k) with r = R / lc(f)^k (mod f) and deg R < deg f, over Z.
-
-    Each step removes the top term of r, dividing it exactly by lc(f) where
-    possible and otherwise scaling r by lc(f) first, which bumps k; for
-    |lc f| = 1 this is plain integer reduction and k stays 0.
-    """
-    lead, df = f.lead, f.degree
-    k = 0
-    while len(r) > df:
-        top = r.pop()
-        factor, rem = divmod(top, lead)
-        if rem:
-            r, factor, k = [lead * c for c in r], top, k + 1
-        shift = len(r) - df
-        for i, c in enumerate(f.coeffs[:-1]):
-            r[shift + i] -= factor * c
-    while r and r[-1] == 0:
-        r.pop()
-    return r, k
 
 
 def _mul_add(a: list[int], b: list[int], c: list[int]) -> list[int]:
@@ -357,7 +331,7 @@ def _lucas_mod(f: IntPoly, m: int) -> tuple[list[int], int]:
         u = b if bit == "1" else a
         sq, cross = _mul_add(u, u, [-2 * scale]), _mul_add(a, b, [0, -scale])
         pair = (cross, sq) if bit == "1" else (sq, cross)
-        (a, ka), (b, kb) = (_pseudo_mod(v, f) for v in pair)
+        (a, ka), (b, kb) = (_pseudo_mod(v, f.coeffs) for v in pair)
         k = max(ka, kb)
         a, b = [c * lead ** (k - ka) for c in a], [c * lead ** (k - kb) for c in b]
         e = 2 * e + k
@@ -457,7 +431,7 @@ def squarefree_layers(f: IntPoly) -> list[IntPoly]:
     while f.degree >= 1:
         a, b = _primitive(f), _primitive(f.derivative())
         while b.degree >= 1:
-            r = IntPoly(_prem(list(a.coeffs), list(b.coeffs)))
+            r = IntPoly(_pseudo_mod(list(a.coeffs), b.coeffs)[0])
             a, b = b, (r if r.is_zero else _primitive(r))
         g = a if b.is_zero else IntPoly([1])
         layers.append(exact_divide(f, g))

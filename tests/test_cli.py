@@ -185,3 +185,18 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "count", "--spec", PRISM, "--n-end", "6", "--jobs", "64")
     assert code == 0
     assert [r["tau"] for r in json.loads(out)["rows"]] == [75, 384, 1805, 8100]
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_oracle_rows_report_the_size_cap(capsys, monkeypatch, command):
+    from bforest import matrixtree
+
+    def refuse(spec):
+        raise AssertionError("the oracle realized a graph above its cap")
+
+    monkeypatch.setattr(matrixtree, "realize", refuse)
+    n = matrixtree.MAX_ORACLE_VERTICES // 2 + 1
+    code, out, _ = invoke(capsys, command, "--spec", PRISM, "--n-start", str(n))
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["n"] == n and "vertices" in row["error"]

@@ -1,6 +1,7 @@
 """Spectral systems and the closed-form / Chebyshev counting paths."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -56,6 +57,13 @@ def test_degeneracy_report_rejects_inconsistent_q(family_specs):
         degeneracy_report(sys)
 
 
+def test_formal_count_rejects_inconsistent_q(family_specs):
+    # the closed path divides by q, so it must agree with the base's K_red(2) = -q
+    sys = dataclasses.replace(spectral_system(family_specs[1]), degeneracy=5)
+    with pytest.raises(DegenerateSystem):
+        closed_count_formal(sys, 5)
+
+
 def test_formal_count_rejects_higher_order_root_at_one(family_specs):
     # (z - 1)^4 / z^2 keeps a double root at z=1 after the (z-1)^2 division,
     # which a positive q rules out
@@ -101,6 +109,35 @@ def test_formal_counts_skip_connectivity(family_specs):
     sys = spectral_system(family_specs[1])
     assert closed_count_formal(sys, 1).tau == 1
     assert closed_count_formal(sys, 2).tau == 12
+
+
+@pytest.mark.parametrize(
+    "data, digest",
+    [
+        (
+            {"n": 3, "alphas": [1], "betas": [1], "gammas": [0]},
+            "c31cf3fe945e4eb88c666059ecc74aa13484aee1a874b8d8770cdab5c531ed72",
+        ),
+        (
+            {"n": 4, "alphas": [1], "betas": [], "gammas": [0, 1], "half_r": True, "half_t": True},
+            "7cd972428a9e6a2e1371613747172209d8db3b71794b874be13fe62289ad1948",
+        ),
+    ],
+    ids=["prism", "family4-two-spokes"],
+)
+def test_sweep_builds_the_trace_table_once(monkeypatch, data, digest):
+    # sha256 of the hex counts at n = stride * m, m = 1..50, recorded with
+    # each factor's K rebuilt on every call
+    sys = spectral_system(validate_spec(data))
+    closed_count_formal(sys, sys.stride)
+
+    def refuse(*args):
+        raise AssertionError("the trace table was rebuilt")
+
+    monkeypatch.setattr(bforest.counting, "trace_polynomial", refuse)
+    monkeypatch.setattr(bforest.counting, "exact_divide", refuse)
+    counts = [hex(closed_count_formal(sys, sys.stride * m).tau) for m in range(1, 51)]
+    assert hashlib.sha256(",".join(counts).encode()).hexdigest() == digest
 
 
 def test_families_need_even_order(family_specs):

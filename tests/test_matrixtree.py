@@ -95,3 +95,26 @@ def test_oracle_rejects_negative_cofactor(monkeypatch):
     monkeypatch.setattr(matrixtree, "laplacian", lambda g: [[-1, 1], [1, -1]])
     with pytest.raises(InvariantViolation):
         tree_count_oracle(validate_spec({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]}))
+
+
+def test_oracle_refuses_graphs_above_the_cap(monkeypatch):
+    # the size check runs before the adjacency is built
+    from bforest import GraphRealization, OutOfRange, matrixtree
+
+    class Realized(Exception):
+        pass
+
+    def refuse(spec):
+        raise Realized
+
+    monkeypatch.setattr(matrixtree, "realize", refuse)
+    top = matrixtree.MAX_ORACLE_VERTICES // 2
+    at_cap, over = (
+        validate_spec({"n": n, "alphas": [1], "betas": [1], "gammas": [0]}) for n in (top, top + 1)
+    )
+    with pytest.raises(Realized):
+        tree_count_oracle(at_cap)
+    with pytest.raises(OutOfRange):
+        tree_count_oracle(over)
+    with pytest.raises(OutOfRange):
+        tree_count_oracle(GraphRealization(over, adjacency=None))

@@ -13,7 +13,6 @@ from bforest import (
     IntPoly,
     SymmetricLaurentPoly,
     chebyshev_T,
-    chebyshev_transform,
     exact_divide,
     mahler_root_product,
     resultant,
@@ -139,24 +138,24 @@ def test_chebyshev_nesting(m, n):
     assert chebyshev_T(m, chebyshev_T(n, x)) == chebyshev_T(m * n, x)
 
 
-def test_chebyshev_transform_round_trip():
+def test_trace_polynomial_round_trip():
     p = SymmetricLaurentPoly([10, -6, 1])
-    k = chebyshev_transform(p)
-    # K((z+1/z)/2) must reproduce P(z) at a rational point
+    k = trace_polynomial(p)
+    # K(z + 1/z) must reproduce P(z) at a rational point
     z = Fraction(3)
-    w = (z + 1 / z) / 2
-    assert k(w) == p(z)
+    assert k(z + 1 / z) == p(z)
     assert k.degree == p.degree
-    assert k.lead == 2 ** p.degree * p.lead
+    assert k.lead == p.lead
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=7))
 def test_trace_polynomial_is_the_rescaled_chebyshev_transform(eta):
     p = SymmetricLaurentPoly(eta)
     k = trace_polynomial(p)
-    # K(x) = T(x/2) for the Chebyshev transform T: equal at deg + 1 points
-    transform = chebyshev_transform(p)
-    assert all(k(x) == transform(Fraction(x, 2)) for x in range(p.degree + 1))
+    # K(x) = eta0 + sum_j 2 eta_j T_j(x/2), as V_j(x) = 2 T_j(x/2): equal at deg + 1 points
+    for x in range(p.degree + 1):
+        w = Fraction(x, 2)
+        assert k(x) == p.eta[0] + sum(2 * c * chebyshev_T(j, w) for j, c in enumerate(p.eta) if j)
     assert k.degree == p.degree or p.is_zero
     assert lift(k) == p.to_poly()
 
@@ -203,8 +202,8 @@ def test_lucas_mod_is_an_integral_pseudo_remainder(k, m):
 
 
 def test_resultant_rejects_nonintegral_accumulator(monkeypatch):
-    # a pseudo-remainder that skipped its lc(b)^k scaling leaves 1/lc(b) behind
-    monkeypatch.setattr(polynomials, "_prem", lambda a, b: [1])
+    # a pseudo-remainder that over-reports its lc(b)^k scaling leaves 1/lc(b) behind
+    monkeypatch.setattr(polynomials, "_pseudo_mod", lambda a, b: ([1], 2))
     with pytest.raises(NonIntegralResult):
         resultant(IntPoly([0, 0, 0, 1]), IntPoly([1, 0, 2]))
 
