@@ -17,7 +17,6 @@ from .counting import (
     SpectralSystem,
     TreeCount,
     closed_count_formal,
-    degeneracy_report,
     spectral_system,
     tree_count_chebyshev,
     tree_count_closed,
@@ -25,7 +24,6 @@ from .counting import (
 from .errors import (
     BforestError,
     DegenerateSystem,
-    EmptySpokes,
     HalfWithoutEvenN,
     InexactDivision,
     InvariantViolation,
@@ -39,7 +37,6 @@ from .errors import (
     OrderExceeded,
     OutOfRange,
     SpecError,
-    UnitCircleAmbiguity,
 )
 from .genfun import (
     RationalGF,
@@ -73,7 +70,6 @@ from .matrixtree import det_fraction_free, laplacian, tree_count_oracle
 from .polynomials import (
     IntPoly,
     SymmetricLaurentPoly,
-    chebyshev_T,
     exact_divide,
     resultant,
     roots_numeric,
@@ -91,13 +87,11 @@ __all__ = [
     "SpectralSystem",
     "TreeCount",
     "closed_count_formal",
-    "degeneracy_report",
     "spectral_system",
     "tree_count_chebyshev",
     "tree_count_closed",
     "BforestError",
     "DegenerateSystem",
-    "EmptySpokes",
     "HalfWithoutEvenN",
     "InexactDivision",
     "InvariantViolation",
@@ -111,7 +105,6 @@ __all__ = [
     "OrderExceeded",
     "OutOfRange",
     "SpecError",
-    "UnitCircleAmbiguity",
     "RationalGF",
     "TauSequence",
     "expand_series",
@@ -139,7 +132,6 @@ __all__ = [
     "tree_count_oracle",
     "IntPoly",
     "SymmetricLaurentPoly",
-    "chebyshev_T",
     "exact_divide",
     "resultant",
     "roots_numeric",

@@ -30,12 +30,12 @@ from .genfun import (
     verify_symmetry,
 )
 from .graphs import ConnectionSpec, check_connectivity, validate_spec
-from .mahler import MAX_DIGITS, convergence_report, growth_base, mahler_quadrature
+from .mahler import convergence_report, growth_base, mahler_quadrature
 from .matrixtree import tree_count_oracle
 
 __all__ = ["main", "run"]
 
-_MIN_PRECISION = 32
+_MIN_PRECISION, _MAX_PRECISION = 32, 256
 
 
 def _load_spec_source(source: str) -> dict:
@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--precision",
             type=int,
             default=None,
-            help=f"float-path decimal digits, {_MIN_PRECISION}-{MAX_DIGITS} (env BFOREST_PRECISION)",
+            help=f"float-path decimal digits, {_MIN_PRECISION}-{_MAX_PRECISION} (env BFOREST_PRECISION)",
         )
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--jobs", type=int, default=1, help="worker processes across n-values")
@@ -299,8 +299,8 @@ def run(argv=None) -> int:
                 args.precision = int(env)
             except ValueError:
                 raise SpecError(f"BFOREST_PRECISION must be an integer, got {env!r}") from None
-        if not _MIN_PRECISION <= args.precision <= MAX_DIGITS:
-            raise SpecError(f"--precision must be between {_MIN_PRECISION} and {MAX_DIGITS}")
+        if not _MIN_PRECISION <= args.precision <= _MAX_PRECISION:
+            raise SpecError(f"--precision must be between {_MIN_PRECISION} and {_MAX_PRECISION}")
         spec = validate_spec(_load_spec_source(args.spec))
         payload = _COMMANDS[args.command](spec, args)
         if args.format == "json":

@@ -33,7 +33,6 @@ __all__ = [
     "SpectralSystem",
     "TreeCount",
     "spectral_system",
-    "degeneracy_report",
     "tree_count_closed",
     "tree_count_chebyshev",
 ]
@@ -48,7 +47,8 @@ class SpectralSystem:
     of ``factors``.  The c = -1 entry is the base polynomial, whose double
     root at z = 1 is divided out.  Family 1 has stride 1 and the base alone;
     families 2-4 have stride 2 and the family polynomial (c = +1) in front
-    of the base.  Both counting paths fold over ``trace_factors``.
+    of the base.  Both counting paths and the growth measure fold over
+    ``trace_factors``; the float ones over its roots, ``trace_roots``.
     """
 
     family: int
@@ -83,6 +83,17 @@ class SpectralSystem:
             raise DegenerateSystem(f"base K/(x - 2) is {reduced(2)} at x = 2, not -q for q = {q} > 0")
         table[-1] = (reduced, -1)
         return tuple(table)
+
+    def trace_roots(self, digits: int) -> list[tuple[IntPoly, int, list]]:
+        """(K, c, [(x, radius)]) per entry of ``trace_factors``.
+
+        The roots x of K with their multiplicities, found by Aberth iteration
+        at ``digits`` on each square-free layer; a constant K has none.
+        """
+        return [
+            (k, c, [r for layer in squarefree_layers(k) for r in roots_numeric(layer, digits=digits)])
+            for k, c in self.trace_factors
+        ]
 
 
 @dataclass(frozen=True)
@@ -148,19 +159,6 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
     return SpectralSystem(spec.family, s, base, family_poly, q, stride)
 
 
-def degeneracy_report(sys: SpectralSystem) -> dict:
-    """Exact value/derivatives of the base polynomial at z=1."""
-    report = {
-        "value_at_1": sys.base_poly.value_at_one(),
-        "derivative_at_1": sys.base_poly.derivative_at_one(),
-        "second_derivative_at_1": sys.base_poly.second_derivative_at_one(),
-        "q": sys.degeneracy,
-    }
-    if report["second_derivative_at_1"] != -2 * sys.degeneracy:
-        raise DegenerateSystem(f"base''(1) contradicts q = {sys.degeneracy}")
-    return report
-
-
 def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     """Closed-form tree count as a formal function of n.
 
@@ -204,15 +202,13 @@ def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
     sys = spectral_system(spec)
 
     def evaluate(dps):
+        m = spec.n // sys.stride
         with mpmath.workdps(dps):
-            m = spec.n // sys.stride
             value = mpmath.mpf(spec.n * sys.spokes) / (sys.stride**2 * sys.degeneracy)
-            for k, c in sys.trace_factors:
+            for k, c, roots in sys.trace_roots(dps):
                 value *= mpmath.mpf(abs(k.lead)) ** m
-                # a constant K leaves only the |lead|^m factor above
-                for layer in squarefree_layers(k):
-                    for x, _, _ in roots_numeric(layer, digits=dps):
-                        value *= abs(2 * _chebyshev_value(mpmath.mpc(x) / 2, m) + 2 * c)
+                for x, _ in roots:
+                    value *= abs(2 * _chebyshev_value(mpmath.mpc(x) / 2, m) + 2 * c)
             return value
 
     value = evaluate(digits)

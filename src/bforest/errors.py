@@ -17,10 +17,6 @@ class OutOfRange(SpecError):
     pass
 
 
-class EmptySpokes(SpecError):
-    pass
-
-
 class NotConnected(BforestError, ValueError):
     pass
 
@@ -38,10 +34,6 @@ class DegenerateSystem(BforestError, ArithmeticError):
 
 
 class NonIntegralResult(BforestError, ArithmeticError):
-    pass
-
-
-class UnitCircleAmbiguity(BforestError, ArithmeticError):
     pass
 
 

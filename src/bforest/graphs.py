@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySpokes, HalfWithoutEvenN, OutOfRange, SpecError
+from .errors import HalfWithoutEvenN, OutOfRange, SpecError
 
 __all__ = [
     "ConnectionSpec",
@@ -76,14 +76,6 @@ class ConnectionSpec:
             "half_t": self.half_t,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConnectionSpec":
-        return validate_spec(data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConnectionSpec":
-        return validate_spec(json.loads(text))
-
 
 @dataclass(frozen=True)
 class GraphRealization:
@@ -108,12 +100,12 @@ def _as_sorted_ints(values, name: str) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def validate_spec(raw, require_connected: bool = False) -> ConnectionSpec:
+def validate_spec(raw) -> ConnectionSpec:
     """Normalize candidate connection data into a :class:`ConnectionSpec`.
 
     Inputs are sorted and deduplicated before the range checks.  Raises
-    :class:`HalfWithoutEvenN`, :class:`OutOfRange` or :class:`EmptySpokes`
-    on invalid data.
+    :class:`HalfWithoutEvenN`, :class:`OutOfRange` or another
+    :class:`SpecError` on invalid data.
     """
     if isinstance(raw, ConnectionSpec):
         raw = raw.to_dict()
@@ -143,8 +135,6 @@ def validate_spec(raw, require_connected: bool = False) -> ConnectionSpec:
     for g in gammas:
         if not 0 <= g <= n - 1:
             raise OutOfRange(f"gamma={g} outside [0, n-1] for n={n}")
-    if require_connected and not gammas:
-        raise EmptySpokes("a connected bicirculant needs at least one spoke")
 
     return ConnectionSpec(n, alphas, betas, gammas, half_r, half_t)
 

@@ -1,9 +1,13 @@
 """Mahler measures of the spectral polynomials and tree-count asymptotics.
 
-Tree counts grow geometrically; the growth base is the Mahler measure of
-the product of the spectral system's factor polynomials.  The measure is
-computed two independent ways: from the root moduli and from the defining
-log-integral over the circle.
+Tree counts grow geometrically; the growth base is the Mahler measure
+M(P) = |lead| prod max(1, |z|) of the product of the spectral system's
+factor polynomials.  It is continuous in the roots, so no root needs to be
+classified against the unit circle.  ``growth_base`` takes it from the
+roots x = z + 1/z of the trace factors, the same roots the Chebyshev
+cross-check uses: a pair (z, 1/z) contributes max(|z|, 1/|z|).  Two
+independent checks remain: ``mahler_root_product`` over the roots z of any
+polynomial, and the defining log-integral over the circle.
 """
 
 from __future__ import annotations
@@ -14,16 +18,9 @@ import mpmath
 import numpy as np
 
 from .counting import SpectralSystem, closed_count_formal, spectral_system
-from .errors import NonConvergence, NotConnected, UnitCircleAmbiguity
+from .errors import NonConvergence, NotConnected
 from .graphs import ConnectionSpec, is_connected
-from .polynomials import (
-    IntPoly,
-    SymmetricLaurentPoly,
-    exact_divide,
-    is_palindromic,
-    roots_numeric,
-    squarefree_layers,
-)
+from .polynomials import SymmetricLaurentPoly, roots_numeric, squarefree_layers
 
 __all__ = [
     "MahlerEstimate",
@@ -34,8 +31,6 @@ __all__ = [
     "convergence_report",
 ]
 
-MAX_DIGITS = 256  # precision cap for the measure and the CLI
-
 
 @dataclass(frozen=True)
 class MahlerEstimate:
@@ -45,46 +40,47 @@ class MahlerEstimate:
     label: str
 
 
-def _root_product(p, digits: int):
-    """(M, relative error bound) as mpf values: |lead| times the root moduli > 1.
+def mahler_root_product(p, digits: int = 64) -> MahlerEstimate:
+    """|lead| prod max(1, |z|) over the roots z, split into square-free layers.
 
-    Roots at z = +-1 lie on the circle and contribute 1, so they are divided
-    out exactly first; the rest is split into square-free layers, on which
-    Aberth iteration converges.  Roots flagged as on-circle contribute 1
-    too; that is only safe when they genuinely lie on the circle, so for
-    non-palindromic input the precision is doubled (up to 256 digits)
-    before giving up with :class:`UnitCircleAmbiguity`.
+    Each root adds its rounding, 10^(1 - digits), and radius / max(1, |z|)
+    to the relative error bound, as max(1, |z|) is 1-Lipschitz.
     """
     poly = p.to_poly() if isinstance(p, SymmetricLaurentPoly) else p
-    for root in (1, -1):
-        while poly.degree >= 1 and poly(root) == 0:
-            poly = exact_divide(poly, IntPoly([-root, 1]))
-    layers = squarefree_layers(poly)
-    working = digits
-    while True:
-        roots = [r for layer in layers for r in roots_numeric(layer, digits=working)]
-        flagged = [r for r, _, on in roots if on]
-        if not flagged or is_palindromic(poly):
-            break
-        if working * 2 > MAX_DIGITS:
-            raise UnitCircleAmbiguity(f"cannot classify roots {flagged} against the unit circle")
-        working *= 2
-
-    with mpmath.workdps(working):
+    roots = [r for layer in squarefree_layers(poly) for r in roots_numeric(layer, digits=digits)]
+    with mpmath.workdps(digits):
         value = mpmath.mpf(abs(poly.lead))
         rel_error = mpmath.mpf(0)
-        for root, radius, on_circle in roots:
-            modulus = abs(mpmath.mpc(root))
-            if not on_circle and modulus > 1:
-                value *= modulus
-                rel_error += mpmath.mpf(radius) / modulus
+        for root, radius in roots:
+            modulus = max(mpmath.mpf(1), abs(root))
+            value *= modulus
+            rel_error += mpmath.mpf(10) ** (1 - digits) + radius / modulus
+        return MahlerEstimate(float(value), "root-product", float(value * rel_error), repr(p))
+
+
+def _trace_measure(sys: SpectralSystem, digits: int):
+    """(M, relative error bound) as mpf values, from ``sys.trace_roots``.
+
+    M = prod |lc K| prod_x max(|rho|, 1/|rho|), with rho and 1/rho = (x -+ s)/2
+    the roots z of z + 1/z = x and s = sqrt(x^2 - 4), computed as
+    sqrt((x - 2)(x + 2)) to keep its relative accuracy near x = +-2.  A root
+    adds its rounding, 10^(1 - digits), and radius / |s|, the first-order
+    change of log max(|rho|, 1/|rho|); near the branch points x = +-2,
+    where |s|^2 <= 8 radius, it adds 2 sqrt(radius) instead.
+    """
+    with mpmath.workdps(digits):
+        value = mpmath.mpf(1)
+        rel_error = mpmath.mpf(0)
+        for k, _, roots in sys.trace_roots(digits):
+            value *= abs(k.lead)
+            for x, radius in roots:
+                s = mpmath.sqrt((x - 2) * (x + 2))
+                value *= max(abs(x + s), abs(x - s)) / 2
+                near = abs(s) ** 2 <= 8 * radius
+                rel_error += mpmath.mpf(10) ** (1 - digits) + (
+                    2 * mpmath.sqrt(radius) if near else radius / abs(s)
+                )
         return value, rel_error
-
-
-def mahler_root_product(p, digits: int = 64) -> MahlerEstimate:
-    """|lead| times the product of root moduli outside the unit circle."""
-    value, rel_error = _root_product(p, digits)
-    return MahlerEstimate(float(value), "root-product", float(value * rel_error), repr(p))
 
 
 def _abs_on_circle(p, t: np.ndarray) -> np.ndarray:
@@ -131,7 +127,9 @@ def mahler_quadrature(p, subdivisions: int = 1 << 20) -> MahlerEstimate:
 
 def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:
     """Mahler measure governing the growth of the tree counts."""
-    return mahler_root_product(spectral_system(spec).growth_poly, digits)
+    sys = spectral_system(spec)
+    value, rel_error = _trace_measure(sys, digits)
+    return MahlerEstimate(float(value), "root-product", float(value * rel_error), repr(sys.growth_poly))
 
 
 def _prediction(sys: SpectralSystem, n: int, measure):
@@ -149,7 +147,7 @@ def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
     """
     sys = spectral_system(spec)
     with mpmath.workdps(digits):
-        return _prediction(sys, n, _root_product(sys.growth_poly, digits)[0])
+        return _prediction(sys, n, _trace_measure(sys, digits)[0])
 
 
 def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[dict]:
@@ -159,7 +157,7 @@ def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[d
     sys = spectral_system(spec)
     rows = []
     with mpmath.workdps(digits):
-        measure, _ = _root_product(sys.growth_poly, digits)
+        measure, _ = _trace_measure(sys, digits)
         for n in n_list:
             tau = closed_count_formal(sys, n).tau
             prediction = _prediction(sys, n, measure)

@@ -1,4 +1,4 @@
-"""Exact integer polynomial arithmetic, Chebyshev machinery and resultants.
+"""Exact integer polynomial arithmetic, trace polynomials, resultants and roots.
 
 Two carriers: dense integer polynomials (``IntPoly``) and palindromic
 Laurent polynomials stored by their cosine-side coefficients
@@ -10,6 +10,8 @@ sequence, the square-free split and the Lucas reduction all use it.
 A palindromic P has the trace polynomial K, P(z) = K(z + 1/z), of half the
 degree of z^k P(z); the exact count's resultants against z^m + c run over
 the roots x = z + 1/z of K, with the Lucas polynomial V_m reduced modulo K.
+The float paths find those roots by Aberth iteration (``roots_numeric``) on
+the square-free layers of K, each root with an a-posteriori error radius.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPoly
 __all__ = [
     "IntPoly",
     "SymmetricLaurentPoly",
-    "chebyshev_T",
     "trace_polynomial",
     "resultant",
     "abs_resultant_with_power",
@@ -198,41 +199,11 @@ class SymmetricLaurentPoly:
         """z^k * P(z) as an ordinary polynomial (same nonzero roots)."""
         return IntPoly(self._full_line())
 
-    def value_at_one(self) -> int:
-        return self.eta[0] + 2 * sum(self.eta[1:])
-
     def value_at_minus_one(self) -> int:
         return self.eta[0] + 2 * sum(c * (-1) ** j for j, c in enumerate(self.eta[1:], start=1))
 
-    def derivative_at_one(self) -> int:
-        # d/dz (z^j + z^-j) at z=1 is j - j = 0 for every term
-        return 0
-
-    def second_derivative_at_one(self) -> int:
-        # d2/dz2 (z^j + z^-j) at 1 is j(j-1) + j(j+1) = 2 j^2
-        return sum(2 * j * j * c for j, c in enumerate(self.eta) if j > 0)
-
     def __repr__(self) -> str:
         return f"SymmetricLaurentPoly({list(self.eta)})"
-
-
-def chebyshev_T(n: int, x):
-    """Exact Chebyshev value T_n(x) for rational x, in O(log n) steps.
-
-    Uses the doubling identities T_{2m} = 2 T_m^2 - 1 and
-    T_{2m+1} = 2 T_{m+1} T_m - x.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    x = Fraction(x)
-    # maintain (T_m, T_{m+1}) while scanning bits of n from the top
-    tm, tm1 = Fraction(1), x  # m = 0
-    for bit in bin(n)[2:]:
-        if bit == "0":
-            tm, tm1 = 2 * tm * tm - 1, 2 * tm1 * tm - x
-        else:
-            tm, tm1 = 2 * tm1 * tm - x, 2 * tm1 * tm1 - 1
-    return tm
 
 
 def trace_polynomial(p: SymmetricLaurentPoly) -> IntPoly:
@@ -382,19 +353,16 @@ def exact_divide(f: IntPoly, g: IntPoly) -> IntPoly:
         return IntPoly()
     if f.degree < g.degree:
         raise InexactDivision("divisor degree exceeds dividend degree")
-    r = [Fraction(c) for c in f.coeffs]
-    lead = Fraction(g.lead)
-    dq = f.degree - g.degree
-    quot = [Fraction(0)] * (dq + 1)
-    for pos in range(dq, -1, -1):
-        coef = r[pos + g.degree] / lead
-        quot[pos] = coef
-        if coef:
-            for i, c in enumerate(g.coeffs):
-                r[pos + i] -= coef * c
-    if any(c != 0 for c in r) or any(q.denominator != 1 for q in quot):
+    r = list(f.coeffs)
+    quot = [0] * (f.degree - g.degree + 1)
+    for pos in range(len(quot) - 1, -1, -1):
+        quot[pos] = coef = r[pos + g.degree] // g.lead
+        for i, c in enumerate(g.coeffs):
+            r[pos + i] -= coef * c
+    # a remainder, or a top coefficient that lc(g) did not divide, is left in r
+    if any(r):
         raise InexactDivision(f"{g!r} does not divide {f!r} over the integers")
-    return IntPoly(int(q) for q in quot)
+    return IntPoly(quot)
 
 
 def squarefree_part(u: int) -> int:
@@ -442,9 +410,10 @@ def squarefree_layers(f: IntPoly) -> list[IntPoly]:
 def roots_numeric(f: IntPoly, digits: int = 64, max_iters: int = 400):
     """All complex roots by Aberth-Ehrlich simultaneous iteration.
 
-    Returns a list of ``(root, radius, on_circle)`` triples where ``radius``
-    is an a-posteriori error bound and ``on_circle`` marks roots that cannot
-    be classified against the unit circle at this precision.
+    Returns a list of ``(root, radius)`` pairs, the root a full-precision
+    ``mpc`` and ``radius`` an a-posteriori bound on its distance to a true
+    root.  Repeated roots converge only linearly: split into
+    ``squarefree_layers`` first.
     """
     if f.is_zero or f.degree < 1:
         raise ZeroPolynomial("root finding needs degree >= 1")
@@ -499,22 +468,12 @@ def roots_numeric(f: IntPoly, digits: int = 64, max_iters: int = 400):
             )
 
         results = []
-        circle_tol = mpmath.mpf(10) ** (-(digits // 2))
         for x in approx:
             dp = dpoly(x)
             if dp != 0:
                 radius = deg * abs(poly(x) / dp)
             else:
                 radius = deg * (abs(poly(x)) / abs(lead)) ** (mpmath.mpf(1) / deg)
-            distance = abs(abs(x) - 1)
-            on_circle = distance <= max(radius, circle_tol)
-            # keep the full-precision mpc; callers may round to complex
-            results.append((mpmath.mpc(x), float(radius), bool(on_circle)))
+            results.append((mpmath.mpc(x), float(radius)))
         return results
 
-
-def is_palindromic(f: IntPoly) -> bool:
-    """Self-reciprocal up to sign: coefficients read the same both ways."""
-    c = f.coeffs
-    rev = tuple(reversed(c))
-    return c == rev or c == tuple(-x for x in rev)

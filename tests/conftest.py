@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,25 @@ def resultant_sylvester(f, g) -> int:
     if g.degree == 0:
         return g.coeffs[0] ** f.degree
     return det_fraction_free(sylvester_matrix(f, g))
+
+
+def chebyshev_T(n: int, x):
+    """Exact Chebyshev value T_n(x) for rational x, in O(log n) steps.
+
+    Uses the doubling identities T_{2m} = 2 T_m^2 - 1 and
+    T_{2m+1} = 2 T_{m+1} T_m - x.
+    """
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    x = Fraction(x)
+    # maintain (T_m, T_{m+1}) while scanning bits of n from the top
+    tm, tm1 = Fraction(1), x  # m = 0
+    for bit in bin(n)[2:]:
+        if bit == "0":
+            tm, tm1 = 2 * tm * tm - 1, 2 * tm1 * tm - x
+        else:
+            tm, tm1 = 2 * tm1 * tm - x, 2 * tm1 * tm1 - 1
+    return tm
 
 
 def cyclotomic_quotient(n: int):

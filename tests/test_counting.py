@@ -12,7 +12,6 @@ from bforest import (
     NotConnected,
     SymmetricLaurentPoly,
     closed_count_formal,
-    degeneracy_report,
     exact_divide,
     spectral_system,
     tree_count_chebyshev,
@@ -44,17 +43,15 @@ def test_variant_family_polynomials(family_specs):
 
 
 def test_degeneracy_report_structure(family_specs):
-    report = degeneracy_report(spectral_system(family_specs[1]))
-    assert report["value_at_1"] == 0
-    assert report["derivative_at_1"] == 0
-    assert report["second_derivative_at_1"] == -4
-    assert report["q"] == 2
-
-
-def test_degeneracy_report_rejects_inconsistent_q(family_specs):
-    sys = dataclasses.replace(spectral_system(family_specs[1]), degeneracy=5)
-    with pytest.raises(DegenerateSystem):
-        degeneracy_report(sys)
+    # the base vanishes doubly at z = 1, and its reduced trace factor K_red,
+    # without the simple root x = 2, is -q there
+    sys = spectral_system(family_specs[1])
+    base = sys.base_poly.to_poly()
+    assert base(1) == 0
+    assert base.derivative()(1) == 0
+    assert base.derivative().derivative()(1) == -2 * sys.degeneracy == -4
+    reduced, c = sys.trace_factors[-1]
+    assert c == -1 and reduced(2) == -sys.degeneracy
 
 
 def test_formal_count_rejects_inconsistent_q(family_specs):

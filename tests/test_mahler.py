@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath
 import pytest
 
+import bforest.mahler
 from bforest import (
     IntPoly,
     NonConvergence,
@@ -18,6 +20,7 @@ from bforest import (
     tree_count_closed,
     validate_spec,
 )
+from tests.conftest import random_connected_specs
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -29,6 +32,24 @@ def test_root_product_known_measures():
     assert abs(mahler_root_product(IntPoly([7])).value - 7.0) < 1e-15
     # leading coefficient scales the measure
     assert abs(mahler_root_product(IntPoly([-3, -3, 3])).value - 3 * GOLDEN) < 1e-11
+
+
+def test_root_product_needs_no_unit_circle_test():
+    # (x^2 + 1)(x - 3): a conjugate pair on the circle and no palindromic
+    # shortcut; max(1, |z|) is continuous in the roots, so it is plainly 3
+    est = mahler_root_product(IntPoly([-3, 1, -3, 1]))
+    assert est.value == 3.0
+    assert 0 < est.error_bound < 1e-50
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[-3, 1, -3, 1], [-1, -1, 1], [1, -6, 10, -6, 1], [2, 5, 1], [1, 0, 0, 2, 0, 0, 1]]
+)
+def test_root_product_error_bound_covers_rounding(coeffs):
+    # at 12 digits the working precision is coarser than a float, so its
+    # rounding shows against the 40-digit value
+    low, high = mahler_root_product(IntPoly(coeffs), 12), mahler_root_product(IntPoly(coeffs), 40)
+    assert abs(low.value - high.value) <= low.error_bound
 
 
 def test_quadrature_agrees_with_root_product():
@@ -127,3 +148,61 @@ def test_product_polynomial_measure_multiplies(family_specs):
     m_family = mahler_root_product(sys.family_poly).value
     m_base = mahler_root_product(sys.base_poly).value
     assert abs(m_product - m_family * m_base) < 1e-9
+
+
+# growth bases, predictions and convergence rows recorded when the measure
+# was still the z-domain root product of the growth polynomial
+RECORDED = {
+    "family4": (
+        {"n": 4, "alphas": [1], "betas": [], "gammas": [0], "half_r": True, "half_t": True},
+        13.324555320336758,
+        63043.5837165584,
+        [(4, 196, 177.54377448471462), (8, 63368, 63043.5837165584), (12, 16793868, 16789493.71512131)],
+    ),
+    "mixed": (
+        {"n": 9, "alphas": [1, 2], "betas": [1], "gammas": [0, 2]},
+        13.583234079646495,
+        5.574935500345912e20,
+        [
+            (9, 17712254898, 17708475990.170853),
+            (18, 557493537200800910112, 5.574935500345912e20),
+            (28, 185420275852354693616010193911808, 1.8542027585252055e32),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_growth_measures_come_from_the_trace_roots(monkeypatch, name):
+    data, base, prediction, rows = RECORDED[name]
+    spec = validate_spec(data)
+
+    def no_z_roots(*args, **kwargs):
+        raise AssertionError("the growth measure must not find roots in z")
+
+    monkeypatch.setattr(bforest.mahler, "roots_numeric", no_z_roots)
+    assert growth_base(spec).value == base
+    assert float(asymptotic_prediction(spec, 2 * spec.n)) == prediction
+    report = convergence_report(spec, [n for n, _, _ in rows])
+    assert [(row["n"], row["tau"], row["prediction"]) for row in report] == rows
+
+
+def test_growth_base_error_bound_covers_rounding():
+    # all four families, and two specs with a trace root at a branch point x = +-2
+    specs = random_connected_specs(24, seed=3, n_max=16, r_max=3, t_max=3, s_max=3)
+    systems = [spectral_system(spec) for spec in specs]
+    assert {spec.family for spec in specs} == {1, 2, 3, 4}
+    assert sum(any(k(2) == 0 or k(-2) == 0 for k, _ in sys.trace_factors) for sys in systems) == 2
+    for spec, sys in zip(specs, systems):
+        value, rel_error = bforest.mahler._trace_measure(sys, 64)
+        check, _ = bforest.mahler._trace_measure(sys, 128)
+        with mpmath.workdps(128):
+            assert abs(value - check) <= value * rel_error, spec
+        # coarser than a float at 12 digits, so the public bound shows it too
+        low, high = growth_base(spec, 12), growth_base(spec, 40)
+        assert abs(low.value - high.value) <= low.error_bound, spec
+        if any(k.degree >= 1 for k, _ in sys.trace_factors):
+            assert rel_error > 0, spec
+        else:
+            # no roots: the measure is the exact integer prod |lc K|
+            assert rel_error == 0 and value == math.prod(abs(k.lead) for k, _ in sys.trace_factors)
