@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import DegenerateSystem, NonIntegralResult, NotConnected
+from .errors import DegenerateSystem, HalfWithoutEvenN, NonIntegralResult, NotConnected, OutOfRange
 from .graphs import ConnectionSpec, is_connected
 from .polynomials import (
     IntPoly,
@@ -87,8 +87,9 @@ class SpectralSystem:
     def trace_roots(self, digits: int) -> list[tuple[IntPoly, int, list]]:
         """(K, c, [(x, radius)]) per entry of ``trace_factors``.
 
-        The roots x of K with their multiplicities, found by Aberth iteration
-        at ``digits`` on each square-free layer; a constant K has none.
+        The roots x of K with their multiplicities, found by mpmath's
+        Durand-Kerner ``polyroots`` at ``digits`` on each square-free layer; a
+        constant K has none.
         """
         return [
             (k, c, [r for layer in squarefree_layers(k) for r in roots_numeric(layer, digits=digits)])
@@ -165,9 +166,11 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     No validity or connectivity check: this evaluates the counting formula
     itself, which is what generating-function work needs for small n.
     """
+    if n < 1:
+        raise OutOfRange(f"group order must be positive, got {n}")
     table = sys.trace_factors
     if n % sys.stride != 0:
-        raise ValueError("families 2-4 are defined for even n only")
+        raise HalfWithoutEvenN("families 2-4 are defined for even n only")
     m = n // sys.stride
     product = n * sys.spokes * math.prod(abs_resultant_with_power(k, m, c) for k, c in table)
     tau, rem = divmod(product, sys.stride**2 * sys.degeneracy)

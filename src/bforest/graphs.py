@@ -92,37 +92,47 @@ class GraphRealization:
         return 2 * self.spec.n
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int, refusing what ``int`` would truncate or parse."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
 def _as_sorted_ints(values, name: str) -> tuple[int, ...]:
     try:
-        ints = sorted({int(v) for v in values})
-    except (TypeError, ValueError) as exc:
+        return tuple(sorted({_as_int(v, name) for v in values}))
+    except TypeError as exc:
         raise SpecError(f"{name} must be a list of integers") from exc
-    return tuple(ints)
 
 
 def validate_spec(raw) -> ConnectionSpec:
     """Normalize candidate connection data into a :class:`ConnectionSpec`.
 
-    Inputs are sorted and deduplicated before the range checks.  Raises
-    :class:`HalfWithoutEvenN`, :class:`OutOfRange` or another
+    Numbers must be integral and half flags ``bool``; nothing is truncated
+    or coerced.  Inputs are sorted and deduplicated before the range checks.
+    Raises :class:`HalfWithoutEvenN`, :class:`OutOfRange` or another
     :class:`SpecError` on invalid data.
     """
     if isinstance(raw, ConnectionSpec):
         raw = raw.to_dict()
     if not isinstance(raw, dict):
         raise SpecError("connection data must be a mapping")
-    try:
-        n = int(raw["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError("missing or invalid group order n") from exc
+    if "n" not in raw:
+        raise SpecError("missing group order n")
+    n = _as_int(raw["n"], "group order n")
     if n < 1:
         raise OutOfRange(f"group order must be positive, got {n}")
 
     alphas = _as_sorted_ints(raw.get("alphas", ()), "alphas")
     betas = _as_sorted_ints(raw.get("betas", ()), "betas")
     gammas = _as_sorted_ints(raw.get("gammas", ()), "gammas")
-    half_r = bool(raw.get("half_r", False))
-    half_t = bool(raw.get("half_t", False))
+    half_r, half_t = (raw.get(key, False) for key in ("half_r", "half_t"))
+    if not isinstance(half_r, bool) or not isinstance(half_t, bool):
+        raise SpecError(f"half flags must be true or false, got {half_r!r} and {half_t!r}")
 
     if (half_r or half_t) and n % 2 != 0:
         raise HalfWithoutEvenN(f"half generator n/2 requires even n, got n={n}")

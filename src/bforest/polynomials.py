@@ -10,8 +10,8 @@ sequence, the square-free split and the Lucas reduction all use it.
 A palindromic P has the trace polynomial K, P(z) = K(z + 1/z), of half the
 degree of z^k P(z); the exact count's resultants against z^m + c run over
 the roots x = z + 1/z of K, with the Lucas polynomial V_m reduced modulo K.
-The float paths find those roots by Aberth iteration (``roots_numeric``) on
-the square-free layers of K, each root with an a-posteriori error radius.
+The float paths find those roots by mpmath's Durand-Kerner ``polyroots``
+(``roots_numeric``) per square-free layer of K, with a-posteriori radii.
 """
 
 from __future__ import annotations
@@ -322,6 +322,8 @@ def abs_resultant_with_power(f: IntPoly, m: int, c: int) -> int:
     """
     if f.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
+    if m < 0:
+        raise ValueError(f"power must be non-negative, got {m}")
     if m == 0:
         if 1 + c == 0:
             raise ZeroPolynomial("z^0 - 1 is the zero polynomial")
@@ -407,73 +409,36 @@ def squarefree_layers(f: IntPoly) -> list[IntPoly]:
     return layers
 
 
-def roots_numeric(f: IntPoly, digits: int = 64, max_iters: int = 400):
-    """All complex roots by Aberth-Ehrlich simultaneous iteration.
+ROOT_STEPS = 400  # Durand-Kerner sweeps before NonConvergence
 
-    Returns a list of ``(root, radius)`` pairs, the root a full-precision
-    ``mpc`` and ``radius`` an a-posteriori bound on its distance to a true
-    root.  Repeated roots converge only linearly: split into
-    ``squarefree_layers`` first.
+
+def roots_numeric(f: IntPoly, digits: int = 64):
+    """All complex roots by mpmath's Durand-Kerner ``polyroots``.
+
+    Returns ``(root, radius)`` pairs: the root a full-precision ``mpc``,
+    ``radius`` = deg |f/f'| there, which bounds its distance to a true root
+    up to the root's own rounding at ``digits + 10`` (callers add that).
+    The iteration runs 34 bits above that precision, so its rounding stays
+    below the step it stops at even for roots in the thousands.  Repeated
+    roots converge only linearly: split into ``squarefree_layers`` first.
     """
     if f.is_zero or f.degree < 1:
         raise ZeroPolynomial("root finding needs degree >= 1")
-    deg = f.degree
+    deg, coeffs = f.degree, f.coeffs[::-1]
     with mpmath.workdps(digits + 10):
-        coeffs = [mpmath.mpf(c) for c in f.coeffs]
-        lead = coeffs[-1]
-
-        def poly(x):
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
-
-        def dpoly(x):
-            acc = mpmath.mpc(0)
-            for i in range(deg, 0, -1):
-                acc = acc * x + i * coeffs[i]
-            return acc
-
-        bound = 1 + max(abs(c) / abs(lead) for c in coeffs[:-1])
-        approx = [
-            bound * mpmath.expjpi(mpmath.mpf(2 * i + 1) / deg + mpmath.mpf("0.41"))
-            for i in range(deg)
-        ]
-        tol = mpmath.mpf(10) ** (-digits)
-        for _ in range(max_iters):
-            moved = mpmath.mpf(0)
-            new = list(approx)
-            for i, x in enumerate(approx):
-                p = poly(x)
-                dp = dpoly(x)
-                if dp == 0:
-                    new[i] = x + tol
-                    moved = max(moved, tol)
-                    continue
-                newton = p / dp
-                repulse = mpmath.fsum(
-                    (1 / (x - y) for j, y in enumerate(approx) if j != i)
-                )
-                denom = 1 - newton * repulse
-                step = newton if denom == 0 else newton / denom
-                new[i] = x - step
-                moved = max(moved, abs(step))
-            approx = new
-            if moved < tol:
-                break
-        else:
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=ROOT_STEPS, cleanup=False, extraprec=34)
+        except mpmath.libmp.NoConvergence as exc:
             raise NonConvergence(
-                f"Aberth iteration did not settle in {max_iters} steps; "
+                f"Durand-Kerner polyroots did not settle in {ROOT_STEPS} steps; "
                 "repeated roots converge only linearly"
-            )
-
+            ) from exc
         results = []
-        for x in approx:
-            dp = dpoly(x)
-            if dp != 0:
-                radius = deg * abs(poly(x) / dp)
+        for x in roots:
+            value, slope = mpmath.polyval(coeffs, x, derivative=True)
+            if slope != 0:
+                radius = deg * abs(value / slope)
             else:
-                radius = deg * (abs(poly(x)) / abs(lead)) ** (mpmath.mpf(1) / deg)
-            results.append((mpmath.mpc(x), float(radius)))
+                radius = deg * (abs(value) / abs(f.lead)) ** (mpmath.mpf(1) / deg)
+            results.append((x, float(radius)))
         return results
-

@@ -30,9 +30,14 @@ def test_validate_json(capsys):
 
 
 def test_validate_rejects_bad_spec(capsys):
-    code, _, err = invoke(capsys, "validate", "--spec", '{"n":5,"gammas":[0],"half_r":true}')
-    assert code == 1
-    assert "invalid spec" in err
+    # odd n with a half flag; then input that validation once truncated or coerced
+    for spec in (
+        '{"n":5,"gammas":[0],"half_r":true}',
+        '{"n":12.7,"alphas":[1.9],"gammas":[0],"half_r":"false"}',
+    ):
+        code, _, err = invoke(capsys, "validate", "--spec", spec)
+        assert code == 1
+        assert "invalid spec" in err
 
 
 def test_count_range(capsys):
@@ -66,6 +71,15 @@ def test_rows_report_errors_for_invalid_orders(capsys):
     by_n = {r["n"]: r for r in rows}
     assert by_n[4]["tau"] == 16
     assert "error" in by_n[5] and "error" in by_n[7]
+
+
+@pytest.mark.parametrize(
+    "spec, start, end", [(PRISM, "-3", "3"), (FAM2, "4", "5")], ids=["negative", "odd"]
+)
+def test_asymptotics_rejects_invalid_orders(capsys, spec, start, end):
+    code, _, err = invoke(capsys, "asymptotics", "--spec", spec, "--n-start", start, "--n-end", end)
+    assert code == 1
+    assert "invalid spec" in err
 
 
 def test_arithmetic_rows(capsys):

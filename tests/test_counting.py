@@ -143,6 +143,14 @@ def test_families_need_even_order(family_specs):
         closed_count_formal(sys, 5)
 
 
+def test_formal_count_rejects_non_positive_orders(family_specs):
+    # n = -3 once scanned the bits of bin(-3) = "-0b11" and gave the prism tau = -75
+    sys = spectral_system(family_specs[1])
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            closed_count_formal(sys, n)
+
+
 def test_closed_equals_oracle_on_random_specs():
     for spec in random_connected_specs(40, seed=2024):
         assert tree_count_closed(spec).tau == tree_count_oracle(spec), spec

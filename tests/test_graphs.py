@@ -73,6 +73,27 @@ def test_range_checks():
         validate_spec(["not", "a", "mapping"])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 12.7),
+        ("n", "12"),
+        ("alphas", [1.9]),
+        ("gammas", ["0"]),
+        ("half_r", "false"),
+        ("half_t", 1),
+    ],
+)
+def test_validation_neither_truncates_nor_coerces(field, value):
+    with pytest.raises(SpecError):
+        validate_spec({"n": 12, "alphas": [1], "gammas": [0], field: value})
+
+
+def test_validation_takes_integral_floats_as_integers():
+    spec = validate_spec({"n": 12.0, "alphas": [1.0], "gammas": [0]})
+    assert (spec.n, spec.alphas) == (12, (1,)) and type(spec.n) is int
+
+
 def test_connected_requires_spokes():
     # a spec without spokes is valid input, but its two layers never meet
     spec = validate_spec({"n": 4, "alphas": [1], "betas": [1], "gammas": []})

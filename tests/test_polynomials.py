@@ -189,6 +189,11 @@ def test_power_resultant_matches_direct(k, m, c):
     assert abs_resultant_with_power(k, m, c) == direct
 
 
+def test_power_resultant_rejects_negative_powers():
+    with pytest.raises(ValueError):
+        abs_resultant_with_power(IntPoly([-3, 1]), -3, 1)
+
+
 @given(trace_polys.filter(lambda k: k.degree >= 1), st.integers(0, 200))
 @settings(max_examples=80, deadline=None)
 def test_lucas_mod_is_an_integral_pseudo_remainder(k, m):
@@ -260,7 +265,7 @@ def test_roots_of_factored_polynomial():
 
 
 def test_roots_raise_when_iteration_does_not_settle():
-    # (z-1)^2 (z^2 - 4z + 1), the prism's base polynomial: Aberth iteration
+    # (z-1)^2 (z^2 - 4z + 1), the prism's base polynomial: Durand-Kerner
     # converges only linearly at the double root and exhausts its budget
     with pytest.raises(NonConvergence):
         roots_numeric(IntPoly([1, -6, 10, -6, 1]))
@@ -285,3 +290,16 @@ def test_roots_error_bounds_cover_true_roots():
     f = IntPoly([-6, 11, -6, 1])  # roots 1, 2, 3
     for root, radius in roots_numeric(f, digits=40):
         assert min(abs(root - k) for k in (1, 2, 3)) <= max(radius, 1e-35)
+
+
+@pytest.mark.parametrize(
+    "true_roots", [[1000, 2000, 3000], [37 * k for k in range(1, 11)]], ids=["thousands", "37k"]
+)
+def test_roots_of_large_modulus_settle_and_are_covered(true_roots):
+    # the iteration stops on an absolute step, so roots in the thousands need
+    # its working bits above digits + 10 to settle
+    f = functools.reduce(operator.mul, (IntPoly([-r, 1]) for r in true_roots))
+    found = roots_numeric(f, digits=64)
+    assert sorted(round(float(root.real)) for root, _ in found) == true_roots
+    for root, radius in found:
+        assert min(abs(root - r) for r in true_roots) <= max(radius, 1e-59)

@@ -44,7 +44,7 @@ def connected_specs(draw):
 @given(connected_specs())
 @settings(max_examples=30, deadline=None)
 # spectral polynomials in z^3: double roots at the primitive cube roots of
-# unity, which only the square-free split lets Aberth iteration resolve
+# unity, which only the square-free split lets Durand-Kerner resolve
 @example(validate_spec({"n": 7, "alphas": [3], "betas": [], "gammas": [0]}))
 @example(validate_spec({"n": 8, "alphas": [3], "betas": [3], "gammas": [0], "half_r": True}))
 def test_factor_table_folds_agree_with_cross_checks(spec):
