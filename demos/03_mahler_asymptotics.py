@@ -1,6 +1,6 @@
 """Tree counts grow geometrically with a Mahler-measure growth base.
 
-The base is computed two independent ways -- from the root moduli of the
+The base is computed two independent ways -- from the roots of the
 spectral polynomial and from the defining log-integral over the unit
 circle -- and the resulting leading-order prediction is compared with the
 exact counts.
@@ -18,7 +18,9 @@ from bforest import (
 
 spec = validate_spec({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]})
 root = growth_base(spec)
-quad = mahler_quadrature(spectral_system(spec).base_poly)
+# the quadrature averages log|K(2 cos theta)| for the trace polynomial K of the
+# growth polynomial, the prism's base in x = z + 1/z
+quad = mahler_quadrature(spectral_system(spec).growth_poly)
 print(f"root-product measure: {root.value:.12f} (error bound {root.error_bound:.1e})")
 print(f"quadrature measure  : {quad.value:.12f} (error bound {quad.error_bound:.1e})")
 print(f"algebraic value     : {2 + math.sqrt(3):.12f} = 2 + sqrt(3)")

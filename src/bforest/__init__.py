@@ -69,7 +69,6 @@ from .mahler import (
 from .matrixtree import det_fraction_free, laplacian, tree_count_oracle
 from .polynomials import (
     IntPoly,
-    SymmetricLaurentPoly,
     exact_divide,
     resultant,
     roots_numeric,
@@ -131,7 +130,6 @@ __all__ = [
     "laplacian",
     "tree_count_oracle",
     "IntPoly",
-    "SymmetricLaurentPoly",
     "exact_divide",
     "resultant",
     "roots_numeric",

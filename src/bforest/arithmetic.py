@@ -50,7 +50,8 @@ def _structure_value(raw: int) -> int | None:
 def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
     """Parity counts plus the two square-free structure constants.
 
-    The raw values are evaluations of the spectral polynomials at z=-1:
+    The raw values are evaluations of the spectral polynomials at z=-1,
+    which is x = -2 for their trace polynomials:
     the even-branch constant comes from the base polynomial, the odd-branch
     constant from the family polynomial (they coincide for family 1).
     """
@@ -59,8 +60,8 @@ def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
     h1 = sum(1 for g in spec.gammas if g % 2 == 1)
     try:
         sys = spectral_system(spec)
-        family_raw = sys.family_poly.value_at_minus_one()
-        base_raw = sys.base_poly.value_at_minus_one()
+        family_raw = sys.family_poly(-2)
+        base_raw = sys.base_poly(-2)
     except DegenerateSystem:  # a vanishing base polynomial has no branches
         family_raw = base_raw = 0
     return ArithmeticProfile(
@@ -79,8 +80,8 @@ def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> Squar
     """Factor tau as cofactor * witness^2 and return the integer witness.
 
     At n = stride * m the branch is the parity of m, and the cofactor is
-    n * s / stride^2 times the square-free part of poly(-1) for the factor
-    (poly, c) whose z^m + c vanishes at z = -1 (no such factor: times 1).
+    n * s / stride^2 times the square-free part of K(-2), the value at z = -1,
+    for the factor (K, c) whose z^m + c vanishes there (no such factor: times 1).
     Raises :class:`NotAPerfectSquare` or :class:`NonDivisible` if the
     claimed decomposition fails.
     """
@@ -90,9 +91,9 @@ def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> Squar
     m = n // sys.stride
     branch = "odd" if m % 2 == 1 else "even"
     structure = 1
-    for poly, c in sys.factors:
+    for k, c in sys.factors:
         if (-1) ** m + c == 0:
-            structure = _structure_value(poly.value_at_minus_one())
+            structure = _structure_value(k(-2))
             if structure is None:
                 raise NonPositiveStructure(
                     "structure constant undefined: the spectral value at z=-1 "

@@ -30,7 +30,7 @@ from .genfun import (
     verify_symmetry,
 )
 from .graphs import ConnectionSpec, check_connectivity, validate_spec
-from .mahler import convergence_report, growth_base, mahler_quadrature
+from .mahler import _growth_report, mahler_quadrature
 from .matrixtree import tree_count_oracle
 
 __all__ = ["main", "run"]
@@ -156,9 +156,8 @@ def _cmd_arithmetic(spec: ConnectionSpec, args) -> dict:
 
 
 def _cmd_asymptotics(spec: ConnectionSpec, args) -> dict:
-    root = growth_base(spec, digits=args.precision)
-    quad = mahler_quadrature(spectral_system(spec).growth_poly)
-    rows = convergence_report(spec, _n_values(args, spec), digits=args.precision)
+    system, root, rows = _growth_report(spec, _n_values(args, spec), args.precision)
+    quad = mahler_quadrature(system.growth_poly)
     return {
         "measure": {
             "root_product": {"value": root.value, "error_bound": root.error_bound},
@@ -301,6 +300,8 @@ def run(argv=None) -> int:
                 raise SpecError(f"BFOREST_PRECISION must be an integer, got {env!r}") from None
         if not _MIN_PRECISION <= args.precision <= _MAX_PRECISION:
             raise SpecError(f"--precision must be between {_MIN_PRECISION} and {_MAX_PRECISION}")
+        if args.max_order < 1:
+            raise SpecError(f"--max-order must be positive, got {args.max_order}")
         spec = validate_spec(_load_spec_source(args.spec))
         payload = _COMMANDS[args.command](spec, args)
         if args.format == "json":

@@ -21,7 +21,6 @@ from .errors import DegenerateSystem, HalfWithoutEvenN, NonIntegralResult, NotCo
 from .graphs import ConnectionSpec, is_connected
 from .polynomials import (
     IntPoly,
-    SymmetricLaurentPoly,
     abs_resultant_with_power,
     exact_divide,
     roots_numeric,
@@ -40,43 +39,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralSystem:
-    """Derived polynomials of a spec; independent of the group order n.
+    """Derived trace polynomials K(x), x = z + 1/z, of a spec; independent of n.
 
     The count at group order n = stride * m is the prefactor
-    n * s / (stride^2 q) times one resultant |Res(poly, z^m + c)| per entry
-    of ``factors``.  The c = -1 entry is the base polynomial, whose double
-    root at z = 1 is divided out.  Family 1 has stride 1 and the base alone;
-    families 2-4 have stride 2 and the family polynomial (c = +1) in front
-    of the base.  Both counting paths and the growth measure fold over
-    ``trace_factors``; the float ones over its roots, ``trace_roots``.
+    n * s / (stride^2 q) times one resultant |Res(K(z + 1/z), z^m + c)| per
+    entry (K, c) of ``factors``.  The c = -1 entry is the base polynomial,
+    whose double root at z = 1 is divided out.  Family 1 has stride 1 and the
+    base alone; families 2-4 have stride 2 and the family polynomial (c = +1)
+    in front of the base.  Both counting paths and the growth measure fold
+    over ``trace_factors``; the float ones over its roots, ``trace_roots``.
     """
 
     family: int
     spokes: int
-    base_poly: SymmetricLaurentPoly  # doubly degenerate at z=1
-    family_poly: SymmetricLaurentPoly  # equals base_poly for family 1
-    degeneracy: int  # the positive constant q with base''(1) = -2q
+    base_poly: IntPoly  # doubly degenerate at z=1: a simple root at x = 2
+    family_poly: IntPoly  # equals base_poly for family 1
+    degeneracy: int  # the positive constant q with base''(1) = -2q in z
     stride: int
 
     @property
-    def factors(self) -> tuple[tuple[SymmetricLaurentPoly, int], ...]:
+    def factors(self) -> tuple[tuple[IntPoly, int], ...]:
         base = ((self.base_poly, -1),)
         return base if self.stride == 1 else ((self.family_poly, 1),) + base
 
     @property
-    def growth_poly(self) -> SymmetricLaurentPoly:
+    def growth_poly(self) -> IntPoly:
         """Product of the factor polynomials, whose Mahler measure is the growth base."""
         return functools.reduce(operator.mul, (poly for poly, _ in self.factors))
 
     @functools.cached_property
     def trace_factors(self) -> tuple[tuple[IntPoly, int], ...]:
-        """``factors`` in x = z + 1/z: (K, c) with poly(z) = K(z + 1/z).
+        """``factors`` with the base reduced: (K, c), the base as K / (x - 2).
 
-        The base enters as K / (x - 2), without its double root at z = 1 (the
-        simple root x = 2 of K); near z = 1 the base is K_red(2) (z - 1)^2, so
-        base''(1) = -2q makes K_red(2) = -q.  Built once per system.
+        The base's double root at z = 1 is the simple root x = 2 of its K;
+        near z = 1 the base is K_red(2) (z - 1)^2, so base''(1) = -2q makes
+        K_red(2) = -q.  Built once per system.
         """
-        table = [(trace_polynomial(poly), c) for poly, c in self.factors]
+        table = list(self.factors)
         reduced = exact_divide(table[-1][0], IntPoly([-2, 1]))
         q = self.degeneracy
         if q <= 0 or reduced(2) != -q:
@@ -103,34 +102,27 @@ class TreeCount:
     method: str
 
 
-def _spoke_gram(gammas) -> SymmetricLaurentPoly:
-    """C(1/z) C(z) as a palindromic Laurent polynomial."""
-    s = len(gammas)
-    counts: dict[int, int] = {}
-    for gl in gammas:
-        for gk in gammas:
-            d = abs(gl - gk)
-            counts[d] = counts.get(d, 0) + 1
-    top = max(counts) if counts else 0
-    eta = [0] * (top + 1)
-    eta[0] = s  # the s diagonal terms, counted once each
-    for d, c in counts.items():
-        if d > 0:
-            eta[d] = c // 2  # each +-d pair was counted twice
-    return SymmetricLaurentPoly(eta)
+def _spoke_gram(gammas) -> IntPoly:
+    """C(1/z) C(z) as a trace polynomial: s, plus z^d + z^-d per pair of spokes d apart."""
+    eta = [0] * (max(gammas) - min(gammas) + 1 if gammas else 1)
+    eta[0] = len(gammas)
+    for i, gl in enumerate(gammas):
+        for gk in gammas[:i]:
+            eta[abs(gl - gk)] += 1
+    return trace_polynomial(eta)
 
 
-def _vertex_factor(count: int, spokes: int, generators) -> SymmetricLaurentPoly:
+def _vertex_factor(count: int, spokes: int, generators) -> IntPoly:
     top = max(generators) if generators else 0
     eta = [0] * (top + 1)
     eta[0] = 2 * count + spokes
     for g in generators:
         eta[g] -= 1
-    return SymmetricLaurentPoly(eta)
+    return trace_polynomial(eta)
 
 
 def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
-    """Expand the exact spectral polynomials of a connection spec."""
+    """Expand the exact spectral polynomials of a connection spec in x = z + 1/z."""
     s = spec.s
     right = _vertex_factor(spec.r, s, spec.alphas)
     left = _vertex_factor(spec.t, s, spec.betas)
@@ -142,11 +134,10 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
             "base spectral polynomial vanishes identically; "
             "the spec has no cycle structure to count"
         )
-    # the n/2 chords add 2 to a vertex factor at the odd frequencies
     stride = 1 if spec.family == 1 else 2
-    family_poly = (
-        base if stride == 1 else (right + 2 * spec.half_r) * (left + 2 * spec.half_t) - gram
-    )
+    # the n/2 chords add 2 to a vertex factor at the odd frequencies
+    half_r, half_t = IntPoly([2 * spec.half_r]), IntPoly([2 * spec.half_t])
+    family_poly = base if stride == 1 else (right + half_r) * (left + half_t) - gram
 
     q = (
         s * sum(a * a for a in spec.alphas)
@@ -160,6 +151,13 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
     return SpectralSystem(spec.family, s, base, family_poly, q, stride)
 
 
+def _power(sys: SpectralSystem, n: int) -> int:
+    """m = n / stride, the power the count at group order n is taken to."""
+    if n % sys.stride != 0:
+        raise HalfWithoutEvenN("families 2-4 are defined for even n only")
+    return n // sys.stride
+
+
 def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     """Closed-form tree count as a formal function of n.
 
@@ -169,9 +167,7 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     if n < 1:
         raise OutOfRange(f"group order must be positive, got {n}")
     table = sys.trace_factors
-    if n % sys.stride != 0:
-        raise HalfWithoutEvenN("families 2-4 are defined for even n only")
-    m = n // sys.stride
+    m = _power(sys, n)
     product = n * sys.spokes * math.prod(abs_resultant_with_power(k, m, c) for k, c in table)
     tau, rem = divmod(product, sys.stride**2 * sys.degeneracy)
     if rem:

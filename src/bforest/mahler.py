@@ -1,13 +1,14 @@
 """Mahler measures of the spectral polynomials and tree-count asymptotics.
 
 Tree counts grow geometrically; the growth base is the Mahler measure
-M(P) = |lead| prod max(1, |z|) of the product of the spectral system's
-factor polynomials.  It is continuous in the roots, so no root needs to be
-classified against the unit circle.  ``growth_base`` takes it from the
-roots x = z + 1/z of the trace factors, the same roots the Chebyshev
-cross-check uses: a pair (z, 1/z) contributes max(|z|, 1/|z|).  Two
-independent checks remain: ``mahler_root_product`` over the roots z of any
-polynomial, and the defining log-integral over the circle.
+M(P) = |lead| prod max(1, |z|) of the product P(z) = K(z + 1/z) of the
+spectral system's factor polynomials.  It is continuous in the roots, so no
+root needs to be classified against the unit circle.  ``growth_base`` takes
+it from the roots x = z + 1/z of the trace factors, the same roots the
+Chebyshev cross-check uses: a pair (z, 1/z) contributes max(|z|, 1/|z|).
+Two independent checks remain: ``mahler_root_product`` over the roots z of
+a polynomial in z, and ``mahler_quadrature``, the defining log-integral of
+|K(2 cos 2 pi t)| over the circle.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .counting import SpectralSystem, closed_count_formal, spectral_system
-from .errors import NonConvergence, NotConnected
+from .counting import SpectralSystem, _power, closed_count_formal, spectral_system
+from .errors import BforestError, NonConvergence, NotConnected
 from .graphs import ConnectionSpec, is_connected
-from .polynomials import SymmetricLaurentPoly, roots_numeric, squarefree_layers
+from .polynomials import IntPoly, _cosine_coefficients, roots_numeric, squarefree_layers
 
 __all__ = [
     "MahlerEstimate",
@@ -37,16 +38,15 @@ class MahlerEstimate:
     value: float
     method: str
     error_bound: float
-    label: str
 
 
-def mahler_root_product(p, digits: int = 64) -> MahlerEstimate:
-    """|lead| prod max(1, |z|) over the roots z, split into square-free layers.
+def mahler_root_product(poly: IntPoly, digits: int = 64) -> MahlerEstimate:
+    """|lead| prod max(1, |z|) over the roots z of ``poly``, a polynomial in z.
 
-    Each root adds its rounding, 10^(1 - digits), and radius / max(1, |z|)
-    to the relative error bound, as max(1, |z|) is 1-Lipschitz.
+    The roots are found per square-free layer.  Each root adds its rounding,
+    10^(1 - digits), and radius / max(1, |z|) to the relative error bound, as
+    max(1, |z|) is 1-Lipschitz.
     """
-    poly = p.to_poly() if isinstance(p, SymmetricLaurentPoly) else p
     roots = [r for layer in squarefree_layers(poly) for r in roots_numeric(layer, digits=digits)]
     with mpmath.workdps(digits):
         value = mpmath.mpf(abs(poly.lead))
@@ -55,7 +55,7 @@ def mahler_root_product(p, digits: int = 64) -> MahlerEstimate:
             modulus = max(mpmath.mpf(1), abs(root))
             value *= modulus
             rel_error += mpmath.mpf(10) ** (1 - digits) + radius / modulus
-        return MahlerEstimate(float(value), "root-product", float(value * rel_error), repr(p))
+        return MahlerEstimate(float(value), "root-product", float(value * rel_error))
 
 
 def _trace_measure(sys: SpectralSystem, digits: int):
@@ -83,21 +83,20 @@ def _trace_measure(sys: SpectralSystem, digits: int):
         return value, rel_error
 
 
-def _abs_on_circle(p, t: np.ndarray) -> np.ndarray:
-    if isinstance(p, SymmetricLaurentPoly):
-        total = np.full_like(t, float(p.eta[0]))
-        for j, c in enumerate(p.eta[1:], start=1):
-            total += 2.0 * c * np.cos(2 * np.pi * j * t)
-        return np.abs(total)
-    z = np.exp(2j * np.pi * t)
-    total = np.zeros_like(z)
-    for c in reversed(p.coeffs):
-        total = total * z + c
+def _abs_on_circle(k: IntPoly, t: np.ndarray) -> np.ndarray:
+    """|K(2 cos 2 pi t)|, summed as eta_0 + sum_j 2 eta_j cos(2 pi j t)."""
+    eta = _cosine_coefficients(k) or [0]
+    total = np.full_like(t, float(eta[0]))
+    for j, c in enumerate(eta[1:], start=1):
+        total += 2.0 * c * np.cos(2 * np.pi * j * t)
     return np.abs(total)
 
 
-def mahler_quadrature(p, subdivisions: int = 1 << 20) -> MahlerEstimate:
+def mahler_quadrature(k: IntPoly, subdivisions: int = 1 << 20) -> MahlerEstimate:
     """exp of the mean of log|P| over the unit circle, by midpoint rule.
+
+    ``k`` is a trace polynomial: P(z) = K(z + 1/z), which is K(2 cos 2 pi t)
+    at z = exp(2 pi i t).
 
     The midpoint grid never samples t=0, which keeps the integrable log
     singularity of degenerate polynomials off the nodes; any other
@@ -114,7 +113,7 @@ def mahler_quadrature(p, subdivisions: int = 1 << 20) -> MahlerEstimate:
     estimates = []
     for n in (top, top // 2):
         t = (np.arange(n) + 0.5) / n
-        values = _abs_on_circle(p, t)
+        values = _abs_on_circle(k, t)
         good = values > 1e-300
         if not np.any(good):
             raise NonConvergence("polynomial vanishes on the whole sample grid")
@@ -122,21 +121,18 @@ def mahler_quadrature(p, subdivisions: int = 1 << 20) -> MahlerEstimate:
     last, prev = estimates
     error = abs(last - prev)
     value = float(np.exp(last))
-    return MahlerEstimate(value, "quadrature", value * (error + 4.0 / subdivisions), repr(p))
+    return MahlerEstimate(value, "quadrature", value * (error + 4.0 / subdivisions))
 
 
 def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:
     """Mahler measure governing the growth of the tree counts."""
-    sys = spectral_system(spec)
-    value, rel_error = _trace_measure(sys, digits)
-    return MahlerEstimate(float(value), "root-product", float(value * rel_error), repr(sys.growth_poly))
+    value, rel_error = _trace_measure(spectral_system(spec), digits)
+    return MahlerEstimate(float(value), "root-product", float(value * rel_error))
 
 
 def _prediction(sys: SpectralSystem, n: int, measure):
-    if n % sys.stride != 0:
-        raise ValueError("families 2-4 are defined for even n only")
     prefactor = mpmath.mpf(n * sys.spokes) / (sys.stride**2 * sys.degeneracy)
-    return prefactor * measure ** (n // sys.stride)
+    return prefactor * measure ** _power(sys, n)
 
 
 def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
@@ -150,25 +146,40 @@ def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
         return _prediction(sys, n, _trace_measure(sys, digits)[0])
 
 
-def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[dict]:
-    """Table of (n, exact tau, asymptotic prediction, ratio, |ratio-1|)."""
+def _convergence_row(sys: SpectralSystem, n: int, measure) -> dict:
+    """One convergence row, or ``{"n", "error"}`` for an order with no ratio."""
+    try:
+        tau = closed_count_formal(sys, n).tau
+        if tau == 0:
+            raise NotConnected(f"no spanning tree at group order {n}: the graph is not connected")
+    except BforestError as exc:
+        return {"n": n, "error": str(exc)}
+    prediction = _prediction(sys, n, measure)
+    ratio = prediction / mpmath.mpf(tau)
+    return {
+        "n": n,
+        "tau": tau,
+        "prediction": float(prediction),
+        "ratio": float(ratio),
+        "deviation": float(abs(ratio - 1)),
+    }
+
+
+def _growth_report(spec: ConnectionSpec, n_list, digits: int):
+    """(system, growth base, convergence rows) from one system and one root table."""
     if not is_connected(spec):
         raise NotConnected(f"spec {spec.to_json()} is not connected")
     sys = spectral_system(spec)
-    rows = []
     with mpmath.workdps(digits):
-        measure, _ = _trace_measure(sys, digits)
-        for n in n_list:
-            tau = closed_count_formal(sys, n).tau
-            prediction = _prediction(sys, n, measure)
-            ratio = prediction / mpmath.mpf(tau)
-            rows.append(
-                {
-                    "n": n,
-                    "tau": tau,
-                    "prediction": float(prediction),
-                    "ratio": float(ratio),
-                    "deviation": float(abs(ratio - 1)),
-                }
-            )
-    return rows
+        measure, rel_error = _trace_measure(sys, digits)
+        rows = [_convergence_row(sys, n, measure) for n in n_list]
+    return sys, MahlerEstimate(float(measure), "root-product", float(measure * rel_error)), rows
+
+
+def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[dict]:
+    """Table of (n, exact tau, asymptotic prediction, ratio, |ratio-1|).
+
+    An order without a count or a ratio (n < 1, odd n for families 2-4, a
+    disconnected graph) gets an ``{"n", "error"}`` row instead.
+    """
+    return _growth_report(spec, n_list, digits)[2]

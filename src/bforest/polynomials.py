@@ -1,17 +1,18 @@
 """Exact integer polynomial arithmetic, trace polynomials, resultants and roots.
 
-Two carriers: dense integer polynomials (``IntPoly``) and palindromic
-Laurent polynomials stored by their cosine-side coefficients
-(``SymmetricLaurentPoly``).  Resultants use a primitive polynomial remainder
-sequence over exact integers.  There is one pseudo-division, ``_pseudo_mod``,
-which reports the power of the divisor's lead it scaled by; the remainder
-sequence, the square-free split and the Lucas reduction all use it.
+One carrier: dense integer polynomials (``IntPoly``).  Resultants use a
+primitive polynomial remainder sequence over exact integers.  There is one
+pseudo-division, ``_pseudo_mod``, which reports the power of the divisor's
+lead it scaled by; the remainder sequence, the square-free split and the
+Lucas reduction all use it.
 
-A palindromic P has the trace polynomial K, P(z) = K(z + 1/z), of half the
-degree of z^k P(z); the exact count's resultants against z^m + c run over
-the roots x = z + 1/z of K, with the Lucas polynomial V_m reduced modulo K.
-The float paths find those roots by mpmath's Durand-Kerner ``polyroots``
-(``roots_numeric``) per square-free layer of K, with a-posteriori radii.
+A palindromic P(z) = eta_0 + sum_j eta_j (z^j + z^-j) is K(z + 1/z) for the
+trace polynomial K of the same degree (``trace_polynomial``); x -> z + 1/z
+is a ring map, so P's sums and products are formed on K.  The exact count's
+resultants against z^m + c run over the roots x of K, with the Lucas
+polynomial V_m reduced modulo K.  The float paths find those roots by
+mpmath's Durand-Kerner ``polyroots`` (``roots_numeric``) per square-free
+layer of K, with a-posteriori radii.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPoly
 
 __all__ = [
     "IntPoly",
-    "SymmetricLaurentPoly",
     "trace_polynomial",
     "resultant",
     "abs_resultant_with_power",
@@ -117,106 +117,32 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-@dataclass(frozen=True)
-class SymmetricLaurentPoly:
-    """Palindromic Laurent polynomial eta0 + sum_j eta_j (z^j + z^-j)."""
+def trace_polynomial(eta) -> IntPoly:
+    """K(x) with K(z + 1/z) = eta_0 + sum_j eta_j (z^j + z^-j).
 
-    eta: tuple[int, ...]
-
-    def __init__(self, eta=(0,)):
-        coeffs = [int(c) for c in eta] or [0]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "eta", tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.eta) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.eta == (0,)
-
-    @property
-    def lead(self) -> int:
-        return self.eta[-1]
-
-    def __call__(self, z):
-        """Evaluate at a nonzero scalar (Fraction, float or complex)."""
-        total = self.eta[0] + 0 * z
-        zi = z
-        for c in self.eta[1:]:
-            total += c * (zi + 1 / zi)
-            zi *= z
-        return total
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return SymmetricLaurentPoly((self.eta[0] + other,) + self.eta[1:])
-        a, b = self.eta, other.eta
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return SymmetricLaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymmetricLaurentPoly(tuple(-c for c in self.eta))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SymmetricLaurentPoly(tuple(c * other for c in self.eta))
-        # convolve the full coefficient lines indexed -k..k
-        ka, kb = self.degree, other.degree
-        a = self._full_line()
-        b = other._full_line()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        center = ka + kb
-        return SymmetricLaurentPoly(tuple(out[center:]))
-
-    __rmul__ = __mul__
-
-    def _full_line(self) -> list[int]:
-        k = self.degree
-        line = [0] * (2 * k + 1)
-        line[k] = self.eta[0]
-        for j, c in enumerate(self.eta[1:], start=1):
-            line[k + j] = c
-            line[k - j] = c
-        return line
-
-    def to_poly(self) -> IntPoly:
-        """z^k * P(z) as an ordinary polynomial (same nonzero roots)."""
-        return IntPoly(self._full_line())
-
-    def value_at_minus_one(self) -> int:
-        return self.eta[0] + 2 * sum(c * (-1) ** j for j, c in enumerate(self.eta[1:], start=1))
-
-    def __repr__(self) -> str:
-        return f"SymmetricLaurentPoly({list(self.eta)})"
-
-
-def trace_polynomial(p: SymmetricLaurentPoly) -> IntPoly:
-    """K(x) with P(z) = K(z + 1/z); deg K = deg P and the same lead.
-
-    K = eta0 + sum_j eta_j V_j over the monic Lucas polynomials
-    V_j(z + 1/z) = z^j + z^-j, with V_0 = 2, V_1 = x, V_j+1 = x V_j - V_j-1.
+    ``eta`` lists the cosine-side coefficients eta_0, eta_1, ...; K has the
+    degree and the lead of the last nonzero one.  K = eta_0 + sum_j eta_j V_j
+    over the monic Lucas polynomials V_j(z + 1/z) = z^j + z^-j, with V_0 = 2,
+    V_1 = x, V_j+1 = x V_j - V_j-1.
     """
-    out, prev, lucas = IntPoly([p.eta[0]]), IntPoly([2]), IntPoly([0, 1])  # V_0, V_1
-    for c in p.eta[1:]:
+    out, prev, lucas = IntPoly(eta[:1]), IntPoly([2]), IntPoly([0, 1])  # V_0, V_1
+    for c in eta[1:]:
         out = out + c * lucas
         prev, lucas = lucas, lucas.shift(1) - prev
     return out
+
+
+def _cosine_coefficients(k: IntPoly) -> list[int]:
+    """[eta_0, ..., eta_d] with K(z + 1/z) = eta_0 + sum_j eta_j (z^j + z^-j).
+
+    The exact inverse of ``trace_polynomial``, from the binomial expansion
+    x^d = (z + 1/z)^d = sum_i C(d, i) z^(d - 2i); empty for the zero K.
+    """
+    eta = [0] * (k.degree + 1)
+    for d, c in enumerate(k.coeffs):
+        for i in range(d // 2 + 1):
+            eta[d - 2 * i] += c * math.comb(d, i)
+    return eta
 
 
 def _pseudo_mod(r: list[int], b) -> tuple[list[int], int]:

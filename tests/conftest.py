@@ -71,6 +71,16 @@ def chebyshev_T(n: int, x):
     return tm
 
 
+def lift(k: IntPoly) -> IntPoly:
+    """z^d K(z + 1/z) with d = deg K, a palindromic polynomial of degree 2d:
+    a trace polynomial as a polynomial in z, for the z-domain oracles."""
+    out, power = IntPoly(), IntPoly([1])  # power = (z^2 + 1)^i
+    for i, c in enumerate(k.coeffs):
+        out = out + (power * c).shift(k.degree - i)
+        power = power * IntPoly([1, 0, 1])
+    return out
+
+
 def cyclotomic_quotient(n: int):
     """(z^n - 1)/(z - 1) = 1 + z + ... + z^(n-1)."""
     if n < 1:

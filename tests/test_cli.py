@@ -74,12 +74,37 @@ def test_rows_report_errors_for_invalid_orders(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, start, end", [(PRISM, "-3", "3"), (FAM2, "4", "5")], ids=["negative", "odd"]
+    "spec, start, end, errors",
+    [(PRISM, "-3", "3", {-3, -2, -1, 0}), (FAM2, "4", "5", {5})],
+    ids=["negative", "odd"],
 )
-def test_asymptotics_rejects_invalid_orders(capsys, spec, start, end):
-    code, _, err = invoke(capsys, "asymptotics", "--spec", spec, "--n-start", start, "--n-end", end)
-    assert code == 1
-    assert "invalid spec" in err
+def test_asymptotics_rejects_invalid_orders(capsys, spec, start, end, errors):
+    # an order without a count gets an error row, as in count, not a failed command
+    code, out, _ = invoke(capsys, "asymptotics", "--spec", spec, "--n-start", start, "--n-end", end)
+    assert code == 0
+    rows = json.loads(out)["convergence"]
+    assert [r["n"] for r in rows] == list(range(int(start), int(end) + 1))
+    assert {r["n"] for r in rows if "error" in r} == errors
+    assert all(set(r) == {"n", "error"} for r in rows if r["n"] in errors)
+    assert all("ratio" in r for r in rows if r["n"] not in errors)
+
+
+def test_asymptotics_rows_report_disconnected_orders(capsys):
+    # connected at n = 5, not at n = 6, where tau = 0 once divided the prediction
+    spec = '{"n":5,"alphas":[2],"betas":[],"gammas":[0]}'
+    code, out, _ = invoke(capsys, "asymptotics", "--spec", spec, "--n-start", "5", "--n-end", "6")
+    assert code == 0
+    first, second = json.loads(out)["convergence"]
+    assert (first["n"], first["tau"]) == (5, 5)
+    assert second["n"] == 6 and "not connected" in second["error"]
+
+
+@pytest.mark.parametrize("command", ["genfun", "report"])
+@pytest.mark.parametrize("max_order", ["0", "-1"])
+def test_max_order_below_one_is_a_spec_error(capsys, command, max_order):
+    code, out, err = invoke(capsys, command, "--spec", PRISM, "--max-order", max_order)
+    assert (code, out) == (1, "")
+    assert "invalid spec" in err and "--max-order" in err
 
 
 def test_arithmetic_rows(capsys):
@@ -158,6 +183,14 @@ def test_report_validates_against_shipped_schema(capsys):
     )
     assert code == 0
     jsonschema.validate(json.loads(out), schema)
+    # error rows in every table, the convergence table included
+    code, out, _ = invoke(
+        capsys, "report", "--spec", FAM2, "--n-start", "4", "--n-end", "5", "--max-order", "11"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert "error" in doc["asymptotics"]["convergence"][1]
+    jsonschema.validate(doc, schema)
 
 
 def test_env_var_sets_default_precision(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,6 @@ from bforest import (
     DegenerateSystem,
     IntPoly,
     NotConnected,
-    SymmetricLaurentPoly,
     closed_count_formal,
     exact_divide,
     spectral_system,
@@ -21,12 +21,13 @@ from bforest import (
     validate_spec,
     verify_square_structure,
 )
-from tests.conftest import random_connected_specs
+from bforest.polynomials import _cosine_coefficients
+from tests.conftest import lift, random_connected_specs
 
 
 def test_prism_spectral_polynomials(family_specs):
     sys = spectral_system(family_specs[1])
-    assert sys.base_poly.eta == (10, -6, 1)
+    assert _cosine_coefficients(sys.base_poly) == [10, -6, 1]
     assert sys.family_poly is sys.base_poly
     assert sys.degeneracy == 2
     assert sys.spokes == 1
@@ -34,19 +35,35 @@ def test_prism_spectral_polynomials(family_specs):
 
 def test_variant_family_polynomials(family_specs):
     # with one alpha, no betas and a single spoke the three variants have
-    # the documented low-degree family polynomials
-    assert spectral_system(family_specs[2]).family_poly.eta == (4, -1)
-    assert spectral_system(family_specs[3]).family_poly.eta == (8, -3)
-    assert spectral_system(family_specs[4]).family_poly.eta == (14, -3)
+    # the documented low-degree family polynomials, read as cosine coefficients
+    assert _cosine_coefficients(spectral_system(family_specs[2]).family_poly) == [4, -1]
+    assert _cosine_coefficients(spectral_system(family_specs[3]).family_poly) == [8, -3]
+    assert _cosine_coefficients(spectral_system(family_specs[4]).family_poly) == [14, -3]
     for fam in (2, 3, 4):
-        assert spectral_system(family_specs[fam]).base_poly.eta == (2, -1)
+        assert _cosine_coefficients(spectral_system(family_specs[fam]).base_poly) == [2, -1]
+
+
+def test_spectral_polynomials_are_the_laurent_products():
+    # the trace polynomials, formed in x, against R, L and the spoke Gram
+    # C(1/z) C(z) summed in z straight from the spec, at x = z + 1/z
+    z = Fraction(3, 2)
+    specs = random_connected_specs(40, seed=5, n_max=16, r_max=3, t_max=3, s_max=3)
+    assert {spec.family for spec in specs} == {1, 2, 3, 4}
+    for spec in specs:
+        right = 2 * spec.r + spec.s - sum(z**a + z**-a for a in spec.alphas)
+        left = 2 * spec.t + spec.s - sum(z**b + z**-b for b in spec.betas)
+        gram = sum(z ** (gl - gk) for gl in spec.gammas for gk in spec.gammas)
+        sys = spectral_system(spec)
+        assert sys.base_poly(z + 1 / z) == right * left - gram, spec
+        family = (right + 2 * spec.half_r) * (left + 2 * spec.half_t) - gram
+        assert sys.family_poly(z + 1 / z) == family, spec
 
 
 def test_degeneracy_report_structure(family_specs):
     # the base vanishes doubly at z = 1, and its reduced trace factor K_red,
     # without the simple root x = 2, is -q there
     sys = spectral_system(family_specs[1])
-    base = sys.base_poly.to_poly()
+    base = lift(sys.base_poly)
     assert base(1) == 0
     assert base.derivative()(1) == 0
     assert base.derivative().derivative()(1) == -2 * sys.degeneracy == -4
@@ -65,7 +82,7 @@ def test_formal_count_rejects_higher_order_root_at_one(family_specs):
     # (z - 1)^4 / z^2 keeps a double root at z=1 after the (z-1)^2 division,
     # which a positive q rules out
     sys = dataclasses.replace(
-        spectral_system(family_specs[1]), base_poly=SymmetricLaurentPoly([6, -4, 1])
+        spectral_system(family_specs[1]), base_poly=trace_polynomial([6, -4, 1])
     )
     with pytest.raises(DegenerateSystem):
         closed_count_formal(sys, 5)
@@ -76,8 +93,8 @@ def test_reduced_base_strips_double_root(family_specs):
     # polynomial K, and |K / (x - 2)| at 2 is the z-domain boundary value
     for spec in family_specs.values():
         base = spectral_system(spec).base_poly
-        reduced = exact_divide(trace_polynomial(base), IntPoly([-2, 1]))
-        z_reduced = exact_divide(base.to_poly(), IntPoly([1, -2, 1]))
+        reduced = exact_divide(base, IntPoly([-2, 1]))
+        z_reduced = exact_divide(lift(base), IntPoly([1, -2, 1]))
         assert abs(reduced(2)) == abs(z_reduced(1)) != 0
 
 

@@ -10,17 +10,17 @@ from bforest import (
     IntPoly,
     NonConvergence,
     NotConnected,
-    SymmetricLaurentPoly,
     asymptotic_prediction,
     convergence_report,
     growth_base,
     mahler_quadrature,
     mahler_root_product,
     spectral_system,
+    trace_polynomial,
     tree_count_closed,
     validate_spec,
 )
-from tests.conftest import random_connected_specs
+from tests.conftest import lift, random_connected_specs
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -53,18 +53,24 @@ def test_root_product_error_bound_covers_rounding(coeffs):
 
 
 def test_quadrature_agrees_with_root_product():
-    for coeffs in ([-1, -1, 1], [2, 5, 1], [10, -6, 1]):
-        p = IntPoly(coeffs)
-        root = mahler_root_product(p).value
-        quad = mahler_quadrature(p)
+    # the quadrature takes a trace polynomial K; the root product its lift z^d K(z + 1/z)
+    for coeffs, measure in (
+        ([-3, 1], (3 + math.sqrt(5)) / 2),  # z^2 - 3z + 1
+        ([5, 1], (5 + math.sqrt(21)) / 2),  # z^2 + 5z + 1
+        ([10, -6, 1], None),  # roots x = 3 +- i
+    ):
+        k = IntPoly(coeffs)
+        root = mahler_root_product(lift(k)).value
+        quad = mahler_quadrature(k)
         assert abs(quad.value - root) <= max(quad.error_bound, 1e-4)
+        if measure is not None:
+            assert abs(root - measure) < 1e-12
 
 
 def test_quadrature_handles_vanishing_at_one():
     # the prism-family base polynomial vanishes doubly at z=1; the midpoint
     # grid never hits the singularity and the measure is still 2 + sqrt(3)
-    p = SymmetricLaurentPoly([10, -6, 1])
-    est = mahler_quadrature(p)
+    est = mahler_quadrature(trace_polynomial([10, -6, 1]))
     assert abs(est.value - (2 + math.sqrt(3))) < 1e-4
 
 
@@ -82,6 +88,18 @@ PRISM_QUADRATURE = {
 def test_quadrature_uses_the_top_two_grids_bit_identically(family_specs, subdivisions):
     est = mahler_quadrature(spectral_system(family_specs[1]).growth_poly, subdivisions)
     assert (est.value, est.error_bound) == PRISM_QUADRATURE[subdivisions]
+
+
+def test_quadrature_of_a_high_degree_growth_polynomial_is_pinned():
+    # big-family4's growth polynomial has degree 24 in x, where the golden specs
+    # reach 2; (value, error bound) recorded when the growth polynomial was
+    # still a palindromic Laurent polynomial in z
+    big = {"alphas": [1, 3, 5], "betas": [2, 7], "gammas": [0, 1, 4]}
+    spec = validate_spec({**big, "n": 16, "half_r": True, "half_t": True})
+    growth = spectral_system(spec).growth_poly
+    assert growth.degree == 24
+    est = mahler_quadrature(growth)
+    assert (est.value, est.error_bound) == (4331.849540322358, 0.022251656957257622)
 
 
 def test_quadrature_needs_two_grids_and_a_nonzero_polynomial():
@@ -143,10 +161,9 @@ def test_convergence_report_rejects_disconnected():
 
 def test_product_polynomial_measure_multiplies(family_specs):
     sys = spectral_system(family_specs[4])
-    product = sys.family_poly * sys.base_poly
-    m_product = mahler_root_product(product).value
-    m_family = mahler_root_product(sys.family_poly).value
-    m_base = mahler_root_product(sys.base_poly).value
+    m_product = mahler_root_product(lift(sys.family_poly * sys.base_poly)).value
+    m_family = mahler_root_product(lift(sys.family_poly)).value
+    m_base = mahler_root_product(lift(sys.base_poly)).value
     assert abs(m_product - m_family * m_base) < 1e-9
 
 

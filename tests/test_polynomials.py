@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bforest import (
     IntPoly,
-    SymmetricLaurentPoly,
     exact_divide,
     mahler_root_product,
     resultant,
@@ -21,12 +20,13 @@ from bforest import (
 from bforest import polynomials
 from bforest.errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPolynomial
 from bforest.polynomials import (
+    _cosine_coefficients,
     _lucas_mod,
     abs_resultant_with_power,
     squarefree_layers,
     trace_polynomial,
 )
-from tests.conftest import chebyshev_T, cyclotomic_quotient, resultant_sylvester
+from tests.conftest import chebyshev_T, cyclotomic_quotient, lift, resultant_sylvester
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
@@ -41,15 +41,6 @@ trace_polys = st.builds(
     st.sampled_from([1, -1, -6, -3, -2, 2, 3, 5]),
     st.lists(st.sampled_from([2, -2]), max_size=2),
 )
-
-
-def lift(k: IntPoly) -> IntPoly:
-    """z^d K(z + 1/z) with d = deg K, a palindromic polynomial of degree 2d."""
-    out, power = IntPoly(), IntPoly([1])  # power = (z^2 + 1)^i
-    for i, c in enumerate(k.coeffs):
-        out = out + (power * c).shift(k.degree - i)
-        power = power * IntPoly([1, 0, 1])
-    return out
 
 
 def lucas(m: int) -> IntPoly:
@@ -85,37 +76,6 @@ def test_intpoly_shift_and_derivative():
     assert IntPoly([5, 3, 2]).derivative().coeffs == (3, 4)
 
 
-# --------------------------------------------------- SymmetricLaurentPoly
-
-
-def test_laurent_eval_and_to_poly():
-    p = SymmetricLaurentPoly([10, -6, 1])  # prism-family base polynomial
-    assert p(1) == 0
-    assert p(Fraction(2)) == Fraction(10) - 6 * Fraction(5, 2) + Fraction(17, 4)
-    assert p.to_poly().coeffs == (1, -6, 10, -6, 1)
-    assert p.to_poly().coeffs == tuple(reversed(p.to_poly().coeffs))
-
-
-def test_laurent_derivatives_at_one():
-    p = SymmetricLaurentPoly([10, -6, 1])
-    f = p.to_poly()
-    assert f(1) == 0
-    assert f.derivative()(1) == 0
-    # (z^2 P)'' = P'' at z = 1, where P and P' vanish; P''(1) = 2 sum_j j^2 eta_j
-    assert f.derivative().derivative()(1) == 2 * (-6 + 4)
-
-
-@given(
-    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-)
-def test_laurent_product_matches_pointwise(a, b):
-    p, q = SymmetricLaurentPoly(a), SymmetricLaurentPoly(b)
-    z = Fraction(3, 2)
-    assert (p * q)(z) == p(z) * q(z)
-    assert (p + q)(z) == p(z) + q(z)
-
-
 # -------------------------------------------------------------- Chebyshev
 
 
@@ -139,25 +99,49 @@ def test_chebyshev_nesting(m, n):
 
 
 def test_trace_polynomial_round_trip():
-    p = SymmetricLaurentPoly([10, -6, 1])
-    k = trace_polynomial(p)
+    eta = [10, -6, 1]  # the prism's base polynomial 10 - 6 (z + 1/z) + (z^2 + 1/z^2)
+    k = trace_polynomial(eta)
     # K(z + 1/z) must reproduce P(z) at a rational point
     z = Fraction(3)
-    assert k(z + 1 / z) == p(z)
-    assert k.degree == p.degree
-    assert k.lead == p.lead
+    assert k(z + 1 / z) == 10 - 6 * (z + 1 / z) + (z**2 + 1 / z**2)
+    assert k.degree == 2
+    assert k.lead == 1
+
+
+def laurent_value(eta, z):
+    """eta_0 + sum_j eta_j (z^j + z^-j) at a nonzero rational z."""
+    return eta[0] + sum(c * (z**j + z**-j) for j, c in enumerate(eta) if j)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=7))
 def test_trace_polynomial_is_the_rescaled_chebyshev_transform(eta):
-    p = SymmetricLaurentPoly(eta)
-    k = trace_polynomial(p)
+    k = trace_polynomial(eta)
     # K(x) = eta0 + sum_j 2 eta_j T_j(x/2), as V_j(x) = 2 T_j(x/2): equal at deg + 1 points
-    for x in range(p.degree + 1):
+    for x in range(len(eta)):
         w = Fraction(x, 2)
-        assert k(x) == p.eta[0] + sum(2 * c * chebyshev_T(j, w) for j, c in enumerate(p.eta) if j)
-    assert k.degree == p.degree or p.is_zero
-    assert lift(k) == p.to_poly()
+        assert k(x) == eta[0] + sum(2 * c * chebyshev_T(j, w) for j, c in enumerate(eta) if j)
+    top = max((j for j, c in enumerate(eta) if c), default=-1)
+    assert k.degree == top
+    # z^d K(z + 1/z) is the palindromic coefficient line of P
+    line = IntPoly(list(reversed(eta[1 : top + 1])) + eta[: top + 1])
+    assert lift(k) == line
+
+
+@given(st.lists(st.integers(-9, 9), max_size=7))
+def test_cosine_coefficients_invert_trace_polynomial(eta):
+    # eta -> K -> eta, up to the trailing zeros K cannot see
+    while eta and eta[-1] == 0:
+        eta.pop()
+    assert _cosine_coefficients(trace_polynomial(eta)) == eta
+
+
+@given(small_polys, st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+def test_trace_polynomial_inverts_cosine_coefficients(k, z):
+    # K -> eta -> K, and eta is the Laurent polynomial K(z + 1/z)
+    eta = _cosine_coefficients(k)
+    assert trace_polynomial(eta) == k
+    assert len(eta) == k.degree + 1
+    assert laurent_value(eta or [0], z) == k(z + 1 / z)
 
 
 # ------------------------------------------------------------- resultants
