@@ -28,7 +28,7 @@ class ArithmeticProfile:
     even_betas: int
     odd_gammas: int
     even_gammas: int
-    structure_odd: int | None  # square-free constant for the odd branch
+    structure_odd: int | None  # square-free constant for the odd branch; family 1 uses none
     structure_even: int | None  # None when the evaluation at z=-1 vanishes
 
 
@@ -53,7 +53,9 @@ def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
     The raw values are evaluations of the spectral polynomials at z=-1,
     which is x = -2 for their trace polynomials:
     the even-branch constant comes from the base polynomial, the odd-branch
-    constant from the family polynomial (they coincide for family 1).
+    constant from the family polynomial.  Family 1's family polynomial is the
+    base, so its ``structure_odd`` is the base's value, which no row uses:
+    at odd n its cofactor is n * s.
     """
     k1 = sum(1 for a in spec.alphas if a % 2 == 1)
     m1 = sum(1 for b in spec.betas if b % 2 == 1)

@@ -3,19 +3,19 @@
 Subcommands cover spec validation, the three counting paths, the
 arithmetic square structure, Mahler asymptotics, generating functions,
 and a combined machine-readable report.  JSON output is canonical and
-byte-deterministic; CSV and text cover the tabular subcommands.
+byte-deterministic; CSV and text cover the tabular subcommands.  Row tables
+are computed one order at a time in the calling process; ``--jobs`` is
+accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .arithmetic import arithmetic_profile, verify_square_structure
@@ -68,19 +68,9 @@ def _n_values(args, spec: ConnectionSpec) -> list[int]:
     return values
 
 
-def _at_order(spec: ConnectionSpec, n: int) -> ConnectionSpec:
-    data = spec.to_dict()
-    data["n"] = n
-    return validate_spec(data)
-
-
-# Row functions are module-level so a process pool can pickle them.
-
-
-def _row(compute, task):
-    spec_dict, n = task
+def _row(compute, spec: ConnectionSpec, n: int) -> dict:
     try:
-        return {"n": n, **compute(_at_order(validate_spec(spec_dict), n))}
+        return {"n": n, **compute(validate_spec({**spec.to_dict(), "n": n}))}
     except BforestError as exc:
         return {"n": n, "error": str(exc)}
 
@@ -111,14 +101,8 @@ def _arithmetic(sp):
     }
 
 
-def _map_rows(compute, spec: ConnectionSpec, ns: list[int], jobs: int) -> list[dict]:
-    worker = functools.partial(_row, compute)
-    tasks = [(spec.to_dict(), n) for n in ns]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+def _map_rows(compute, spec: ConnectionSpec, args) -> list[dict]:
+    return [_row(compute, spec, n) for n in _n_values(args, spec)]
 
 
 def _cmd_validate(spec: ConnectionSpec, args) -> dict:
@@ -132,21 +116,21 @@ def _cmd_validate(spec: ConnectionSpec, args) -> dict:
 
 
 def _cmd_count(spec: ConnectionSpec, args) -> dict:
-    return {"rows": _map_rows(_closed, spec, _n_values(args, spec), args.jobs)}
+    return {"rows": _map_rows(_closed, spec, args)}
 
 
 def _cmd_oracle(spec: ConnectionSpec, args) -> dict:
-    return {"rows": _map_rows(_oracle, spec, _n_values(args, spec), args.jobs)}
+    return {"rows": _map_rows(_oracle, spec, args)}
 
 
 def _cmd_compare(spec: ConnectionSpec, args) -> dict:
-    rows = _map_rows(_compare, spec, _n_values(args, spec), args.jobs)
+    rows = _map_rows(_compare, spec, args)
     checked = [r for r in rows if "equal" in r]
     return {"rows": rows, "all_equal": bool(checked) and all(r["equal"] for r in checked)}
 
 
 def _cmd_arithmetic(spec: ConnectionSpec, args) -> dict:
-    rows = _map_rows(_arithmetic, spec, _n_values(args, spec), args.jobs)
+    rows = _map_rows(_arithmetic, spec, args)
     profile = arithmetic_profile(spec)
     return {
         "structure_odd": profile.structure_odd,
@@ -284,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"float-path decimal digits, {_MIN_PRECISION}-{_MAX_PRECISION} (env BFOREST_PRECISION)",
         )
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes across n-values")
+        p.add_argument("--jobs", type=int, default=1, help="ignored: rows run in the calling process")
         p.add_argument("--max-order", type=int, default=128, help="recurrence order cap for genfun")
     return parser
 

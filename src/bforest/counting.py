@@ -152,7 +152,9 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
 
 
 def _power(sys: SpectralSystem, n: int) -> int:
-    """m = n / stride, the power the count at group order n is taken to."""
+    """m = n / stride, the power the count and the prediction at group order n take."""
+    if n < 1:
+        raise OutOfRange(f"group order must be positive, got {n}")
     if n % sys.stride != 0:
         raise HalfWithoutEvenN("families 2-4 are defined for even n only")
     return n // sys.stride
@@ -164,8 +166,6 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     No validity or connectivity check: this evaluates the counting formula
     itself, which is what generating-function work needs for small n.
     """
-    if n < 1:
-        raise OutOfRange(f"group order must be positive, got {n}")
     table = sys.trace_factors
     m = _power(sys, n)
     product = n * sys.spokes * math.prod(abs_resultant_with_power(k, m, c) for k, c in table)

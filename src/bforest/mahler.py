@@ -13,7 +13,7 @@ a polynomial in z, and ``mahler_quadrature``, the defining log-integral of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -139,9 +139,14 @@ def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
     """Leading-order prediction of the tree count at order n.
 
     The count at n = stride * m grows like (n s / (stride^2 q)) M^m, with M
-    the measure of the product of the factor polynomials.
+    the measure of the product of the factor polynomials.  An order without
+    a count raises as its convergence row would: n < 1, odd n for families
+    2-4, or a graph that is not connected at order n.
     """
     sys = spectral_system(spec)
+    _power(sys, n)
+    if not is_connected(replace(spec, n=n)):
+        raise NotConnected(f"spec {spec.to_json()} is not connected at group order {n}")
     with mpmath.workdps(digits):
         return _prediction(sys, n, _trace_measure(sys, digits)[0])
 

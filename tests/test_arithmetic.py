@@ -1,10 +1,13 @@
 """Parity profiles and the perfect-square factorization of tree counts."""
 
+from fractions import Fraction
+
 import pytest
 
 from bforest import (
     NonPositiveStructure,
     NotAPerfectSquare,
+    NotConnected,
     arithmetic_profile,
     closed_count_formal,
     spectral_system,
@@ -41,6 +44,25 @@ def test_structure_constants_are_squarefree():
             while d * d <= value:
                 assert value % (d * d) != 0
                 d += 1
+
+
+def test_cofactor_is_the_profile_constant_of_its_branch():
+    # n s / stride^2 times structure_odd or structure_even; family 1 at odd n
+    # has no factor vanishing at z = -1, so its structure_odd goes unused
+    for spec in random_connected_specs(120, seed=17, n_max=14):
+        profile = arithmetic_profile(spec)
+        stride = spectral_system(spec).stride
+        for n in (spec.n, spec.n + stride):
+            at_n = validate_spec({**spec.to_dict(), "n": n})
+            try:
+                witness = verify_square_structure(at_n, tree_count_closed(at_n))
+            except NotConnected:
+                continue
+            if witness.branch == "even":
+                constant = profile.structure_even
+            else:
+                constant = 1 if spec.family == 1 else profile.structure_odd
+            assert witness.cofactor == Fraction(n * spec.s * constant, stride**2), (spec, n)
 
 
 def test_witnesses_of_worked_examples(family_specs):

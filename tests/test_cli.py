@@ -191,6 +191,14 @@ def test_report_validates_against_shipped_schema(capsys):
     doc = json.loads(out)
     assert "error" in doc["asymptotics"]["convergence"][1]
     jsonschema.validate(doc, schema)
+    # error rows for orders n <= 0
+    code, out, _ = invoke(
+        capsys, "report", "--spec", PRISM, "--n-start", "-1", "--n-end", "3", "--max-order", "11"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["compare"]["rows"][1] == {"n": 0, "error": "group order must be positive, got 0"}
+    jsonschema.validate(doc, schema)
 
 
 def test_env_var_sets_default_precision(capsys, monkeypatch):
@@ -217,21 +225,21 @@ def test_precision_capped_at_the_measure_limit(capsys):
     assert json.loads(out)["rows"] == [{"n": 3, "tau": 75}]
 
 
-def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
-    # no process pool for a single n, nor when one CPU is available
-    import bforest.cli
+def test_jobs_runs_rows_in_the_calling_process(capsys, monkeypatch):
+    # --jobs still parses but starts no process, and changes no output
+    import concurrent.futures
+    import multiprocessing.process
 
     def refuse(*args, **kwargs):
-        raise AssertionError("started a process pool")
+        raise AssertionError("started a process")
 
-    monkeypatch.setattr(bforest.cli, "ProcessPoolExecutor", refuse)
-    code, out, _ = invoke(capsys, "count", "--spec", PRISM, "--jobs", "64")
-    assert code == 0
-    assert json.loads(out)["rows"] == [{"n": 3, "tau": 75}]
-    monkeypatch.setattr(bforest.cli.os, "cpu_count", lambda: 1)
-    code, out, _ = invoke(capsys, "count", "--spec", PRISM, "--n-end", "6", "--jobs", "64")
-    assert code == 0
-    assert [r["tau"] for r in json.loads(out)["rows"]] == [75, 384, 1805, 8100]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)  # every Process class
+    for command in ("count", "compare", "arithmetic", "report"):
+        args = (command, "--spec", PRISM, "--n-end", "6", "--max-order", "11")
+        _, serial, _ = invoke(capsys, *args, "--jobs", "1")
+        code, out, _ = invoke(capsys, *args, "--jobs", "64")
+        assert (code, out) == (0, serial)
 
 
 @pytest.mark.parametrize("command", ["oracle", "compare"])

@@ -10,6 +10,7 @@ from bforest import (
     IntPoly,
     NonConvergence,
     NotConnected,
+    OutOfRange,
     asymptotic_prediction,
     convergence_report,
     growth_base,
@@ -134,6 +135,24 @@ def test_prediction_approaches_exact_count(family_specs):
 def test_prediction_requires_even_order_for_variants(family_specs):
     with pytest.raises(ValueError):
         asymptotic_prediction(family_specs[2], 7)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_prediction_rejects_non_positive_orders(family_specs, n):
+    # no count to predict, as in closed_count_formal
+    with pytest.raises(OutOfRange):
+        asymptotic_prediction(family_specs[1], n)
+
+
+def test_prediction_rejects_disconnected_orders():
+    # the gcd test at order n fails exactly where the formal count is 0
+    disconnected = validate_spec({"n": 8, "alphas": [2], "betas": [2], "gammas": [0]})
+    with pytest.raises(NotConnected):
+        asymptotic_prediction(disconnected, 8)
+    spec = validate_spec({"n": 5, "alphas": [2], "betas": [], "gammas": [0]})
+    assert asymptotic_prediction(spec, 5) > 0
+    with pytest.raises(NotConnected):
+        asymptotic_prediction(spec, 6)
 
 
 def test_convergence_report_deviation_shrinks(family_specs):

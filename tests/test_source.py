@@ -1,4 +1,4 @@
-"""Source guards over src/bforest: no asserts, and no import beyond the runtime dependencies."""
+"""Source guards over src/bforest: no asserts, no process pools, no import beyond the runtime dependencies."""
 
 import ast
 import pathlib
@@ -20,13 +20,24 @@ def test_no_assert_statements(path):
     assert not [node.lineno for node in _nodes(path) if isinstance(node, ast.Assert)]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_imports_are_stdlib_or_runtime_dependencies(path):
-    allowed = set(sys.stdlib_module_names) | RUNTIME
+def _imports(path):
     names = []
     for node in _nodes(path):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    assert [name for name in names if name.split(".")[0] not in allowed] == []
+    return [name.split(".")[0] for name in names]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_runtime_dependencies(path):
+    allowed = set(sys.stdlib_module_names) | RUNTIME
+    assert [name for name in _imports(path) if name not in allowed] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_process_pools(path):
+    # rows run in the calling process: a pool comes back only with a benchmark
+    # workload that shows it pays
+    assert [name for name in _imports(path) if name in {"concurrent", "multiprocessing"}] == []
