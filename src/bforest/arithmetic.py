@@ -81,16 +81,17 @@ def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
 def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> SquareWitness:
     """Factor tau as cofactor * witness^2 and return the integer witness.
 
-    At n = stride * m the branch is the parity of m, and the cofactor is
-    n * s / stride^2 times the square-free part of K(-2), the value at z = -1,
-    for the factor (K, c) whose z^m + c vanishes there (no such factor: times 1).
-    Raises :class:`NotAPerfectSquare` or :class:`NonDivisible` if the
-    claimed decomposition fails.
+    With (m, prefactor) = ``SpectralSystem.order(n)``, the branch is the
+    parity of m, and the cofactor is prefactor * q = n * s / stride^2 times
+    the square-free part of K(-2), the value at z = -1, for the factor (K, c)
+    whose z^m + c vanishes there (no such factor: times 1).  An order without
+    a count raises as the count does.  Raises :class:`NotAPerfectSquare` (a
+    negative tau included) or :class:`NonDivisible` if the claimed
+    decomposition fails.
     """
     value = tau.tau if isinstance(tau, TreeCount) else int(tau)
     sys = spectral_system(spec)
-    n, s = spec.n, spec.s
-    m = n // sys.stride
+    m, prefactor = sys.order(spec.n)
     branch = "odd" if m % 2 == 1 else "even"
     structure = 1
     for k, c in sys.factors:
@@ -101,18 +102,18 @@ def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> Squar
                     "structure constant undefined: the spectral value at z=-1 "
                     "vanishes, so the graph is disconnected on this branch"
                 )
-    cofactor = Fraction(n * s * structure, sys.stride**2)
+    cofactor = prefactor * sys.degeneracy * structure
 
     ratio = Fraction(value) / cofactor
     if ratio.denominator != 1:
         raise NonDivisible(f"cofactor {cofactor} does not divide tau={value}")
     square = int(ratio)
-    witness = math.isqrt(square)
+    witness = math.isqrt(max(square, 0))
     if witness * witness != square:
         raise NotAPerfectSquare(
             f"tau/cofactor = {square} is not a perfect square (tau={value})"
         )
     # odd n/2, odd s and an odd structure constant force an even witness
-    if sys.stride == 2 and branch == "odd" and s % 2 == 1 and structure % 2 == 1 and witness % 2:
+    if sys.stride == 2 and branch == "odd" and spec.s % 2 == 1 and structure % 2 == 1 and witness % 2:
         raise NonDivisible(f"odd n/2, s and structure force an even witness, got {witness}")
     return SquareWitness(branch, cofactor, witness)

@@ -14,6 +14,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
@@ -46,11 +47,11 @@ class SpectralSystem:
     entry (K, c) of ``factors``.  The c = -1 entry is the base polynomial,
     whose double root at z = 1 is divided out.  Family 1 has stride 1 and the
     base alone; families 2-4 have stride 2 and the family polynomial (c = +1)
-    in front of the base.  Both counting paths and the growth measure fold
-    over ``trace_factors``; the float ones over its roots, ``trace_roots``.
+    in front of the base.  Every path takes (m, prefactor) from ``order``;
+    the exact ones fold over ``trace_factors``, the float ones over its outer
+    z-roots, ``trace_roots``.
     """
 
-    family: int
     spokes: int
     base_poly: IntPoly  # doubly degenerate at z=1: a simple root at x = 2
     family_poly: IntPoly  # equals base_poly for family 1
@@ -83,23 +84,44 @@ class SpectralSystem:
         table[-1] = (reduced, -1)
         return tuple(table)
 
-    def trace_roots(self, digits: int) -> list[tuple[IntPoly, int, list]]:
-        """(K, c, [(x, radius)]) per entry of ``trace_factors``.
+    def order(self, n: int) -> tuple[int, Fraction]:
+        """(m, n s / (stride^2 q)): power and prefactor at group order n = stride * m.
 
-        The roots x of K with their multiplicities, found by mpmath's
-        Durand-Kerner ``polyroots`` at ``digits`` on each square-free layer; a
-        constant K has none.
+        Raises :class:`OutOfRange` for n < 1 and :class:`HalfWithoutEvenN`
+        for odd n in families 2-4.
         """
-        return [
-            (k, c, [r for layer in squarefree_layers(k) for r in roots_numeric(layer, digits=digits)])
-            for k, c in self.trace_factors
-        ]
+        self.trace_factors  # raises DegenerateSystem unless q > 0, before q divides
+        if n < 1:
+            raise OutOfRange(f"group order must be positive, got {n}")
+        if n % self.stride != 0:
+            raise HalfWithoutEvenN("families 2-4 are defined for even n only")
+        return n // self.stride, Fraction(n * self.spokes, self.stride**2 * self.degeneracy)
+
+    def trace_roots(self, digits: int) -> list[tuple[IntPoly, int, list]]:
+        """(K, c, [(rho, s, radius)]) per entry of ``trace_factors``.
+
+        Each root x of K (a constant K has none), found with multiplicity by
+        mpmath's ``polyroots`` on each square-free layer, as its outer z-root:
+        rho + 1/rho = x, |rho| >= 1 and s = rho - 1/rho, taken as
+        +-sqrt((x - 2)(x + 2)) to keep its relative accuracy near x = +-2.
+        """
+        table = []
+        with mpmath.workdps(digits):
+            for k, c in self.trace_factors:
+                roots = []
+                for layer in squarefree_layers(k):
+                    for x, radius in roots_numeric(layer, digits=digits):
+                        s = mpmath.sqrt((x - 2) * (x + 2))
+                        if abs(x - s) > abs(x + s):
+                            s = -s
+                        roots.append(((x + s) / 2, s, radius))
+                table.append((k, c, roots))
+        return table
 
 
 @dataclass(frozen=True)
 class TreeCount:
     tau: int
-    method: str
 
 
 def _spoke_gram(gammas) -> IntPoly:
@@ -148,16 +170,7 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
             for i in range(j + 1, s)
         )
     )
-    return SpectralSystem(spec.family, s, base, family_poly, q, stride)
-
-
-def _power(sys: SpectralSystem, n: int) -> int:
-    """m = n / stride, the power the count and the prediction at group order n take."""
-    if n < 1:
-        raise OutOfRange(f"group order must be positive, got {n}")
-    if n % sys.stride != 0:
-        raise HalfWithoutEvenN("families 2-4 are defined for even n only")
-    return n // sys.stride
+    return SpectralSystem(s, base, family_poly, q, stride)
 
 
 def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
@@ -166,13 +179,12 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     No validity or connectivity check: this evaluates the counting formula
     itself, which is what generating-function work needs for small n.
     """
-    table = sys.trace_factors
-    m = _power(sys, n)
-    product = n * sys.spokes * math.prod(abs_resultant_with_power(k, m, c) for k, c in table)
-    tau, rem = divmod(product, sys.stride**2 * sys.degeneracy)
+    m, prefactor = sys.order(n)
+    product = math.prod(abs_resultant_with_power(k, m, c) for k, c in sys.trace_factors)
+    tau, rem = divmod(prefactor.numerator * product, prefactor.denominator)
     if rem:
         raise NonIntegralResult(f"closed-form count is not an integer: remainder {rem}")
-    return TreeCount(tau, "resultant-exact")
+    return TreeCount(tau)
 
 
 def tree_count_closed(spec: ConnectionSpec) -> TreeCount:
@@ -182,33 +194,26 @@ def tree_count_closed(spec: ConnectionSpec) -> TreeCount:
     return closed_count_formal(spectral_system(spec), spec.n)
 
 
-def _chebyshev_value(w, n):
-    """T_n at a complex point, via z + 1/z = 2w with |z| >= 1."""
-    z = w + mpmath.sqrt(w * w - 1)
-    if abs(z) < 1:
-        z = 1 / z
-    zn = z**n
-    return (zn + 1 / zn) / 2
-
-
 def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
     """High-precision float evaluation of the Chebyshev product formula.
 
-    Cross-checks the exact path; returns ``(value, relative_error_bound)``.
+    The prefactor times |lead K|^m per trace factor (K, c) and
+    |2 T_m(x/2) + 2c| = |rho^m + rho^-m + 2c| per outer root rho.  Cross-checks
+    the exact path; returns ``(value, relative_error_bound)``.
     """
     if not is_connected(spec):
         raise NotConnected(f"spec {spec.to_json()} is not connected")
     sys = spectral_system(spec)
+    m, prefactor = sys.order(spec.n)
 
     def evaluate(dps):
-        m = spec.n // sys.stride
         with mpmath.workdps(dps):
-            value = mpmath.mpf(spec.n * sys.spokes) / (sys.stride**2 * sys.degeneracy)
+            value = mpmath.mpf(1)
             for k, c, roots in sys.trace_roots(dps):
                 value *= mpmath.mpf(abs(k.lead)) ** m
-                for x, _ in roots:
-                    value *= abs(2 * _chebyshev_value(mpmath.mpc(x) / 2, m) + 2 * c)
-            return value
+                for rho, _, _ in roots:
+                    value *= abs(rho**m + rho**-m + 2 * c)
+            return prefactor * value
 
     value = evaluate(digits)
     check = evaluate(digits + 16)

@@ -72,7 +72,7 @@ def tau_sequence(spec: ConnectionSpec, count: int) -> TauSequence:
         raise ValueError("need at least one term")
     sys = spectral_system(spec)
     terms = (closed_count_formal(sys, sys.stride * k).tau for k in range(1, count + 1))
-    return TauSequence(sys.family, tuple(terms))
+    return TauSequence(spec.family, tuple(terms))
 
 
 def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:

@@ -4,8 +4,8 @@ Tree counts grow geometrically; the growth base is the Mahler measure
 M(P) = |lead| prod max(1, |z|) of the product P(z) = K(z + 1/z) of the
 spectral system's factor polynomials.  It is continuous in the roots, so no
 root needs to be classified against the unit circle.  ``growth_base`` takes
-it from the roots x = z + 1/z of the trace factors, the same roots the
-Chebyshev cross-check uses: a pair (z, 1/z) contributes max(|z|, 1/|z|).
+it from the outer roots of the trace factors, the same roots the Chebyshev
+cross-check uses: a pair (z, 1/z) contributes max(|z|, 1/|z|).
 Two independent checks remain: ``mahler_root_product`` over the roots z of
 a polynomial in z, and ``mahler_quadrature``, the defining log-integral of
 |K(2 cos 2 pi t)| over the circle.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import mpmath
 import numpy as np
 
-from .counting import SpectralSystem, _power, closed_count_formal, spectral_system
+from .counting import SpectralSystem, closed_count_formal, spectral_system
 from .errors import BforestError, NonConvergence, NotConnected
 from .graphs import ConnectionSpec, is_connected
 from .polynomials import IntPoly, _cosine_coefficients, roots_numeric, squarefree_layers
@@ -36,7 +36,6 @@ __all__ = [
 @dataclass(frozen=True)
 class MahlerEstimate:
     value: float
-    method: str
     error_bound: float
 
 
@@ -55,17 +54,15 @@ def mahler_root_product(poly: IntPoly, digits: int = 64) -> MahlerEstimate:
             modulus = max(mpmath.mpf(1), abs(root))
             value *= modulus
             rel_error += mpmath.mpf(10) ** (1 - digits) + radius / modulus
-        return MahlerEstimate(float(value), "root-product", float(value * rel_error))
+        return MahlerEstimate(float(value), float(value * rel_error))
 
 
 def _trace_measure(sys: SpectralSystem, digits: int):
     """(M, relative error bound) as mpf values, from ``sys.trace_roots``.
 
-    M = prod |lc K| prod_x max(|rho|, 1/|rho|), with rho and 1/rho = (x -+ s)/2
-    the roots z of z + 1/z = x and s = sqrt(x^2 - 4), computed as
-    sqrt((x - 2)(x + 2)) to keep its relative accuracy near x = +-2.  A root
-    adds its rounding, 10^(1 - digits), and radius / |s|, the first-order
-    change of log max(|rho|, 1/|rho|); near the branch points x = +-2,
+    M = prod |lc K| prod |rho| over the outer roots rho.  A root x adds its
+    rounding, 10^(1 - digits), and radius / |s|, the first-order change of
+    log |rho| as x moves (s = rho - 1/rho); near the branch points x = +-2,
     where |s|^2 <= 8 radius, it adds 2 sqrt(radius) instead.
     """
     with mpmath.workdps(digits):
@@ -73,9 +70,8 @@ def _trace_measure(sys: SpectralSystem, digits: int):
         rel_error = mpmath.mpf(0)
         for k, _, roots in sys.trace_roots(digits):
             value *= abs(k.lead)
-            for x, radius in roots:
-                s = mpmath.sqrt((x - 2) * (x + 2))
-                value *= max(abs(x + s), abs(x - s)) / 2
+            for rho, s, radius in roots:
+                value *= abs(rho)
                 near = abs(s) ** 2 <= 8 * radius
                 rel_error += mpmath.mpf(10) ** (1 - digits) + (
                     2 * mpmath.sqrt(radius) if near else radius / abs(s)
@@ -121,18 +117,13 @@ def mahler_quadrature(k: IntPoly, subdivisions: int = 1 << 20) -> MahlerEstimate
     last, prev = estimates
     error = abs(last - prev)
     value = float(np.exp(last))
-    return MahlerEstimate(value, "quadrature", value * (error + 4.0 / subdivisions))
+    return MahlerEstimate(value, value * (error + 4.0 / subdivisions))
 
 
 def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:
     """Mahler measure governing the growth of the tree counts."""
     value, rel_error = _trace_measure(spectral_system(spec), digits)
-    return MahlerEstimate(float(value), "root-product", float(value * rel_error))
-
-
-def _prediction(sys: SpectralSystem, n: int, measure):
-    prefactor = mpmath.mpf(n * sys.spokes) / (sys.stride**2 * sys.degeneracy)
-    return prefactor * measure ** _power(sys, n)
+    return MahlerEstimate(float(value), float(value * rel_error))
 
 
 def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
@@ -144,11 +135,11 @@ def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
     2-4, or a graph that is not connected at order n.
     """
     sys = spectral_system(spec)
-    _power(sys, n)
     if not is_connected(replace(spec, n=n)):
         raise NotConnected(f"spec {spec.to_json()} is not connected at group order {n}")
+    m, prefactor = sys.order(n)
     with mpmath.workdps(digits):
-        return _prediction(sys, n, _trace_measure(sys, digits)[0])
+        return prefactor * _trace_measure(sys, digits)[0] ** m
 
 
 def _convergence_row(sys: SpectralSystem, n: int, measure) -> dict:
@@ -159,7 +150,8 @@ def _convergence_row(sys: SpectralSystem, n: int, measure) -> dict:
             raise NotConnected(f"no spanning tree at group order {n}: the graph is not connected")
     except BforestError as exc:
         return {"n": n, "error": str(exc)}
-    prediction = _prediction(sys, n, measure)
+    m, prefactor = sys.order(n)
+    prediction = prefactor * measure**m
     ratio = prediction / mpmath.mpf(tau)
     return {
         "n": n,
@@ -178,7 +170,7 @@ def _growth_report(spec: ConnectionSpec, n_list, digits: int):
     with mpmath.workdps(digits):
         measure, rel_error = _trace_measure(sys, digits)
         rows = [_convergence_row(sys, n, measure) for n in n_list]
-    return sys, MahlerEstimate(float(measure), "root-product", float(measure * rel_error)), rows
+    return sys, MahlerEstimate(float(measure), float(measure * rel_error)), rows
 
 
 def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[dict]:

@@ -110,6 +110,12 @@ def test_rejects_wrong_value(family_specs):
         verify_square_structure(family_specs[1], 7)  # 3 does not divide 7
 
 
+def test_negative_count_is_not_a_perfect_square(family_specs):
+    # tau / cofactor = -25 once reached math.isqrt, which raises a plain ValueError
+    with pytest.raises(NotAPerfectSquare):
+        verify_square_structure(family_specs[1], -75)
+
+
 def test_structure_constant_missing_for_degenerate_branch():
     # even alphas and betas with a single odd spoke: the spectral value at
     # z=-1 vanishes, and even orders of this pattern disconnect

@@ -4,13 +4,18 @@ import dataclasses
 import hashlib
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import bforest
 from bforest import (
+    BforestError,
+    ConnectionSpec,
     DegenerateSystem,
+    HalfWithoutEvenN,
     IntPoly,
     NotConnected,
+    OutOfRange,
     closed_count_formal,
     exact_divide,
     spectral_system,
@@ -21,6 +26,7 @@ from bforest import (
     validate_spec,
     verify_square_structure,
 )
+from bforest.mahler import asymptotic_prediction
 from bforest.polynomials import _cosine_coefficients
 from tests.conftest import lift, random_connected_specs
 
@@ -221,3 +227,60 @@ def test_chebyshev_path_on_larger_instance():
     assert rel_error < 1e-30
     with mpmath.workdps(64):
         assert abs(value / exact - 1) < mpmath.mpf("1e-25")
+
+
+def test_order_gives_the_power_and_the_exact_prefactor(family_specs):
+    for spec in family_specs.values():
+        sys = spectral_system(spec)
+        for n in (sys.stride, 6, 40):
+            m, prefactor = sys.order(n)
+            assert m * sys.stride == n
+            assert prefactor == Fraction(n * spec.s, sys.stride**2 * sys.degeneracy)
+    # q = 0 is refused before anything divides by it
+    with pytest.raises(DegenerateSystem):
+        dataclasses.replace(spectral_system(family_specs[1]), degeneracy=0).order(3)
+
+
+PRISM = ConnectionSpec(3, (1,), (1,), (0,))
+# built without validate_spec, which would refuse each of them
+NO_COUNT = {
+    "odd-half": (ConnectionSpec(5, (1,), (), (0,), True, False), HalfWithoutEvenN),
+    "negative": (dataclasses.replace(PRISM, n=-3), OutOfRange),
+    "zero": (dataclasses.replace(PRISM, n=0), OutOfRange),
+    # no spokes: q = 0, and the two cycles are not connected
+    "spokeless": (ConnectionSpec(5, (1,), (1,), ()), NotConnected),
+}
+FOLDS = {
+    "closed": tree_count_closed,
+    "chebyshev": tree_count_chebyshev,
+    "prediction": lambda spec: asymptotic_prediction(spec, spec.n),
+    "verify": lambda spec: verify_square_structure(spec, 75),
+}
+
+
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+@pytest.mark.parametrize("case", sorted(NO_COUNT))
+def test_every_fold_refuses_an_order_without_a_count(case, fold):
+    # the Chebyshev check once gave 20.0, -75.0 and 0.0 where the exact count
+    # raises, and verify_square_structure a ValueError or ZeroDivisionError
+    spec, error = NO_COUNT[case]
+    if fold == "verify" and case == "spokeless":
+        error = DegenerateSystem  # no connectivity check: q = 0 is refused
+    with pytest.raises(BforestError) as info:
+        FOLDS[fold](spec)
+    assert type(info.value) is error
+
+
+def test_trace_roots_are_the_outer_z_roots():
+    # rho + 1/rho = x is a root of K, |rho| >= 1 and s = rho - 1/rho
+    specs = random_connected_specs(24, seed=3, n_max=16, r_max=3, t_max=3, s_max=3)
+    for spec in specs:
+        for k, _, roots in spectral_system(spec).trace_roots(40):
+            assert len(roots) == k.degree
+            with mpmath.workdps(40):
+                for rho, s, _ in roots:
+                    x = rho + 1 / rho
+                    assert abs(rho) >= 1 - mpmath.mpf(10) ** -30, spec
+                    assert abs(rho - 1 / rho - s) <= mpmath.mpf(10) ** -30 * max(1, abs(rho)), spec
+                    scale = sum(abs(c) * max(1, abs(x)) ** i for i, c in enumerate(k.coeffs))
+                    assert abs(mpmath.polyval(k.coeffs[::-1], x)) <= mpmath.mpf(10) ** -25 * scale, spec

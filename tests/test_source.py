@@ -1,4 +1,5 @@
-"""Source guards over src/bforest: no asserts, no process pools, no import beyond the runtime dependencies."""
+"""Source guards over src/bforest: no asserts, no process pools, no import
+beyond the runtime dependencies, no private name taken from counting."""
 
 import ast
 import pathlib
@@ -41,3 +42,19 @@ def test_no_process_pools(path):
     # rows run in the calling process: a pool comes back only with a benchmark
     # workload that shows it pays
     assert [name for name in _imports(path) if name in {"concurrent", "multiprocessing"}] == []
+
+
+def _names_from(path, module):
+    """Names ``path`` imports from the bforest module ``module``."""
+    names = []
+    for node in _nodes(path):
+        if isinstance(node, ast.ImportFrom) and node.module in {module, f"bforest.{module}"}:
+            names += [alias.name for alias in node.names]
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_from_counting(path):
+    # the order and root maps are reached through SpectralSystem, so every
+    # module folds the same (m, prefactor) and the same outer roots
+    assert [name for name in _names_from(path, "counting") if name.startswith("_")] == []
