@@ -5,6 +5,8 @@ perfect square.  The cofactor branches on the parity of the order (or of
 half the order for the families carrying an n/2 chord).
 """
 
+from dataclasses import replace
+
 from bforest import (
     arithmetic_profile,
     closed_count_formal,
@@ -22,7 +24,7 @@ sys = spectral_system(spec)
 print(" n        tau  branch  cofactor  witness")
 for n in range(3, 13):
     tau = closed_count_formal(sys, n).tau
-    w = verify_square_structure(validate_spec({**spec.to_dict(), "n": n}), tau)
+    w = verify_square_structure(replace(spec, n=n), tau)
     print(f"{n:>2} {tau:>10}  {w.branch:<6}  {str(w.cofactor):>8}  {w.witness:>7}")
     assert w.cofactor * w.witness ** 2 == tau
 

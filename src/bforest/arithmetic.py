@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import TreeCount, spectral_system
+from .counting import SpectralSystem, TreeCount, spectral_system
 from .errors import DegenerateSystem, NonDivisible, NonPositiveStructure, NotAPerfectSquare
 from .graphs import ConnectionSpec
 from .polynomials import squarefree_part
@@ -39,33 +39,31 @@ class SquareWitness:
     witness: int
 
 
-def _structure_value(raw: int) -> int | None:
-    # a vanishing evaluation at z=-1 means the graph is disconnected at the
-    # orders that would use this branch, so no constant exists for it
-    if raw <= 0:
-        return None
-    return squarefree_part(raw)
+def _structure(sys: SpectralSystem, odd: bool) -> int | None:
+    """A branch's structure constant: the square-free part of K(-2), the value
+    at z = -1, of the family polynomial (odd branch) or the base (even branch).
+
+    A value <= 0 means the graph is disconnected at the orders of that
+    branch, so no constant exists for it: None.
+    """
+    raw = (sys.family_poly if odd else sys.base_poly)(-2)
+    return squarefree_part(raw) if raw > 0 else None
 
 
 def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
     """Parity counts plus the two square-free structure constants.
 
-    The raw values are evaluations of the spectral polynomials at z=-1,
-    which is x = -2 for their trace polynomials:
-    the even-branch constant comes from the base polynomial, the odd-branch
-    constant from the family polynomial.  Family 1's family polynomial is the
-    base, so its ``structure_odd`` is the base's value, which no row uses:
-    at odd n its cofactor is n * s.
+    Family 1's family polynomial is the base, so its ``structure_odd`` is the
+    base's value, which no row uses: at odd n its cofactor is n * s.
     """
     k1 = sum(1 for a in spec.alphas if a % 2 == 1)
     m1 = sum(1 for b in spec.betas if b % 2 == 1)
     h1 = sum(1 for g in spec.gammas if g % 2 == 1)
     try:
         sys = spectral_system(spec)
-        family_raw = sys.family_poly(-2)
-        base_raw = sys.base_poly(-2)
+        structure_odd, structure_even = _structure(sys, True), _structure(sys, False)
     except DegenerateSystem:  # a vanishing base polynomial has no branches
-        family_raw = base_raw = 0
+        structure_odd = structure_even = None
     return ArithmeticProfile(
         odd_alphas=k1,
         even_alphas=spec.r - k1,
@@ -73,8 +71,8 @@ def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
         even_betas=spec.t - m1,
         odd_gammas=h1,
         even_gammas=spec.s - h1,
-        structure_odd=_structure_value(family_raw),
-        structure_even=_structure_value(base_raw),
+        structure_odd=structure_odd,
+        structure_even=structure_even,
     )
 
 
@@ -83,25 +81,22 @@ def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> Squar
 
     With (m, prefactor) = ``SpectralSystem.order(n)``, the branch is the
     parity of m, and the cofactor is prefactor * q = n * s / stride^2 times
-    the square-free part of K(-2), the value at z = -1, for the factor (K, c)
-    whose z^m + c vanishes there (no such factor: times 1).  An order without
-    a count raises as the count does.  Raises :class:`NotAPerfectSquare` (a
-    negative tau included) or :class:`NonDivisible` if the claimed
-    decomposition fails.
+    the branch's structure constant, the one ``arithmetic_profile`` reports.
+    Family 1 at odd m has no factor whose z^m + c vanishes at z = -1, and
+    takes 1.  An order without a count raises as the count does.  Raises
+    :class:`NotAPerfectSquare` (a negative tau included) or
+    :class:`NonDivisible` if the claimed decomposition fails.
     """
     value = tau.tau if isinstance(tau, TreeCount) else int(tau)
     sys = spectral_system(spec)
     m, prefactor = sys.order(spec.n)
     branch = "odd" if m % 2 == 1 else "even"
-    structure = 1
-    for k, c in sys.factors:
-        if (-1) ** m + c == 0:
-            structure = _structure_value(k(-2))
-            if structure is None:
-                raise NonPositiveStructure(
-                    "structure constant undefined: the spectral value at z=-1 "
-                    "vanishes, so the graph is disconnected on this branch"
-                )
+    structure = 1 if branch == "odd" and sys.stride == 1 else _structure(sys, branch == "odd")
+    if structure is None:
+        raise NonPositiveStructure(
+            "structure constant undefined: the spectral value at z=-1 "
+            "vanishes, so the graph is disconnected on this branch"
+        )
     cofactor = prefactor * sys.degeneracy * structure
 
     ratio = Fraction(value) / cofactor

@@ -3,9 +3,10 @@
 Subcommands cover spec validation, the three counting paths, the
 arithmetic square structure, Mahler asymptotics, generating functions,
 and a combined machine-readable report.  JSON output is canonical and
-byte-deterministic; CSV and text cover the tabular subcommands.  Row tables
-are computed one order at a time in the calling process; ``--jobs`` is
-accepted and ignored.
+byte-deterministic; CSV and text cover the tabular subcommands.  Every row
+table, the convergence table included, is built by ``graphs.order_row`` one
+order at a time in the calling process, so all of them have their error rows
+at the same orders; ``--jobs`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .genfun import (
     tau_sequence,
     verify_symmetry,
 )
-from .graphs import ConnectionSpec, check_connectivity, validate_spec
+from .graphs import ConnectionSpec, check_connectivity, order_row, validate_spec
 from .mahler import _growth_report, mahler_quadrature
 from .matrixtree import tree_count_oracle
 
@@ -68,13 +69,6 @@ def _n_values(args, spec: ConnectionSpec) -> list[int]:
     return values
 
 
-def _row(compute, spec: ConnectionSpec, n: int) -> dict:
-    try:
-        return {"n": n, **compute(validate_spec({**spec.to_dict(), "n": n}))}
-    except BforestError as exc:
-        return {"n": n, "error": str(exc)}
-
-
 def _closed(sp):
     return {"tau": tree_count_closed(sp).tau}
 
@@ -102,7 +96,7 @@ def _arithmetic(sp):
 
 
 def _map_rows(compute, spec: ConnectionSpec, args) -> list[dict]:
-    return [_row(compute, spec, n) for n in _n_values(args, spec)]
+    return [order_row(compute, spec, n) for n in _n_values(args, spec)]
 
 
 def _cmd_validate(spec: ConnectionSpec, args) -> dict:

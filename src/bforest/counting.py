@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import DegenerateSystem, HalfWithoutEvenN, NonIntegralResult, NotConnected, OutOfRange
-from .graphs import ConnectionSpec, is_connected
+from .errors import DegenerateSystem, HalfWithoutEvenN, NonIntegralResult, OutOfRange
+from .graphs import ConnectionSpec, require_connected
 from .polynomials import (
     IntPoly,
     abs_resultant_with_power,
@@ -189,9 +189,7 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
 
 def tree_count_closed(spec: ConnectionSpec) -> TreeCount:
     """Exact spanning-tree count via the resultant reformulation."""
-    if not is_connected(spec):
-        raise NotConnected(f"spec {spec.to_json()} is not connected")
-    return closed_count_formal(spectral_system(spec), spec.n)
+    return closed_count_formal(spectral_system(require_connected(spec)), spec.n)
 
 
 def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
@@ -201,9 +199,7 @@ def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
     |2 T_m(x/2) + 2c| = |rho^m + rho^-m + 2c| per outer root rho.  Cross-checks
     the exact path; returns ``(value, relative_error_bound)``.
     """
-    if not is_connected(spec):
-        raise NotConnected(f"spec {spec.to_json()} is not connected")
-    sys = spectral_system(spec)
+    sys = spectral_system(require_connected(spec))
     m, prefactor = sys.order(spec.n)
 
     def evaluate(dps):

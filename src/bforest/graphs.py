@@ -15,29 +15,34 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import HalfWithoutEvenN, OutOfRange, SpecError
+from .errors import BforestError, HalfWithoutEvenN, NotConnected, OutOfRange, SpecError
 
 __all__ = [
     "ConnectionSpec",
     "GraphRealization",
     "validate_spec",
+    "order_row",
     "classify_family",
     "check_connectivity",
     "is_connected",
+    "require_connected",
     "realize",
 ]
 
 
 @dataclass(frozen=True)
 class ConnectionSpec:
-    """Normalized connection data (n, alphas, betas, gammas, half flags).
+    """Connection data (n, alphas, betas, gammas, half flags) of a simple graph.
 
-    ``alphas`` and ``betas`` are the strictly increasing generators below n/2;
-    the optional n/2 generator is carried by the ``half_r`` / ``half_t`` flags.
+    ``alphas`` and ``betas`` are generators below n/2; the optional n/2
+    generator is carried by the ``half_r`` / ``half_t`` flags.  The spec checks
+    itself: construction, ``dataclasses.replace(spec, n=k)`` included, raises
+    :class:`OutOfRange` unless n >= 1, 0 < 2a < n, 0 < 2b < n and 0 <= g < n,
+    and :class:`HalfWithoutEvenN` for a half flag at odd n.
     """
 
     n: int
@@ -46,6 +51,20 @@ class ConnectionSpec:
     gammas: tuple[int, ...]
     half_r: bool = False
     half_t: bool = False
+
+    def __post_init__(self):
+        n = self.n
+        if n < 1:
+            raise OutOfRange(f"group order must be positive, got {n}")
+        if (self.half_r or self.half_t) and n % 2 != 0:
+            raise HalfWithoutEvenN(f"half generator n/2 requires even n, got n={n}")
+        for name, values in (("alpha", self.alphas), ("beta", self.betas)):
+            for v in values:
+                if not 0 < 2 * v < n:
+                    raise OutOfRange(f"{name}={v} outside (0, n/2) for n={n}")
+        for g in self.gammas:
+            if not 0 <= g <= n - 1:
+                raise OutOfRange(f"gamma={g} outside [0, n-1] for n={n}")
 
     @property
     def r(self) -> int:
@@ -93,9 +112,9 @@ class GraphRealization:
 
 
 def _as_int(value, name: str) -> int:
-    """``value`` as an int, refusing what ``int`` would truncate or parse."""
+    """``value`` as an int, refusing a bool and what ``int`` would truncate or parse."""
     try:
-        if int(value) == value:
+        if not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -110,43 +129,40 @@ def _as_sorted_ints(values, name: str) -> tuple[int, ...]:
 
 
 def validate_spec(raw) -> ConnectionSpec:
-    """Normalize candidate connection data into a :class:`ConnectionSpec`.
+    """Parse candidate connection data into a :class:`ConnectionSpec`.
 
     Numbers must be integral and half flags ``bool``; nothing is truncated
-    or coerced.  Inputs are sorted and deduplicated before the range checks.
-    Raises :class:`HalfWithoutEvenN`, :class:`OutOfRange` or another
-    :class:`SpecError` on invalid data.
+    or coerced, and a ``bool`` is not a number.  Generators are sorted and
+    deduplicated; the range and parity checks are the spec's own.  A
+    ``ConnectionSpec`` is returned unchanged.  Raises :class:`HalfWithoutEvenN`,
+    :class:`OutOfRange` or another :class:`SpecError` on invalid data.
     """
     if isinstance(raw, ConnectionSpec):
-        raw = raw.to_dict()
+        return raw
     if not isinstance(raw, dict):
         raise SpecError("connection data must be a mapping")
     if "n" not in raw:
         raise SpecError("missing group order n")
     n = _as_int(raw["n"], "group order n")
-    if n < 1:
-        raise OutOfRange(f"group order must be positive, got {n}")
-
     alphas = _as_sorted_ints(raw.get("alphas", ()), "alphas")
     betas = _as_sorted_ints(raw.get("betas", ()), "betas")
     gammas = _as_sorted_ints(raw.get("gammas", ()), "gammas")
     half_r, half_t = (raw.get(key, False) for key in ("half_r", "half_t"))
     if not isinstance(half_r, bool) or not isinstance(half_t, bool):
         raise SpecError(f"half flags must be true or false, got {half_r!r} and {half_t!r}")
-
-    if (half_r or half_t) and n % 2 != 0:
-        raise HalfWithoutEvenN(f"half generator n/2 requires even n, got n={n}")
-    for a in alphas:
-        if not 0 < 2 * a < n:
-            raise OutOfRange(f"alpha={a} outside (0, n/2) for n={n}")
-    for b in betas:
-        if not 0 < 2 * b < n:
-            raise OutOfRange(f"beta={b} outside (0, n/2) for n={n}")
-    for g in gammas:
-        if not 0 <= g <= n - 1:
-            raise OutOfRange(f"gamma={g} outside [0, n-1] for n={n}")
-
     return ConnectionSpec(n, alphas, betas, gammas, half_r, half_t)
+
+
+def order_row(compute, spec: ConnectionSpec, n: int) -> dict:
+    """One row of a per-order table: ``{"n": n, **compute(replace(spec, n=n))}``.
+
+    Where ``replace`` or ``compute`` raises a :class:`BforestError`, the row
+    is ``{"n", "error"}`` instead.
+    """
+    try:
+        return {"n": n, **compute(replace(spec, n=n))}
+    except BforestError as exc:
+        return {"n": n, "error": str(exc)}
 
 
 def classify_family(spec: ConnectionSpec) -> int:
@@ -194,6 +210,13 @@ def is_connected(spec: ConnectionSpec) -> bool:
     half = (spec.n // 2,) if spec.half_r or spec.half_t else ()
     diffs = (g - spec.gammas[0] for g in spec.gammas)
     return _gcd_many(spec.n, (*spec.alphas, *spec.betas, *half, *diffs)) == 1
+
+
+def require_connected(spec: ConnectionSpec) -> ConnectionSpec:
+    """``spec`` itself, or :class:`NotConnected` if its graph is not connected."""
+    if not is_connected(spec):
+        raise NotConnected(f"spec {spec.to_json()} is not connected")
+    return spec
 
 
 def realize(spec: ConnectionSpec) -> GraphRealization:

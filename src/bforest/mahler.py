@@ -19,8 +19,8 @@ import mpmath
 import numpy as np
 
 from .counting import SpectralSystem, closed_count_formal, spectral_system
-from .errors import BforestError, NonConvergence, NotConnected
-from .graphs import ConnectionSpec, is_connected
+from .errors import NonConvergence
+from .graphs import ConnectionSpec, order_row, require_connected
 from .polynomials import IntPoly, _cosine_coefficients, roots_numeric, squarefree_layers
 
 __all__ = [
@@ -130,53 +130,44 @@ def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
     """Leading-order prediction of the tree count at order n.
 
     The count at n = stride * m grows like (n s / (stride^2 q)) M^m, with M
-    the measure of the product of the factor polynomials.  An order without
-    a count raises as its convergence row would: n < 1, odd n for families
-    2-4, or a graph that is not connected at order n.
+    the measure of the product of the factor polynomials.  The spec moves to
+    order n by ``replace(spec, n=n)``, so an order without a count raises as
+    its convergence row reports: an invalid spec at n (n < 1, a generator
+    at or past n/2, odd n for families 2-4) or a disconnected graph.
     """
-    sys = spectral_system(spec)
-    if not is_connected(replace(spec, n=n)):
-        raise NotConnected(f"spec {spec.to_json()} is not connected at group order {n}")
+    sys = spectral_system(require_connected(replace(spec, n=n)))
     m, prefactor = sys.order(n)
     with mpmath.workdps(digits):
         return prefactor * _trace_measure(sys, digits)[0] ** m
 
 
-def _convergence_row(sys: SpectralSystem, n: int, measure) -> dict:
-    """One convergence row, or ``{"n", "error"}`` for an order with no ratio."""
-    try:
-        tau = closed_count_formal(sys, n).tau
-        if tau == 0:
-            raise NotConnected(f"no spanning tree at group order {n}: the graph is not connected")
-    except BforestError as exc:
-        return {"n": n, "error": str(exc)}
-    m, prefactor = sys.order(n)
-    prediction = prefactor * measure**m
-    ratio = prediction / mpmath.mpf(tau)
-    return {
-        "n": n,
-        "tau": tau,
-        "prediction": float(prediction),
-        "ratio": float(ratio),
-        "deviation": float(abs(ratio - 1)),
-    }
-
-
 def _growth_report(spec: ConnectionSpec, n_list, digits: int):
     """(system, growth base, convergence rows) from one system and one root table."""
-    if not is_connected(spec):
-        raise NotConnected(f"spec {spec.to_json()} is not connected")
-    sys = spectral_system(spec)
+    sys = spectral_system(require_connected(spec))
     with mpmath.workdps(digits):
         measure, rel_error = _trace_measure(sys, digits)
-        rows = [_convergence_row(sys, n, measure) for n in n_list]
+
+        def convergence(at_n: ConnectionSpec) -> dict:
+            tau = closed_count_formal(sys, require_connected(at_n).n).tau
+            m, prefactor = sys.order(at_n.n)
+            prediction = prefactor * measure**m
+            ratio = prediction / mpmath.mpf(tau)
+            return {
+                "tau": tau,
+                "prediction": float(prediction),
+                "ratio": float(ratio),
+                "deviation": float(abs(ratio - 1)),
+            }
+
+        rows = [order_row(convergence, spec, n) for n in n_list]
     return sys, MahlerEstimate(float(measure), float(measure * rel_error)), rows
 
 
 def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[dict]:
     """Table of (n, exact tau, asymptotic prediction, ratio, |ratio-1|).
 
-    An order without a count or a ratio (n < 1, odd n for families 2-4, a
-    disconnected graph) gets an ``{"n", "error"}`` row instead.
+    Rows come from ``graphs.order_row``, as every per-order table does: an
+    order where ``bforest count`` has an error row, an invalid spec at that
+    order or a disconnected graph, gets the same ``{"n", "error"}`` row here.
     """
     return _growth_report(spec, n_list, digits)[2]

@@ -75,7 +75,8 @@ def test_rows_report_errors_for_invalid_orders(capsys):
 
 @pytest.mark.parametrize(
     "spec, start, end, errors",
-    [(PRISM, "-3", "3", {-3, -2, -1, 0}), (FAM2, "4", "5", {5})],
+    # the prism's alpha = 1 is below n/2 only from n = 3
+    [(PRISM, "-3", "3", {-3, -2, -1, 0, 1, 2}), (FAM2, "4", "5", {5})],
     ids=["negative", "odd"],
 )
 def test_asymptotics_rejects_invalid_orders(capsys, spec, start, end, errors):

@@ -242,13 +242,13 @@ def test_order_gives_the_power_and_the_exact_prefactor(family_specs):
 
 
 PRISM = ConnectionSpec(3, (1,), (1,), (0,))
-# built without validate_spec, which would refuse each of them
+# each built inside the raises block: the spec refuses the first three itself
 NO_COUNT = {
-    "odd-half": (ConnectionSpec(5, (1,), (), (0,), True, False), HalfWithoutEvenN),
-    "negative": (dataclasses.replace(PRISM, n=-3), OutOfRange),
-    "zero": (dataclasses.replace(PRISM, n=0), OutOfRange),
+    "odd-half": (lambda: ConnectionSpec(5, (1,), (), (0,), True, False), HalfWithoutEvenN),
+    "negative": (lambda: dataclasses.replace(PRISM, n=-3), OutOfRange),
+    "zero": (lambda: dataclasses.replace(PRISM, n=0), OutOfRange),
     # no spokes: q = 0, and the two cycles are not connected
-    "spokeless": (ConnectionSpec(5, (1,), (1,), ()), NotConnected),
+    "spokeless": (lambda: ConnectionSpec(5, (1,), (1,), ()), NotConnected),
 }
 FOLDS = {
     "closed": tree_count_closed,
@@ -263,11 +263,11 @@ FOLDS = {
 def test_every_fold_refuses_an_order_without_a_count(case, fold):
     # the Chebyshev check once gave 20.0, -75.0 and 0.0 where the exact count
     # raises, and verify_square_structure a ValueError or ZeroDivisionError
-    spec, error = NO_COUNT[case]
+    build, error = NO_COUNT[case]
     if fold == "verify" and case == "spokeless":
         error = DegenerateSystem  # no connectivity check: q = 0 is refused
     with pytest.raises(BforestError) as info:
-        FOLDS[fold](spec)
+        FOLDS[fold](build())
     assert type(info.value) is error
 
 

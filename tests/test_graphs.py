@@ -1,5 +1,6 @@
 """Spec validation, family classification, realization and connectivity."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -82,11 +83,37 @@ def test_range_checks():
         ("gammas", ["0"]),
         ("half_r", "false"),
         ("half_t", 1),
+        ("n", True),
+        ("alphas", [True]),
     ],
 )
 def test_validation_neither_truncates_nor_coerces(field, value):
     with pytest.raises(SpecError):
         validate_spec({"n": 12, "alphas": [1], "gammas": [0], field: value})
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"n": 0}, OutOfRange),
+        ({"n": 2}, OutOfRange),  # alpha = 1 reaches n/2
+        ({"n": 7}, HalfWithoutEvenN),
+        ({"betas": (3,)}, OutOfRange),
+        ({"gammas": (6,)}, OutOfRange),
+    ],
+)
+def test_a_spec_checks_itself(change, error):
+    # the checks are the spec's own, so replace() cannot build an invalid one
+    spec = validate_spec({"n": 6, "alphas": [1], "gammas": [0], "half_r": True})
+    assert validate_spec(spec) is spec
+    with pytest.raises(error):
+        dataclasses.replace(spec, **change)
+
+
+def test_validation_refuses_a_bool_order():
+    # True == 1, and n = 1 is a valid order for this spec: it once read as one
+    with pytest.raises(SpecError, match="must be an integer"):
+        validate_spec({"n": True, "gammas": [0]})
 
 
 def test_validation_takes_integral_floats_as_integers():

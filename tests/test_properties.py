@@ -1,14 +1,21 @@
 """Property tests of the factor table over random connected specs in all
 four families: every fold over ``SpectralSystem.factors`` agrees with its
-independent cross-check."""
+independent cross-check, and every per-order table refuses the same orders."""
 
+import json
 import math
+from dataclasses import replace
 
 import mpmath
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bforest import (
+    ConnectionSpec,
+    OutOfRange,
+    asymptotic_prediction,
+    convergence_report,
     growth_base,
     is_connected,
     mahler_root_product,
@@ -19,7 +26,8 @@ from bforest import (
     validate_spec,
     verify_square_structure,
 )
-from tests.conftest import lift
+from bforest.cli import run
+from tests.conftest import lift, random_connected_specs
 
 
 @st.composite
@@ -62,3 +70,54 @@ def test_factor_table_folds_agree_with_cross_checks(spec):
     factors = spectral_system(spec).factors
     product = math.prod(mahler_root_product(lift(k)).value for k, _ in factors)
     assert math.isclose(growth_base(spec).value, product, rel_tol=1e-12)
+
+
+def _count_rows(capsys, spec, start, end):
+    assert run(["count", "--spec", spec.to_json(), "--n-start", str(start), "--n-end", str(end)]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+REFUSALS = {
+    "group order must be positive": "n < 1",
+    "outside (0, n/2)": "generator at or past n/2",
+    "requires even n": "half flag at odd n",
+    "is not connected": "disconnected",
+}
+
+
+def test_convergence_rows_refuse_the_orders_count_refuses(capsys):
+    # the convergence rows once gave a formal count at 380 of these 1860
+    # orders, 277 of them not the graph's count
+    specs = random_connected_specs(60, seed=7, n_max=16, r_max=3, t_max=3, s_max=3)
+    assert {spec.family for spec in specs} == {1, 2, 3, 4}
+    kinds = set()
+    for spec in specs:
+        count = _count_rows(capsys, spec, -1, 29)
+        convergence = convergence_report(spec, range(-1, 30))
+        errors = {row["n"]: row["error"] for row in count if "error" in row}
+        assert {row["n"]: row["error"] for row in convergence if "error" in row} == errors, spec
+        kinds |= {kind for text in errors.values() for part, kind in REFUSALS.items() if part in text}
+        for row, at_count in zip(convergence, count):
+            if "tau" in row:
+                assert row["tau"] == at_count["tau"], (spec, row["n"])
+                assert tree_count_oracle(replace(spec, n=row["n"])) == row["tau"], (spec, row["n"])
+    assert kinds == set(REFUSALS.values())
+
+
+def test_orders_where_a_generator_reaches_n_over_2_have_no_count(capsys):
+    # alpha = 2 at n = 4 is the chord n/2 taken twice: its convergence row
+    # once read tau = 196, where the simple graph, spelled with half_r, has 64
+    spec = validate_spec({"n": 5, "alphas": [2], "betas": [1], "gammas": [0]})
+    [row] = convergence_report(spec, [4])
+    assert [row] == _count_rows(capsys, spec, 4, 4)
+    assert set(row) == {"n", "error"} and "alpha=2 outside" in row["error"]
+    with pytest.raises(OutOfRange):
+        asymptotic_prediction(spec, 4)
+    simple = validate_spec({"n": 4, "betas": [1], "gammas": [0], "half_r": True})
+    assert tree_count_closed(simple).tau == tree_count_oracle(simple) == 64
+    # the prism at n = 2 once counted 12 in closed form and 4 by the oracle
+    with pytest.raises(OutOfRange):
+        ConnectionSpec(2, (1,), (1,), (0,))
+    prism = ConnectionSpec(3, (1,), (1,), (0,))
+    [row] = convergence_report(prism, [2])
+    assert [row] == _count_rows(capsys, prism, 2, 2) and set(row) == {"n", "error"}

@@ -1,5 +1,6 @@
 """Source guards over src/bforest: no asserts, no process pools, no import
-beyond the runtime dependencies, no private name taken from counting."""
+beyond the runtime dependencies, no private name taken from counting, and
+at most 2000 lines in all."""
 
 import ast
 import pathlib
@@ -58,3 +59,9 @@ def test_no_private_names_from_counting(path):
     # the order and root maps are reached through SpectralSystem, so every
     # module folds the same (m, prefactor) and the same outer roots
     assert [name for name in _names_from(path, "counting") if name.startswith("_")] == []
+
+
+def test_source_stays_within_its_line_budget():
+    # src/bforest stays at or under 2000 lines: a change that needs more
+    # deletes code first
+    assert sum(len(path.read_text().splitlines()) for path in SOURCES) <= 2000
