@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .arithmetic import arithmetic_profile, verify_square_structure
 from .counting import spectral_system, tree_count_closed
-from .errors import BforestError, SpecError
+from .errors import BforestError, OrderExceeded, SpecError
 from .genfun import (
     find_recurrence,
     genfun,
@@ -146,12 +146,16 @@ def _cmd_asymptotics(spec: ConnectionSpec, args) -> dict:
 
 
 def _cmd_genfun(spec: ConnectionSpec, args) -> dict:
-    terms = 2 * args.max_order + 2
-    seq = tau_sequence(spec, terms)
-    recurrence = find_recurrence(seq, max_order=args.max_order)
+    system = spectral_system(spec)
+    bound, stride = system.recurrence_bound, system.stride
+    # 2L terms fix a minimal recurrence of order L; two more are held out
+    seq = tau_sequence(spec, 2 * min(bound, args.max_order) + 2)
+    try:
+        recurrence = find_recurrence(seq, max_order=args.max_order)
+    except OrderExceeded as exc:
+        raise OrderExceeded(f"{exc}; the spectral degree bounds the order by {bound}") from None
     gf = genfun(seq, recurrence)
     scale = symmetry_scale(spec)
-    stride = spectral_system(spec).stride
     indexing = (
         "term k is the tree count at group order k"
         if stride == 1

@@ -84,6 +84,13 @@ class SpectralSystem:
         table[-1] = (reduced, -1)
         return tuple(table)
 
+    @property
+    def recurrence_bound(self) -> int:
+        """2 * 3^D, D = sum of deg K over ``trace_factors``, bounds the order
+        of the counts' minimal recurrence in m: each root adds 2 + c (rho^m +
+        rho^-m), the sign is eps sigma^m, the prefactor linear in m."""
+        return 2 * 3 ** sum(k.degree for k, _ in self.trace_factors)
+
     def order(self, n: int) -> tuple[int, Fraction]:
         """(m, n s / (stride^2 q)): power and prefactor at group order n = stride * m.
 

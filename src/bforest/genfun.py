@@ -4,7 +4,8 @@ The tree counts of a fixed connection pattern, indexed by the group order,
 satisfy a linear recurrence; the generating function is therefore rational
 with integer coefficients and obeys an x <-> 1/x symmetry after rescaling
 by the leading spectral coefficients.  The recurrence is recovered exactly
-by Berlekamp-Massey over the rationals and certified on held-out terms.
+by fraction-free Berlekamp-Massey over the integers (rational terms are
+first scaled by one common denominator) and certified on held-out terms.
 """
 
 from __future__ import annotations
@@ -78,34 +79,30 @@ def tau_sequence(spec: ConnectionSpec, count: int) -> TauSequence:
 def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
     """Minimal homogeneous linear recurrence, exactly, via Berlekamp-Massey.
 
-    Returns integer coefficients e0..eL (content-free, e0 > 0) with
-    sum_i e_i a(n-i) = 0 for every index the sequence supplies.  Raises
-    :class:`OrderExceeded` if the minimal order is larger than
+    Fraction-free: rational terms are scaled by one common denominator, and
+    C is updated as b C - d x^gap B over the integers, its content divided
+    out each step.  Returns integer coefficients e0..eL (content-free,
+    e0 > 0) with sum_i e_i a(n-i) = 0 for every index the sequence supplies.
+    Raises :class:`OrderExceeded` if the minimal order is larger than
     ``max_order`` or too large to certify from the given terms.
     """
-    terms = [Fraction(v) for v in (seq.values if isinstance(seq, TauSequence) else seq)]
-    conn = [Fraction(1)]  # connection polynomial C(x)
-    prev = [Fraction(1)]
-    order = 0
-    gap = 1
-    prev_discrepancy = Fraction(1)
-    for i, term in enumerate(terms):
-        discrepancy = term + sum(conn[j] * terms[i - j] for j in range(1, order + 1))
+    values = [Fraction(v) for v in (seq.values if isinstance(seq, TauSequence) else seq)]
+    denom = math.lcm(*(v.denominator for v in values))
+    terms = [v.numerator * (denom // v.denominator) for v in values]
+    conn, prev = [1], [1]  # connection polynomial C(x); B, C before its last length change
+    order, gap, prev_discrepancy = 0, 1, 1
+    for i in range(len(terms)):
+        discrepancy = sum(conn[j] * terms[i - j] for j in range(order + 1))
         if discrepancy == 0:
             gap += 1
             continue
-        scale = discrepancy / prev_discrepancy
-        update = conn[:]
-        needed = gap + len(prev)
-        if len(update) < needed:
-            update.extend([Fraction(0)] * (needed - len(update)))
+        update = [prev_discrepancy * c for c in conn] + [0] * (gap + len(prev) - len(conn))
         for j, c in enumerate(prev):
-            update[gap + j] -= scale * c
+            update[gap + j] -= discrepancy * c
+        content = math.gcd(*update)
+        update = [c // content for c in update]
         if 2 * order <= i:
-            prev = conn
-            prev_discrepancy = discrepancy
-            order = i + 1 - order
-            gap = 1
+            prev, prev_discrepancy, order, gap = conn, discrepancy, i + 1 - order, 1
         else:
             gap += 1
         conn = update
@@ -113,21 +110,13 @@ def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
     if order > max_order:
         raise OrderExceeded(f"minimal recurrence order {order} exceeds cap {max_order}")
     if 2 * order + 2 > len(terms) + 1:
-        raise OrderExceeded(
-            f"order {order} cannot be certified from {len(terms)} terms"
-        )
+        raise OrderExceeded(f"order {order} cannot be certified from {len(terms)} terms")
     conn = conn[: order + 1]
     for i in range(order, len(terms)):
         if sum(conn[j] * terms[i - j] for j in range(order + 1)) != 0:
             raise InvariantViolation("Berlekamp-Massey output fails on the training terms")
-
-    denom = math.lcm(*(c.denominator for c in conn))
-    ints = [int(c * denom) for c in conn]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    if ints[0] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    content = math.gcd(*conn) if conn[0] > 0 else -math.gcd(*conn)
+    return tuple(c // content for c in conn)
 
 
 def genfun(seq, recurrence) -> RationalGF:

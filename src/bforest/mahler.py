@@ -143,7 +143,7 @@ def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
 
 def _growth_report(spec: ConnectionSpec, n_list, digits: int):
     """(system, growth base, convergence rows) from one system and one root table."""
-    sys = spectral_system(require_connected(spec))
+    sys = spectral_system(spec)
     with mpmath.workdps(digits):
         measure, rel_error = _trace_measure(sys, digits)
 

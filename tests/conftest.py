@@ -1,5 +1,6 @@
 """Shared fixtures: the four worked-example connection specs and helpers."""
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from bforest import IntPoly, det_fraction_free, is_connected, realize, validate_spec
-from bforest.errors import ZeroPolynomial
+from bforest.errors import InvariantViolation, OrderExceeded, ZeroPolynomial
 
 
 def connected_by_search(spec) -> bool:
@@ -126,3 +127,45 @@ def random_connected_specs(count, seed, n_max=12, r_max=2, t_max=2, s_max=3):
         if is_connected(spec):
             specs.append(spec)
     return specs
+
+
+def find_recurrence_fractions(values, max_order: int = 128) -> tuple[int, ...]:
+    """Berlekamp-Massey over ``Fraction``s, with the denominators cleared at
+    the end: the independent oracle the fraction-free version is
+    cross-checked against."""
+    terms = [Fraction(v) for v in values]
+    conn = [Fraction(1)]  # connection polynomial C(x)
+    prev = [Fraction(1)]
+    order = 0
+    gap = 1
+    prev_discrepancy = Fraction(1)
+    for i, term in enumerate(terms):
+        discrepancy = term + sum(conn[j] * terms[i - j] for j in range(1, order + 1))
+        if discrepancy == 0:
+            gap += 1
+            continue
+        scale = discrepancy / prev_discrepancy
+        update = conn[:]
+        needed = gap + len(prev)
+        if len(update) < needed:
+            update.extend([Fraction(0)] * (needed - len(update)))
+        for j, c in enumerate(prev):
+            update[gap + j] -= scale * c
+        if 2 * order <= i:
+            prev = conn
+            prev_discrepancy = discrepancy
+            order = i + 1 - order
+            gap = 1
+        else:
+            gap += 1
+        conn = update
+    if order > max_order or 2 * order + 2 > len(terms) + 1:
+        raise OrderExceeded(f"order {order} is over the cap or uncertified")
+    conn = conn[: order + 1]
+    for i in range(order, len(terms)):
+        if sum(conn[j] * terms[i - j] for j in range(order + 1)) != 0:
+            raise InvariantViolation("Berlekamp-Massey output fails on the training terms")
+    denom = math.lcm(*(c.denominator for c in conn))
+    ints = [c.numerator * (denom // c.denominator) for c in conn]
+    content = math.gcd(*ints)
+    return tuple(c // content if ints[0] > 0 else -c // content for c in ints)

@@ -6,6 +6,7 @@ import os
 import jsonschema
 import pytest
 
+from bforest import tau_sequence
 from bforest.cli import run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "report.schema.json")
@@ -98,6 +99,47 @@ def test_asymptotics_rows_report_disconnected_orders(capsys):
     first, second = json.loads(out)["convergence"]
     assert (first["n"], first["tau"]) == (5, 5)
     assert second["n"] == 6 and "not connected" in second["error"]
+
+
+def test_asymptotics_rows_report_each_disconnected_order(capsys):
+    # disconnected at its own n = 8, so the whole spec was once refused
+    spec = '{"n":8,"alphas":[2],"betas":[2],"gammas":[0]}'
+    orders = ("--n-start", "5", "--n-end", "7")
+    code, out, _ = invoke(capsys, "asymptotics", "--spec", spec, *orders)
+    assert code == 0
+    rows = json.loads(out)["convergence"]
+    assert [(r["n"], r.get("tau")) for r in rows] == [(5, 1805), (6, None), (7, 35287)]
+    assert "not connected" in rows[1]["error"]
+    _, count_out, _ = invoke(capsys, "count", "--spec", spec, *orders)
+    count = json.loads(count_out)["rows"]
+    assert [(r["n"], r.get("tau"), r.get("error")) for r in count] == [
+        (r["n"], r.get("tau"), r.get("error")) for r in rows
+    ]
+
+
+TWO_SPOKE = '{"n":4,"alphas":[1],"betas":[1],"gammas":[0,1],"half_r":true,"half_t":true}'
+
+
+@pytest.mark.parametrize(
+    "spec,max_order,terms,code",
+    [(PRISM, None, 14, 0), (TWO_SPOKE, "64", 110, 0), (PRISM, "3", 8, 2)],
+)
+def test_genfun_asks_for_the_terms_the_spectral_bound_certifies(
+    capsys, monkeypatch, spec, max_order, terms, code
+):
+    # 2 min(bound, cap) + 2 terms: the prism's bound is 6, two-spoke's 54
+    asked = []
+
+    def recording(spec, count):
+        asked.append(count)
+        return tau_sequence(spec, count)
+
+    monkeypatch.setattr("bforest.cli.tau_sequence", recording)
+    cap = ("--max-order", max_order) if max_order else ()
+    status, _, err = invoke(capsys, "genfun", "--spec", spec, *cap)
+    assert (asked, status) == ([terms], code)
+    if code:
+        assert "internal error" in err and "bounds the order by 6" in err
 
 
 @pytest.mark.parametrize("command", ["genfun", "report"])

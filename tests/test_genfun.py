@@ -13,10 +13,13 @@ from bforest import (
     find_recurrence,
     genfun,
     gf_eval,
+    spectral_system,
     symmetry_scale,
     tau_sequence,
+    validate_spec,
     verify_symmetry,
 )
+from tests.conftest import find_recurrence_fractions
 
 
 def test_find_recurrence_trivial_sequences():
@@ -38,6 +41,49 @@ def test_find_recurrence_needs_enough_terms():
     seq = [1, 0, 0, 1, 0]
     with pytest.raises(OrderExceeded):
         find_recurrence(seq)
+
+
+ORACLE_INPUTS = [
+    [5, 5, 5, 5, 5, 5],
+    [1, 2, 3, 4, 5, 6, 7, 8],
+    [1, 2, 4, 8, 16, 32],
+    [1, 1, 2, 3, 5, 8, 13, 21],
+    [1, 1, 2, 3, 5, 8, 13, 21, 34, 55],
+    # zero discrepancies: the update lands a gap of 3 past the last change
+    [1, 0, 0, 1, 0, 0, 1, 0, 0, 1],
+    [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1],
+    [2, -3, 0, 5, 2, -3, 0, 5, 2, -3],
+    [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8), Fraction(1, 12)],
+    [Fraction(2**n, 3) + Fraction(2 * (-1) ** n, 5) for n in range(12)],
+]
+
+
+@pytest.mark.parametrize("values", ORACLE_INPUTS)
+def test_integer_recurrence_matches_the_fraction_oracle(values):
+    assert find_recurrence(values) == find_recurrence_fractions(values)
+
+
+@pytest.mark.parametrize(
+    "values,max_order",
+    [([1, 0, 0, 1, 0], 128), ([1, 1, 2, 3, 5, 8, 13, 21], 1), ([Fraction(1, n) for n in range(1, 13)], 128)],
+)
+def test_integer_recurrence_refuses_where_the_oracle_does(values, max_order):
+    for recover in (find_recurrence, find_recurrence_fractions):
+        with pytest.raises(OrderExceeded):
+            recover(values, max_order=max_order)
+
+
+def test_integer_recurrence_matches_the_oracle_on_tree_counts(family_specs):
+    two_spoke = validate_spec(
+        {"n": 4, "alphas": [1], "betas": [1], "gammas": [0, 1], "half_r": True, "half_t": True}
+    )
+    cases = [(family_specs[1], 40), (family_specs[2], 40), (family_specs[3], 40), (two_spoke, 110)]
+    for spec, count in cases:
+        seq = tau_sequence(spec, count)
+        recurrence = find_recurrence(seq)
+        assert recurrence == find_recurrence_fractions(seq.values)
+        # the minimal order reaches the spectral bound on these specs
+        assert len(recurrence) - 1 == spectral_system(spec).recurrence_bound
 
 
 def test_prism_family_recurrence(family_specs):

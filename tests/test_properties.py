@@ -16,10 +16,12 @@ from bforest import (
     OutOfRange,
     asymptotic_prediction,
     convergence_report,
+    find_recurrence,
     growth_base,
     is_connected,
     mahler_root_product,
     spectral_system,
+    tau_sequence,
     tree_count_chebyshev,
     tree_count_closed,
     tree_count_oracle,
@@ -121,3 +123,20 @@ def test_orders_where_a_generator_reaches_n_over_2_have_no_count(capsys):
     prism = ConnectionSpec(3, (1,), (1,), (0,))
     [row] = convergence_report(prism, [2])
     assert [row] == _count_rows(capsys, prism, 2, 2) and set(row) == {"n", "error"}
+
+
+def test_spectral_degree_bounds_the_recurrence_order():
+    # D <= 2, so bound <= 18; 2 bound + 2 terms fix the minimal recurrence,
+    # which 28 more terms do not change
+    specs = random_connected_specs(150, seed=5, n_max=12, r_max=1, t_max=1, s_max=2)
+    checked = set()
+    for spec in specs:
+        bound = spectral_system(spec).recurrence_bound
+        if bound > 18:
+            continue
+        seq = tau_sequence(spec, 2 * bound + 30)
+        recurrence = find_recurrence(seq)
+        assert len(recurrence) - 1 <= bound, spec
+        assert find_recurrence(seq.values[: 2 * bound + 2], max_order=bound) == recurrence, spec
+        checked.add(spec.family)
+    assert checked == {1, 2, 3, 4}
