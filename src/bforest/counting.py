@@ -22,8 +22,8 @@ from .errors import DegenerateSystem, HalfWithoutEvenN, NonIntegralResult, OutOf
 from .graphs import ConnectionSpec, require_connected
 from .polynomials import (
     IntPoly,
-    abs_resultant_with_power,
     exact_divide,
+    half_resultant,
     roots_numeric,
     squarefree_layers,
     trace_polynomial,
@@ -43,13 +43,13 @@ class SpectralSystem:
     """Derived trace polynomials K(x), x = z + 1/z, of a spec; independent of n.
 
     The count at group order n = stride * m is the prefactor
-    n * s / (stride^2 q) times one resultant |Res(K(z + 1/z), z^m + c)| per
-    entry (K, c) of ``factors``.  The c = -1 entry is the base polynomial,
-    whose double root at z = 1 is divided out.  Family 1 has stride 1 and the
-    base alone; families 2-4 have stride 2 and the family polynomial (c = +1)
-    in front of the base.  Every path takes (m, prefactor) from ``order``;
-    the exact ones fold over ``trace_factors``, the float ones over its outer
-    z-roots, ``trace_roots``.
+    n * s / (stride^2 q) times |Res(K(z + 1/z), z^m + c)|, a half-size
+    resultant squared (``half_resultant``), per entry (K, c) of ``factors``.
+    The c = -1 entry is the base polynomial, whose double root at z = 1 is
+    divided out.  Family 1 has stride 1 and the base alone; families 2-4
+    have stride 2 and the family polynomial (c = +1) in front of the base.
+    Every path takes (m, prefactor) from ``order``; the exact ones fold over
+    ``trace_factors``, the float ones over its outer z-roots, ``trace_roots``.
     """
 
     spokes: int
@@ -183,12 +183,14 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
 def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     """Closed-form tree count as a formal function of n.
 
-    No validity or connectivity check: this evaluates the counting formula
-    itself, which is what generating-function work needs for small n.
+    prefactor * prod |fixed| * (prod a)^2 over ``half_resultant`` of each
+    trace factor.  No validity or connectivity check: this evaluates
+    the counting formula itself, which generating-function work needs for small n.
     """
     m, prefactor = sys.order(n)
-    product = math.prod(abs_resultant_with_power(k, m, c) for k, c in sys.trace_factors)
-    tau, rem = divmod(prefactor.numerator * product, prefactor.denominator)
+    parts = [half_resultant(k, m, c) for k, c in sys.trace_factors]
+    fixed, witness = math.prod(abs(f) for f, _ in parts), math.prod(a for _, a in parts)
+    tau, rem = divmod(prefactor.numerator * fixed * witness**2, prefactor.denominator)
     if rem:
         raise NonIntegralResult(f"closed-form count is not an integer: remainder {rem}")
     return TreeCount(tau)

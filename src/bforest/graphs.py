@@ -157,12 +157,13 @@ def order_row(compute, spec: ConnectionSpec, n: int) -> dict:
     """One row of a per-order table: ``{"n": n, **compute(replace(spec, n=n))}``.
 
     Where ``replace`` or ``compute`` raises a :class:`BforestError`, the row
-    is ``{"n", "error"}`` instead.
+    is ``{"n", "error", "error_type"}`` instead, the last the exception's
+    class name.
     """
     try:
         return {"n": n, **compute(replace(spec, n=n))}
     except BforestError as exc:
-        return {"n": n, "error": str(exc)}
+        return {"n": n, "error": str(exc), "error_type": type(exc).__name__}
 
 
 def classify_family(spec: ConnectionSpec) -> int:

@@ -168,6 +168,6 @@ def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[d
 
     Rows come from ``graphs.order_row``, as every per-order table does: an
     order where ``bforest count`` has an error row, an invalid spec at that
-    order or a disconnected graph, gets the same ``{"n", "error"}`` row here.
+    order or a disconnected graph, gets the same error row here.
     """
     return _growth_report(spec, n_list, digits)[2]

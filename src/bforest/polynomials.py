@@ -4,13 +4,14 @@ One carrier: dense integer polynomials (``IntPoly``).  Resultants use a
 primitive polynomial remainder sequence over exact integers.  There is one
 pseudo-division, ``_pseudo_mod``, which reports the power of the divisor's
 lead it scaled by; the remainder sequence, the square-free split and the
-Lucas reduction all use it.
+Chebyshev reduction all use it.
 
 A palindromic P(z) = eta_0 + sum_j eta_j (z^j + z^-j) is K(z + 1/z) for the
 trace polynomial K of the same degree (``trace_polynomial``); x -> z + 1/z
 is a ring map, so P's sums and products are formed on K.  The exact count's
-resultants against z^m + c run over the roots x of K, with the Lucas
-polynomial V_m reduced modulo K.  The float paths find those roots by
+resultants against z^m + c run over the roots x of K as a fixed factor
+times a square, one resultant of K against Chebyshev U_k mod K with half
+the bits (``half_resultant``).  The float paths find those roots by
 mpmath's Durand-Kerner ``polyroots`` (``roots_numeric``) per square-free
 layer of K, with a-posteriori radii.
 """
@@ -29,7 +30,7 @@ __all__ = [
     "IntPoly",
     "trace_polynomial",
     "resultant",
-    "abs_resultant_with_power",
+    "half_resultant",
     "exact_divide",
     "squarefree_part",
     "squarefree_layers",
@@ -213,64 +214,60 @@ def _mul_add(a: list[int], b: list[int], c: list[int]) -> list[int]:
     return out
 
 
-def _lucas_mod(f: IntPoly, m: int) -> tuple[list[int], int]:
-    """(A, e) with V_m(x) = A / lc(f)^e (mod f), A integral with deg A < deg f.
+def _chebyshev_u_mod(f: IntPoly, k: int) -> tuple[list[int], list[int], int]:
+    """(A, B, e) with U_k-1 = A / lc^e and U_k = B / lc^e (mod f), deg A, B < deg f.
 
-    V_m(z + 1/z) = z^m + z^-m is the monic integer Lucas polynomial.  Scan
-    the bits of m keeping (V_j, V_j+1) over one shared exponent e, by
-    V_2j = V_j^2 - 2 and V_2j+1 = V_j V_j+1 - x; a product of two terms over
-    lc^e is over lc^2e before its reduction adds its own exponent.
+    U_j(z + 1/z) = (z^(j+1) - z^-(j+1)) / (z - 1/z), U_-1 = 0, U_0 = 1, is the
+    Chebyshev polynomial of the second kind.  Scan the bits of k keeping
+    (U_j-1, U_j) over one shared exponent e, by U_2j = (U_j - U_j-1)(U_j +
+    U_j-1), U_2j-1 = U_j-1 (2 U_j - x U_j-1) and U_2j+1 = U_j (x U_j - 2 U_j-1);
+    a product of two terms over lc^e is over lc^2e before its reduction.
     """
     lead = f.lead
-    a, b, e = [2], [0, 1], 0  # V_0, V_1
-    for bit in bin(m)[2:]:
-        scale = lead ** (2 * e)
-        u = b if bit == "1" else a
-        sq, cross = _mul_add(u, u, [-2 * scale]), _mul_add(a, b, [0, -scale])
-        pair = (cross, sq) if bit == "1" else (sq, cross)
+    a, b, e = [], [1], 0  # U_-1, U_0
+    for bit in bin(k)[2:]:
+        even = _mul_add(_mul_add([-1], a, b), _mul_add([1], a, b), [])
+        if bit == "1":
+            pair = (even, _mul_add(b, _mul_add([0, 1], b, [-2 * y for y in a]), []))
+        else:
+            pair = (_mul_add(a, _mul_add([0, -1], a, [2 * y for y in b]), []), even)
         (a, ka), (b, kb) = (_pseudo_mod(v, f.coeffs) for v in pair)
-        k = max(ka, kb)
-        a, b = [c * lead ** (k - ka) for c in a], [c * lead ** (k - kb) for c in b]
-        e = 2 * e + k
-    return a, e
+        top = max(ka, kb)
+        a, b = [y * lead ** (top - ka) for y in a], [y * lead ** (top - kb) for y in b]
+        e = 2 * e + top
+    return a, b, e
 
 
-def abs_resultant_with_power(f: IntPoly, m: int, c: int) -> int:
-    """|Res(F, z^m + c)| for c in {+1, -1} and F(z) = z^d f(z + 1/z), d = deg f.
+def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
+    """(fixed, a) with |Res(F, z^m + c)| = |fixed| a^2, a = |Res(f, P)| of half the bits.
 
-    Cheap for huge m, and in half the degree of F: the roots of F pair up as
-    (r, 1/r) over the roots x = r + 1/r of f, and (r^m + c)(r^-m + c) is
-    2 + c V_m(x), so |Res(F, z^m + c)| = |lc f|^m |prod_{f(x)=0} (2 + c V_m(x))|.
-    With V_m = A / L (mod f) and L = lc(f)^e signed, 2 + c V_m agrees with
-    Q / L on the roots of f, where Q = c A + 2 L.  A low-degree integer
-    resultant of f and the primitive part of Q finishes the job:
-    |Res(F, z^m + c)| = |lc f|^(m - deg Q - e deg f) |cont Q|^(deg f) |Res(f, Q / cont Q)|.
+    F(z) = z^d f(z + 1/z), d = deg f, c = +-1.  F's roots pair up as rho^+-1
+    over the roots x = rho + 1/rho of f, and with k = m // 2 each pair gives
+    (rho^m + c)(rho^-m + c) = c (rho^(m/2) + c rho^(-m/2))^2 = (2 - x if c = -1)
+    (x + 2 if c (-1)^m = -1) P(x)^2, P = U_k-1, U_k + U_k-1, V_k = 2 U_k - x U_k-1
+    or U_k - U_k-1 for (c, m) = (-1, even), (-1, odd), (+1, even), (+1, odd).
+    P is monic of degree (m - w) / 2, w the fixed degree, so lc(f) cancels:
+    ``fixed`` is f(2), f(-2), their product or 1.  With P = R / lc^e (mod f),
+    a = |Res(f, R)| |lc f|^(deg P - deg R - e d).
     """
-    if f.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
-    if m == 0:
-        if 1 + c == 0:
-            raise ZeroPolynomial("z^0 - 1 is the zero polynomial")
-        return abs(1 + c) ** (2 * f.degree)
-    if f.degree == 0:
-        return abs(f.coeffs[0]) ** m
-
-    a, e = _lucas_mod(f, m)
-    q = IntPoly(a) * c + IntPoly([2 * f.lead**e])
-    if q.is_zero:
-        return 0
-    cont = q.content()
-    value = abs(resultant(f, IntPoly(x // cont for x in q.coeffs))) * cont**f.degree
-    shift = m - q.degree - e * f.degree
-    lead = abs(f.lead)
-    if shift >= 0:
-        return value * lead**shift
-    value, rem = divmod(value, lead**-shift)
+    k, odd = divmod(m, 2)
+    at_two, at_minus_two = c < 0, c * (-1) ** m < 0
+    fixed = (f(2) if at_two else 1) * (f(-2) if at_minus_two else 1)
+    degree, lead = (m - at_two - at_minus_two) // 2, abs(f.lead)
+    if f.degree == 0:  # no roots: |lc f|^m = |fixed| Res(f, P)^2
+        return fixed, lead**degree
+    a, b, e = _chebyshev_u_mod(f, k)
+    if c < 0:
+        p = _mul_add([1], a, b) if odd else a
+    else:
+        p = _mul_add([-1], a, b) if odd else _mul_add([0, -1], a, [2 * y for y in b])
+    r, kp = _pseudo_mod(p, f.coeffs)
+    shift = degree - (len(r) - 1) - (e + kp) * f.degree
+    root = abs(resultant(f, IntPoly(r))) * lead ** max(shift, 0) if r else 0
+    root, rem = divmod(root, lead ** max(-shift, 0))
     if rem:
-        raise NonIntegralResult(f"|Res(F, z^{m} {c:+d})| came out non-integral")
-    return value
+        raise NonIntegralResult(f"Res(f, P) for z^{m} {c:+d} came out non-integral")
+    return fixed, root
 
 
 def exact_divide(f: IntPoly, g: IntPoly) -> IntPoly:

@@ -8,8 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bforest import IntPoly, det_fraction_free, is_connected, realize, validate_spec
-from bforest.errors import InvariantViolation, OrderExceeded, ZeroPolynomial
+from bforest import (
+    IntPoly,
+    det_fraction_free,
+    is_connected,
+    realize,
+    resultant,
+    spectral_system,
+    validate_spec,
+)
+from bforest.errors import InvariantViolation, NonIntegralResult, OrderExceeded, ZeroPolynomial
+from bforest.polynomials import _mul_add, _pseudo_mod
 
 
 def connected_by_search(spec) -> bool:
@@ -51,6 +60,79 @@ def resultant_sylvester(f, g) -> int:
     if g.degree == 0:
         return g.coeffs[0] ** f.degree
     return det_fraction_free(sylvester_matrix(f, g))
+
+
+def lucas_mod(f: IntPoly, m: int) -> tuple[list[int], int]:
+    """(A, e) with V_m(x) = A / lc(f)^e (mod f), A integral with deg A < deg f.
+
+    V_m(z + 1/z) = z^m + z^-m is the monic integer Lucas polynomial.  Scan
+    the bits of m keeping (V_j, V_j+1) over one shared exponent e, by
+    V_2j = V_j^2 - 2 and V_2j+1 = V_j V_j+1 - x; a product of two terms over
+    lc^e is over lc^2e before its reduction adds its own exponent.
+    """
+    lead = f.lead
+    a, b, e = [2], [0, 1], 0  # V_0, V_1
+    for bit in bin(m)[2:]:
+        scale = lead ** (2 * e)
+        u = b if bit == "1" else a
+        sq, cross = _mul_add(u, u, [-2 * scale]), _mul_add(a, b, [0, -scale])
+        pair = (cross, sq) if bit == "1" else (sq, cross)
+        (a, ka), (b, kb) = (_pseudo_mod(v, f.coeffs) for v in pair)
+        k = max(ka, kb)
+        a, b = [c * lead ** (k - ka) for c in a], [c * lead ** (k - kb) for c in b]
+        e = 2 * e + k
+    return a, e
+
+
+def abs_resultant_with_power(f: IntPoly, m: int, c: int) -> int:
+    """|Res(F, z^m + c)| for c in {+1, -1} and F(z) = z^d f(z + 1/z), d = deg f,
+    through the full-size Lucas polynomial V_m: the oracle the half-size
+    Chebyshev-U path of ``half_resultant`` is cross-checked against.
+
+    The roots of F pair up as (r, 1/r) over the roots x = r + 1/r of f, and
+    (r^m + c)(r^-m + c) is 2 + c V_m(x), so |Res(F, z^m + c)| =
+    |lc f|^m |prod_{f(x)=0} (2 + c V_m(x))|.  With V_m = A / L (mod f) and
+    L = lc(f)^e signed, 2 + c V_m agrees with Q / L on the roots of f, where
+    Q = c A + 2 L, and |Res(F, z^m + c)| =
+    |lc f|^(m - deg Q - e deg f) |cont Q|^(deg f) |Res(f, Q / cont Q)|.
+    """
+    if f.is_zero:
+        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
+    if m < 0:
+        raise ValueError(f"power must be non-negative, got {m}")
+    if m == 0:
+        if 1 + c == 0:
+            raise ZeroPolynomial("z^0 - 1 is the zero polynomial")
+        return abs(1 + c) ** (2 * f.degree)
+    if f.degree == 0:
+        return abs(f.coeffs[0]) ** m
+
+    a, e = lucas_mod(f, m)
+    q = IntPoly(a) * c + IntPoly([2 * f.lead**e])
+    if q.is_zero:
+        return 0
+    cont = q.content()
+    value = abs(resultant(f, IntPoly(x // cont for x in q.coeffs))) * cont**f.degree
+    shift = m - q.degree - e * f.degree
+    lead = abs(f.lead)
+    if shift >= 0:
+        return value * lead**shift
+    value, rem = divmod(value, lead**-shift)
+    if rem:
+        raise NonIntegralResult(f"|Res(F, z^{m} {c:+d})| came out non-integral")
+    return value
+
+
+def closed_count_by_lucas(spec) -> int:
+    """The closed count with one full-size V_m resultant per trace factor:
+    the prefactor times ``abs_resultant_with_power`` over the factor table,
+    with no connectivity check."""
+    sys = spectral_system(spec)
+    m, prefactor = sys.order(spec.n)
+    value = prefactor * math.prod(abs_resultant_with_power(k, m, c) for k, c in sys.trace_factors)
+    if value.denominator != 1:
+        raise NonIntegralResult(f"closed-form count is not an integer: {value}")
+    return int(value)
 
 
 def chebyshev_T(n: int, x):

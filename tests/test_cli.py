@@ -87,7 +87,7 @@ def test_asymptotics_rejects_invalid_orders(capsys, spec, start, end, errors):
     rows = json.loads(out)["convergence"]
     assert [r["n"] for r in rows] == list(range(int(start), int(end) + 1))
     assert {r["n"] for r in rows if "error" in r} == errors
-    assert all(set(r) == {"n", "error"} for r in rows if r["n"] in errors)
+    assert all(set(r) == {"n", "error", "error_type"} for r in rows if r["n"] in errors)
     assert all("ratio" in r for r in rows if r["n"] not in errors)
 
 
@@ -240,7 +240,11 @@ def test_report_validates_against_shipped_schema(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["compare"]["rows"][1] == {"n": 0, "error": "group order must be positive, got 0"}
+    assert doc["compare"]["rows"][1] == {
+        "n": 0,
+        "error": "group order must be positive, got 0",
+        "error_type": "OutOfRange",
+    }
     jsonschema.validate(doc, schema)
 
 

@@ -177,7 +177,8 @@ def test_convergence_report_rejects_disconnected():
     spec = validate_spec({"n": 8, "alphas": [2], "betas": [2], "gammas": [0]})
     rows = convergence_report(spec, [7, 8])
     assert rows[0]["n"] == 7 and rows[0]["tau"] == 35287
-    assert rows[1] == {"n": 8, "error": rows[1]["error"]} and "not connected" in rows[1]["error"]
+    assert rows[1] == {"n": 8, "error": rows[1]["error"], "error_type": "NotConnected"}
+    assert "not connected" in rows[1]["error"]
 
 
 def test_product_polynomial_measure_multiplies(family_specs):

@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bforest import (
@@ -20,13 +20,20 @@ from bforest import (
 from bforest import polynomials
 from bforest.errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPolynomial
 from bforest.polynomials import (
+    _chebyshev_u_mod,
     _cosine_coefficients,
-    _lucas_mod,
-    abs_resultant_with_power,
+    half_resultant,
     squarefree_layers,
     trace_polynomial,
 )
-from tests.conftest import chebyshev_T, cyclotomic_quotient, lift, resultant_sylvester
+from tests.conftest import (
+    abs_resultant_with_power,
+    chebyshev_T,
+    cyclotomic_quotient,
+    lift,
+    lucas_mod,
+    resultant_sylvester,
+)
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
@@ -49,6 +56,14 @@ def lucas(m: int) -> IntPoly:
     for _ in range(m):
         a, b = b, IntPoly([0, 1]) * b - a
     return a
+
+
+def chebyshev_u(k: int) -> IntPoly:
+    """U_k with U_k(z + 1/z) = (z^(k+1) - z^-(k+1)) / (z - 1/z), U_-1 = 0."""
+    a, b = IntPoly(), IntPoly([1])  # U_-1, U_0
+    for _ in range(k):
+        a, b = b, IntPoly([0, 1]) * b - a
+    return b if k >= 0 else a
 
 
 # ---------------------------------------------------------------- IntPoly
@@ -181,13 +196,52 @@ def test_power_resultant_rejects_negative_powers():
 @given(trace_polys.filter(lambda k: k.degree >= 1), st.integers(0, 200))
 @settings(max_examples=80, deadline=None)
 def test_lucas_mod_is_an_integral_pseudo_remainder(k, m):
-    a, e = _lucas_mod(k, m)
+    a, e = lucas_mod(k, m)
     assert len(a) <= k.degree  # deg A < deg K
     assert all(isinstance(c, int) for c in a)
     if abs(k.lead) == 1:
         assert e == 0
     # lc(K)^e V_m - A is a multiple of K over Z
     exact_divide(lucas(m) * k.lead**e - IntPoly(a), k)
+
+
+@given(trace_polys.filter(lambda k: k.degree >= 1), st.integers(0, 200))
+@settings(max_examples=80, deadline=None)
+def test_chebyshev_u_mod_is_an_integral_pseudo_remainder(k, j):
+    a, b, e = _chebyshev_u_mod(k, j)
+    a, b = IntPoly(a), IntPoly(b)
+    assert a.degree < k.degree and b.degree < k.degree
+    if abs(k.lead) == 1:
+        assert e == 0
+    # lc(K)^e U_j-1 - A and lc(K)^e U_j - B are multiples of K over Z
+    exact_divide(chebyshev_u(j - 1) * k.lead**e - a, k)
+    exact_divide(chebyshev_u(j) * k.lead**e - b, k)
+
+
+@given(trace_polys, st.integers(0, 200), st.sampled_from([-1, 1]))
+@settings(max_examples=120, deadline=None)
+def test_half_resultant_squares_to_the_lucas_oracle(k, m, c):
+    assume(m > 0 or c > 0)  # z^0 - 1 is the zero polynomial
+    fixed, root = half_resultant(k, m, c)
+    assert abs(fixed) * root**2 == abs_resultant_with_power(k, m, c)
+
+
+@pytest.mark.parametrize("coeffs", [[-3], [1, 3], [1, 1, 3], [2, -1, 0, -2], [-4, 0, 1, 5]])
+def test_half_resultant_at_every_small_order(coeffs):
+    # every order through the first reductions modulo K, both signs, with
+    # non-monic and constant K
+    k = IntPoly(coeffs)
+    for m in range(1, 3 * k.degree + 6):
+        for c in (-1, 1):
+            fixed, root = half_resultant(k, m, c)
+            assert abs(fixed) * root**2 == abs_resultant_with_power(k, m, c), (m, c)
+
+
+def test_half_resultant_rejects_a_witness_lc_does_not_divide(monkeypatch):
+    # a non-monic K reduces P over a power of lc K, which Res(K, R) must carry
+    monkeypatch.setattr(polynomials, "resultant", lambda f, g: 1)
+    with pytest.raises(NonIntegralResult):
+        half_resultant(IntPoly([1, 1, 3]), 50, -1)
 
 
 def test_resultant_rejects_nonintegral_accumulator(monkeypatch):

@@ -112,7 +112,8 @@ def test_orders_where_a_generator_reaches_n_over_2_have_no_count(capsys):
     spec = validate_spec({"n": 5, "alphas": [2], "betas": [1], "gammas": [0]})
     [row] = convergence_report(spec, [4])
     assert [row] == _count_rows(capsys, spec, 4, 4)
-    assert set(row) == {"n", "error"} and "alpha=2 outside" in row["error"]
+    assert set(row) == {"n", "error", "error_type"} and "alpha=2 outside" in row["error"]
+    assert row["error_type"] == "OutOfRange"
     with pytest.raises(OutOfRange):
         asymptotic_prediction(spec, 4)
     simple = validate_spec({"n": 4, "betas": [1], "gammas": [0], "half_r": True})
@@ -122,7 +123,7 @@ def test_orders_where_a_generator_reaches_n_over_2_have_no_count(capsys):
         ConnectionSpec(2, (1,), (1,), (0,))
     prism = ConnectionSpec(3, (1,), (1,), (0,))
     [row] = convergence_report(prism, [2])
-    assert [row] == _count_rows(capsys, prism, 2, 2) and set(row) == {"n", "error"}
+    assert [row] == _count_rows(capsys, prism, 2, 2) and set(row) == {"n", "error", "error_type"}
 
 
 def test_spectral_degree_bounds_the_recurrence_order():
