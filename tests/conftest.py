@@ -17,7 +17,13 @@ from bforest import (
     spectral_system,
     validate_spec,
 )
-from bforest.errors import InvariantViolation, NonIntegralResult, OrderExceeded, ZeroPolynomial
+from bforest.errors import (
+    InexactDivision,
+    InvariantViolation,
+    NonIntegralResult,
+    OrderExceeded,
+    ZeroPolynomial,
+)
 from bforest.polynomials import _mul_add, _pseudo_mod
 
 
@@ -60,6 +66,43 @@ def resultant_sylvester(f, g) -> int:
     if g.degree == 0:
         return g.coeffs[0] ** f.degree
     return det_fraction_free(sylvester_matrix(f, g))
+
+
+def det_bareiss_dense(matrix) -> int:
+    """Dense Bareiss one-step fraction-free elimination, O(size^3) with the
+    first nonzero entry of each column as pivot: the independent oracle the
+    sparse ``det_fraction_free`` is cross-checked against."""
+    a = [[int(x) for x in row] for row in matrix]
+    size = len(a)
+    for row in a:
+        if len(row) != size:
+            raise ValueError("determinant needs a square matrix")
+    if size == 0:
+        return 1
+
+    sign = 1
+    prev_pivot = 1
+    for k in range(size - 1):
+        pivot_row = next((i for i in range(k, size) if a[i][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, size):
+            row_i = a[i]
+            row_k = a[k]
+            lead = row_i[k]
+            for j in range(k + 1, size):
+                num = row_i[j] * pivot - lead * row_k[j]
+                quot, rem = divmod(num, prev_pivot)
+                if rem:
+                    raise InexactDivision("fraction-free elimination produced an inexact division")
+                row_i[j] = quot
+            row_i[k] = 0
+        prev_pivot = pivot
+    return sign * a[size - 1][size - 1]
 
 
 def lucas_mod(f: IntPoly, m: int) -> tuple[list[int], int]:

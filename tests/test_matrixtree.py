@@ -2,10 +2,26 @@
 
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bforest import det_fraction_free, laplacian, realize, tree_count_oracle, validate_spec
+from bforest import (
+    GraphRealization,
+    InvariantViolation,
+    det_fraction_free,
+    is_connected,
+    laplacian,
+    realize,
+    tree_count_closed,
+    tree_count_oracle,
+    validate_spec,
+)
+from bforest.matrixtree import MAX_ORACLE_VERTICES, _reverse_cuthill_mckee
+from tests.conftest import det_bareiss_dense, random_connected_specs
 
 
 def brute_force_det(matrix):
@@ -88,13 +104,12 @@ def test_oracle_prism_and_moebius():
     assert tree_count_oracle(cube) == 384
 
 
-def test_oracle_rejects_negative_cofactor(monkeypatch):
-    # a typed error, not an assert, so the check survives python -O
-    from bforest import InvariantViolation, matrixtree
-
-    monkeypatch.setattr(matrixtree, "laplacian", lambda g: [[-1, 1], [1, -1]])
+def test_oracle_rejects_negative_cofactor():
+    # a typed error, not an assert, so the check survives python -O; the
+    # edge weight -1 gives the Laplacian [[-1, 1], [1, -1]], cofactor -1
+    spec = validate_spec({"n": 1, "alphas": [], "betas": [], "gammas": [0]})
     with pytest.raises(InvariantViolation):
-        tree_count_oracle(validate_spec({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]}))
+        tree_count_oracle(GraphRealization(spec, np.array([[0, -1], [-1, 0]])))
 
 
 def test_oracle_refuses_graphs_above_the_cap(monkeypatch):
@@ -118,3 +133,118 @@ def test_oracle_refuses_graphs_above_the_cap(monkeypatch):
         tree_count_oracle(over)
     with pytest.raises(OutOfRange):
         tree_count_oracle(GraphRealization(over, adjacency=None))
+
+
+NONZERO = [x for x in range(-9, 10) if x]
+
+
+def random_matrix(rng, size, density):
+    return [[rng.choice(NONZERO) if rng.random() < density else 0 for _ in range(size)] for _ in range(size)]
+
+
+def as_nonzeros(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+@given(st.integers(0, 12), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sparse_determinant_matches_the_dense_oracle(size, density, seed):
+    m = random_matrix(random.Random(seed), size, density)
+    expected = det_bareiss_dense(m)
+    assert det_fraction_free(m) == expected
+    assert det_fraction_free(as_nonzeros(m)) == expected
+
+
+@given(st.integers(2, 12), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_sparse_determinant_of_a_singular_matrix_is_zero(size, density, seed, by_columns):
+    # one row an integer combination of two others (or of one, or zero)
+    rng = random.Random(seed)
+    m = random_matrix(rng, size, density)
+    target, *others = rng.sample(range(size), min(size, 3))
+    a, b = others[0], others[-1]
+    u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+    m[target] = [u * x + v * y for x, y in zip(m[a], m[b])]
+    if by_columns:
+        m = [list(col) for col in zip(*m)]
+    assert det_fraction_free(m) == 0 == det_bareiss_dense(m)
+    assert det_fraction_free(as_nonzeros(m)) == 0
+
+
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_sparse_determinant_swaps_rows_at_a_zero_pivot(size, seed, at_start):
+    # the leading (k+1)-minor vanishes, so step k needs a row swap: at k = 0
+    # a zero corner, in the middle a row whose head is a combination of the
+    # rows above it
+    rng = random.Random(seed)
+    m = random_matrix(rng, size, 1.0)
+    k = 0 if at_start else rng.randint(1, size - 2)
+    weights = [rng.randint(-2, 2) for _ in range(k)]
+    m[k][: k + 1] = [sum(w * m[r][j] for r, w in enumerate(weights)) for j in range(k + 1)]
+    assert det_bareiss_dense([row[: k + 1] for row in m[: k + 1]]) == 0
+    expected = det_bareiss_dense(m)
+    assert det_fraction_free(m) == expected
+    assert det_fraction_free(as_nonzeros(m)) == expected
+
+
+LAPLACIAN_SPECS = random_connected_specs(60, seed=14, n_max=12, r_max=3, t_max=3, s_max=3)
+
+
+@given(st.sampled_from(LAPLACIAN_SPECS), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sparse_determinant_of_a_permuted_laplacian(spec, seed):
+    lap = laplacian(realize(spec))
+    perm = list(range(len(lap)))
+    random.Random(seed).shuffle(perm)
+    permuted = [[lap[i][j] for j in perm] for i in perm]
+    assert det_fraction_free(permuted) == 0
+    reduced = [row[:-1] for row in permuted[:-1]]
+    assert det_fraction_free(reduced) == det_bareiss_dense(reduced) == tree_count_oracle(spec)
+
+
+def test_sparse_rows_outside_the_matrix_are_refused():
+    with pytest.raises(ValueError):
+        det_fraction_free([{0: 1}, {2: 1}])
+    assert det_fraction_free([{1: 2}, {0: 3, 1: 0}]) == -6
+
+
+@pytest.mark.parametrize("family", [1, 4])
+def test_oracle_matches_the_closed_form_at_the_cap(family_specs, family):
+    spec = replace(family_specs[family], n=MAX_ORACLE_VERTICES // 2)
+    assert tree_count_oracle(spec) == tree_count_closed(spec).tau
+
+
+@pytest.mark.parametrize("family", [1, 2, 3, 4])
+def test_oracle_is_invariant_under_relabelling(family_specs, family):
+    # shifting every gamma by c relabels the left layer: an isomorphic graph
+    spec = replace(family_specs[family], n=100, alphas=(1, 2), gammas=(0, 5))
+    tau = tree_count_oracle(spec)
+    assert tau == tree_count_closed(spec).tau
+    for c in (1, 37, 99):
+        shifted = replace(spec, gammas=tuple(sorted((g + c) % spec.n for g in spec.gammas)))
+        assert tree_count_oracle(shifted) == tau, c
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 100, "alphas": [2], "betas": [2], "gammas": [0, 4]},
+        {"n": 100, "alphas": [1], "betas": [1], "gammas": []},
+        {"n": 100, "alphas": [4], "betas": [6], "gammas": [0, 2], "half_r": True, "half_t": True},
+    ],
+)
+def test_oracle_is_zero_when_the_search_restarts(data):
+    spec = validate_spec(data)
+    assert not is_connected(spec)
+    assert tree_count_oracle(spec) == 0
+
+
+def test_reverse_cuthill_mckee_bandwidth_does_not_grow_with_n(family_specs):
+    def bandwidth(spec):
+        adj = realize(spec).adjacency
+        place = {v: p for p, v in enumerate(_reverse_cuthill_mckee([list(np.flatnonzero(r)) for r in adj]))}
+        return max(abs(place[v] - place[w]) for v, w in zip(*adj.nonzero()))
+
+    for spec in family_specs.values():
+        assert bandwidth(replace(spec, n=100)) == bandwidth(replace(spec, n=400)) <= 10
