@@ -51,9 +51,7 @@ from .genfun import (
 )
 from .graphs import (
     ConnectionSpec,
-    GraphRealization,
     check_connectivity,
-    classify_family,
     is_connected,
     realize,
     validate_spec,
@@ -66,7 +64,7 @@ from .mahler import (
     mahler_quadrature,
     mahler_root_product,
 )
-from .matrixtree import det_fraction_free, laplacian, tree_count_oracle
+from .matrixtree import det_fraction_free, tree_count_oracle
 from .polynomials import (
     IntPoly,
     exact_divide,
@@ -114,9 +112,7 @@ __all__ = [
     "tau_sequence",
     "verify_symmetry",
     "ConnectionSpec",
-    "GraphRealization",
     "check_connectivity",
-    "classify_family",
     "is_connected",
     "realize",
     "validate_spec",
@@ -127,7 +123,6 @@ __all__ = [
     "mahler_quadrature",
     "mahler_root_product",
     "det_fraction_free",
-    "laplacian",
     "tree_count_oracle",
     "IntPoly",
     "exact_divide",

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -262,8 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--precision",
             type=int,
-            default=None,
-            help=f"float-path decimal digits, {_MIN_PRECISION}-{_MAX_PRECISION} (env BFOREST_PRECISION)",
+            default=64,
+            help=f"float-path decimal digits, {_MIN_PRECISION}-{_MAX_PRECISION} (default 64)",
         )
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--jobs", type=int, default=1, help="ignored: rows run in the calling process")
@@ -274,12 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.precision is None:
-            env = os.environ.get("BFOREST_PRECISION", "64")
-            try:
-                args.precision = int(env)
-            except ValueError:
-                raise SpecError(f"BFOREST_PRECISION must be an integer, got {env!r}") from None
         if not _MIN_PRECISION <= args.precision <= _MAX_PRECISION:
             raise SpecError(f"--precision must be between {_MIN_PRECISION} and {_MAX_PRECISION}")
         if args.max_order < 1:

@@ -1,4 +1,4 @@
-"""Bicirculant graph specifications, arithmetic connectivity and realizations.
+"""Bicirculant graph specifications, arithmetic connectivity and neighbour lists.
 
 A bicirculant graph lives on two copies of Z_n.  The right copy carries a
 circulant layer generated by ``{+-a : a in alphas}`` (optionally plus n/2),
@@ -17,16 +17,12 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import BforestError, HalfWithoutEvenN, NotConnected, OutOfRange, SpecError
 
 __all__ = [
     "ConnectionSpec",
-    "GraphRealization",
     "validate_spec",
     "order_row",
-    "classify_family",
     "check_connectivity",
     "is_connected",
     "require_connected",
@@ -80,7 +76,8 @@ class ConnectionSpec:
 
     @property
     def family(self) -> int:
-        return classify_family(self)
+        """Family index in {1, 2, 3, 4} from the two half flags."""
+        return 1 + self.half_r + 2 * self.half_t
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -94,21 +91,6 @@ class ConnectionSpec:
             "half_r": self.half_r,
             "half_t": self.half_t,
         }
-
-
-@dataclass(frozen=True)
-class GraphRealization:
-    """Concrete 2n-vertex graph: adjacency in block-circulant form.
-
-    Right vertices occupy indices 0..n-1, left vertices n..2n-1.
-    """
-
-    spec: ConnectionSpec
-    adjacency: np.ndarray
-
-    @property
-    def vertex_count(self) -> int:
-        return 2 * self.spec.n
 
 
 def _as_int(value, name: str) -> int:
@@ -166,11 +148,6 @@ def order_row(compute, spec: ConnectionSpec, n: int) -> dict:
         return {"n": n, "error": str(exc), "error_type": type(exc).__name__}
 
 
-def classify_family(spec: ConnectionSpec) -> int:
-    """Family index in {1,2,3,4} from the two half flags."""
-    return 1 + (1 if spec.half_r else 0) + (2 if spec.half_t else 0)
-
-
 def _gcd_many(n: int, values) -> int:
     g = n
     for v in values:
@@ -220,29 +197,12 @@ def require_connected(spec: ConnectionSpec) -> ConnectionSpec:
     return spec
 
 
-def realize(spec: ConnectionSpec) -> GraphRealization:
-    """Build the 2n x 2n 0/1 adjacency matrix (O(n^2) memory; oracle only)."""
+def realize(spec: ConnectionSpec) -> list[list[int]]:
+    """The graph as neighbour lists, each in ascending index order: right
+    vertex h is index h, left vertex h is index n + h (oracle only)."""
     n = spec.n
-    right_set = set()
-    for a in spec.alphas:
-        right_set.add(a % n)
-        right_set.add(-a % n)
-    if spec.half_r:
-        right_set.add(n // 2)
-    left_set = set()
-    for b in spec.betas:
-        left_set.add(b % n)
-        left_set.add(-b % n)
-    if spec.half_t:
-        left_set.add(n // 2)
-
-    adj = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for h in range(n):
-        for u in right_set:
-            adj[h, (h + u) % n] = 1
-        for u in left_set:
-            adj[n + h, n + (h + u) % n] = 1
-        for g in spec.gammas:
-            adj[h, n + (h + g) % n] = 1
-            adj[n + (h + g) % n, h] = 1
-    return GraphRealization(spec, adj)
+    right = {u % n for a in spec.alphas for u in (a, -a)} | ({n // 2} if spec.half_r else set())
+    left = {u % n for b in spec.betas for u in (b, -b)} | ({n // 2} if spec.half_t else set())
+    rights = [sorted([(h + u) % n for u in right] + [n + (h + g) % n for g in spec.gammas]) for h in range(n)]
+    lefts = [sorted([n + (h + u) % n for u in left] + [(h - g) % n for g in spec.gammas]) for h in range(n)]
+    return rights + lefts

@@ -1,34 +1,30 @@
 """Exact spanning-tree oracle: Laplacian cofactor via sparse fraction-free elimination.
 
-The oracle orders the vertices by reverse Cuthill-McKee (Cuthill & McKee
-1969; George & Liu, *Computer Solution of Large Sparse Positive Definite
-Systems*, 1981), which keeps the fill-in of elimination inside a narrow
-envelope, of constant width for a bicirculant graph.  Bareiss elimination
-then runs over each row's nonzeros.  All arithmetic uses Python's
-arbitrary-precision integers, so tree counts are bit-exact no matter how fast
-they grow.  Nothing here shares code with the spectral count.
+The oracle reads the graph as neighbour lists (:func:`graphs.realize`) and
+orders the vertices by reverse Cuthill-McKee (Cuthill & McKee 1969; George &
+Liu, *Computer Solution of Large Sparse Positive Definite Systems*, 1981),
+which keeps the fill-in of elimination inside a narrow envelope, of constant
+width for a bicirculant graph.  Bareiss elimination then runs over each
+row's nonzeros.  All arithmetic uses Python's arbitrary-precision integers,
+so tree counts are bit-exact no matter how fast they grow.  Nothing here
+shares code with the spectral count.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-import numpy as np
-
 from .errors import InexactDivision, InvariantViolation, OutOfRange
-from .graphs import ConnectionSpec, GraphRealization, realize
+from .graphs import ConnectionSpec, realize
 
-__all__ = ["laplacian", "det_fraction_free", "tree_count_oracle"]
+__all__ = ["det_fraction_free", "tree_count_oracle"]
 
-# Largest graph the oracle takes (n = 400).  In reverse Cuthill-McKee order the
-# elimination stays banded: at V = 800 the prism takes 0.034 s and family 4
-# 0.028 s on one Xeon core, the big spec (bandwidth 29, not 5-10) 3.1 s.
+# Largest graph the oracle takes (n = 400), a bound on time: the neighbour
+# lists take O(n * degree) memory, but the cost of elimination grows with the
+# envelope.  In reverse Cuthill-McKee order it stays banded: at V = 800 the
+# prism takes 0.034 s and family 4 0.028 s on one Xeon core, the big spec
+# (bandwidth 29, not 5-10) 3.1 s.
 MAX_ORACLE_VERTICES = 800
-
-
-def laplacian(g: GraphRealization) -> list[list[int]]:
-    """L = diag(degrees) - A as a list-of-lists of Python ints."""
-    return (np.diag(g.adjacency.sum(axis=1)) - g.adjacency).tolist()
 
 
 def _nonzeros(row, size: int) -> dict[int, int]:
@@ -134,34 +130,28 @@ def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
     return order
 
 
-def tree_count_oracle(g: GraphRealization | ConnectionSpec) -> int:
+def tree_count_oracle(spec: ConnectionSpec) -> int:
     """Exact number of spanning trees: any cofactor of the Laplacian.
 
-    The vertices are put in reverse Cuthill-McKee order, and the Laplacian
-    rows, minus the last vertex in that order, are built as nonzeros straight
-    from the adjacency.  Returns 0 iff the graph is disconnected.  Accepts a
-    spec, realizing it on the fly.  Raises :class:`OutOfRange` above
-    ``MAX_ORACLE_VERTICES`` vertices, before any adjacency is built.
+    The vertices of ``realize(spec)`` are put in reverse Cuthill-McKee order,
+    and the Laplacian rows, minus the last vertex in that order, are built as
+    nonzeros straight from the neighbour lists: the degree on the diagonal,
+    -1 for each edge.  Returns 0 iff the graph is disconnected.  Raises
+    :class:`OutOfRange` above ``MAX_ORACLE_VERTICES`` vertices, before the
+    graph is built.
     """
-    vertices = 2 * g.n if isinstance(g, ConnectionSpec) else g.vertex_count
-    if vertices > MAX_ORACLE_VERTICES:
-        raise OutOfRange(f"the oracle takes at most {MAX_ORACLE_VERTICES} vertices, got {vertices}")
-    if isinstance(g, ConnectionSpec):
-        g = realize(g)
-    adj = g.adjacency
-    tails, heads = (a.tolist() for a in adj.nonzero())
-    neighbours = [[] for _ in adj]
-    for v, w in zip(tails, heads):
-        neighbours[v].append(w)
+    if 2 * spec.n > MAX_ORACLE_VERTICES:
+        raise OutOfRange(f"the oracle takes at most {MAX_ORACLE_VERTICES} vertices, got {2 * spec.n}")
+    neighbours = realize(spec)
     order = _reverse_cuthill_mckee(neighbours)
     place = {v: p for p, v in enumerate(order)}
     last = len(order) - 1
-    degrees = adj.sum(axis=1).tolist()
-    rows = [{p: degrees[v]} for p, v in enumerate(order[:last])]
-    for v, w in zip(tails, heads):
-        if max(place[v], place[w]) < last:
-            row = rows[place[v]]
-            row[place[w]] = row.get(place[w], 0) - int(adj[v, w])
+    rows = []
+    for v in order[:last]:
+        row = {place[w]: -1 for w in neighbours[v]}
+        row.pop(last, None)
+        row[place[v]] = len(neighbours[v])
+        rows.append(row)
     value = det_fraction_free(rows)
     if value < 0:
         raise InvariantViolation("Laplacian cofactor cannot be negative")

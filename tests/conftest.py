@@ -5,7 +5,6 @@ import random
 from collections import deque
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from bforest import (
@@ -28,21 +27,21 @@ from bforest.polynomials import _mul_add, _pseudo_mod
 
 
 def connected_by_search(spec) -> bool:
-    """Breadth-first search over the realized adjacency: the ground truth
-    the arithmetic connectivity test is cross-checked against."""
-    adj = realize(spec).adjacency
-    total = len(adj)
+    """Breadth-first search over the realized neighbour lists: the ground
+    truth the arithmetic connectivity test is cross-checked against."""
+    neighbours = realize(spec)
+    total = len(neighbours)
     seen = [False] * total
     seen[0] = True
     queue = deque([0])
     count = 1
     while queue:
         v = queue.popleft()
-        for w in np.nonzero(adj[v])[0]:
+        for w in neighbours[v]:
             if not seen[w]:
                 seen[w] = True
                 count += 1
-                queue.append(int(w))
+                queue.append(w)
     return count == total
 
 

@@ -207,6 +207,13 @@ def test_precision_floor(capsys):
     assert "precision" in err
 
 
+def test_precision_defaults_to_64(capsys):
+    _, default, _ = invoke(capsys, "asymptotics", "--spec", PRISM)
+    _, at_64, _ = invoke(capsys, "asymptotics", "--spec", PRISM, "--precision", "64")
+    _, at_32, _ = invoke(capsys, "asymptotics", "--spec", PRISM, "--precision", "32")
+    assert default == at_64 != at_32
+
+
 def test_json_output_is_byte_deterministic(capsys):
     args = ("report", "--spec", FAM2, "--n-start", "4", "--n-end", "10", "--step", "2",
             "--max-order", "11")
@@ -246,21 +253,6 @@ def test_report_validates_against_shipped_schema(capsys):
         "error_type": "OutOfRange",
     }
     jsonschema.validate(doc, schema)
-
-
-def test_env_var_sets_default_precision(capsys, monkeypatch):
-    monkeypatch.setenv("BFOREST_PRECISION", "8")
-    code, _, err = invoke(capsys, "asymptotics", "--spec", PRISM)
-    assert code == 1
-    assert "precision" in err
-
-
-def test_malformed_precision_env_var_is_a_spec_error(capsys, monkeypatch):
-    monkeypatch.setenv("BFOREST_PRECISION", "abc")
-    for command in ("validate", "count", "asymptotics"):
-        code, out, err = invoke(capsys, command, "--spec", PRISM)
-        assert (code, out) == (1, "")
-        assert "BFOREST_PRECISION" in err
 
 
 def test_precision_capped_at_the_measure_limit(capsys):

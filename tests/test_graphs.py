@@ -3,7 +3,6 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,12 +12,11 @@ from bforest import (
     OutOfRange,
     SpecError,
     check_connectivity,
-    classify_family,
     is_connected,
     realize,
     validate_spec,
 )
-from tests.conftest import connected_by_search
+from tests.conftest import connected_by_search, random_connected_specs
 
 
 @st.composite
@@ -136,18 +134,30 @@ def test_json_round_trip():
 
 def test_realize_prism_is_cubic():
     spec = validate_spec({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]})
-    g = realize(spec)
-    assert g.vertex_count == 6
-    assert np.array_equal(g.adjacency, g.adjacency.T)
-    assert (g.adjacency.sum(axis=1) == 3).all()
-    assert np.trace(g.adjacency) == 0
+    neighbours = realize(spec)
+    assert len(neighbours) == 6
+    assert all(v in neighbours[w] for v, adjacent in enumerate(neighbours) for w in adjacent)
+    assert [len(adjacent) for adjacent in neighbours] == [3] * 6
+    assert all(v not in adjacent for v, adjacent in enumerate(neighbours))
 
 
 def test_realize_half_generator_adds_matching():
     spec = validate_spec({"n": 4, "alphas": [1], "betas": [], "gammas": [0], "half_r": True})
-    adj = realize(spec).adjacency
-    assert adj[0, 2] == 1 and adj[1, 3] == 1  # the n/2 chords on the right
-    assert adj[4:, 4:].sum() == 0  # no left-layer edges
+    neighbours = realize(spec)
+    assert 2 in neighbours[0] and 3 in neighbours[1]  # the n/2 chords on the right
+    assert all(w < 4 for adjacent in neighbours[4:] for w in adjacent)  # no left-layer edges
+
+
+def test_realize_gives_sorted_symmetric_lists_of_the_layer_degrees():
+    for spec in random_connected_specs(200, seed=15, n_max=30, r_max=3, t_max=3, s_max=4):
+        neighbours = realize(spec)
+        n = spec.n
+        assert len(neighbours) == 2 * n
+        for v, adjacent in enumerate(neighbours):
+            assert adjacent == sorted(set(adjacent)) and v not in adjacent, spec
+            assert all(v in neighbours[w] for w in adjacent), spec
+        assert {len(adjacent) for adjacent in neighbours[:n]} == {2 * spec.r + spec.half_r + spec.s}
+        assert {len(adjacent) for adjacent in neighbours[n:]} == {2 * spec.t + spec.half_t + spec.s}
 
 
 def test_gcd_flags_imply_search_connectivity():
@@ -168,7 +178,7 @@ def test_disconnected_layers():
     # steps of 2 on both layers of an even cycle with parity-preserving spokes
     spec = validate_spec({"n": 8, "alphas": [2], "betas": [2], "gammas": [0]})
     assert not is_connected(spec)
-    assert classify_family(spec) == 1
+    assert spec.family == 1
 
 
 @given(any_specs())
