@@ -5,6 +5,10 @@ BC(Z_n; R, T, S) three independent ways (Kirchhoff matrix-tree, exact
 resultants, high-precision Chebyshev evaluation) and exposes the
 arithmetic square structure, Mahler-measure asymptotics and rational
 generating functions of the resulting integer sequences.
+
+The exact core imports only the standard library.  The float names (roots,
+Mahler measures, asymptotics, the Chebyshev check) live in ``mahler``,
+which this package imports, with mpmath and numpy, on first use of one.
 """
 
 from .arithmetic import (
@@ -18,7 +22,6 @@ from .counting import (
     TreeCount,
     closed_count_formal,
     spectral_system,
-    tree_count_chebyshev,
     tree_count_closed,
 )
 from .errors import (
@@ -56,20 +59,11 @@ from .graphs import (
     realize,
     validate_spec,
 )
-from .mahler import (
-    MahlerEstimate,
-    asymptotic_prediction,
-    convergence_report,
-    growth_base,
-    mahler_quadrature,
-    mahler_root_product,
-)
 from .matrixtree import det_fraction_free, tree_count_oracle
 from .polynomials import (
     IntPoly,
     exact_divide,
     resultant,
-    roots_numeric,
     squarefree_part,
     trace_polynomial,
 )
@@ -131,3 +125,12 @@ __all__ = [
     "squarefree_part",
     "trace_polynomial",
 ]
+
+
+def __getattr__(name):
+    # every name of __all__ not bound above is a float name (PEP 562)
+    if name in __all__:
+        from . import mahler
+
+        return getattr(mahler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

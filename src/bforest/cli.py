@@ -30,7 +30,6 @@ from .genfun import (
     verify_symmetry,
 )
 from .graphs import ConnectionSpec, check_connectivity, order_row, validate_spec
-from .mahler import _growth_report, mahler_quadrature
 from .matrixtree import tree_count_oracle
 
 __all__ = ["main", "run"]
@@ -133,6 +132,8 @@ def _cmd_arithmetic(spec: ConnectionSpec, args) -> dict:
 
 
 def _cmd_asymptotics(spec: ConnectionSpec, args) -> dict:
+    from .mahler import _growth_report, mahler_quadrature  # the float layer, on first use
+
     system, root, rows = _growth_report(spec, _n_values(args, spec), args.precision)
     quad = mahler_quadrature(system.growth_poly)
     return {

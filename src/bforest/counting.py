@@ -1,11 +1,8 @@
-"""Spectral polynomials of a bicirculant spec and exact tree counts.
+"""Spectral polynomials of a bicirculant spec and the exact tree count.
 
-The spanning-tree number is computed two independent ways:
-
-* ``tree_count_closed`` -- exact, through integer resultants against
-  cyclotomic factors (cheap even for n in the tens of thousands);
-* ``tree_count_chebyshev`` -- a floating cross-check that evaluates the
-  Chebyshev-product formula at high precision.
+``tree_count_closed`` counts through integer resultants against cyclotomic
+factors, cheap even for n in the tens of thousands.  Its float cross-check,
+``tree_count_chebyshev``, lives in the float layer, ``mahler``.
 """
 
 from __future__ import annotations
@@ -16,25 +13,15 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import DegenerateSystem, HalfWithoutEvenN, NonIntegralResult, OutOfRange
 from .graphs import ConnectionSpec, require_connected
-from .polynomials import (
-    IntPoly,
-    exact_divide,
-    half_resultant,
-    roots_numeric,
-    squarefree_layers,
-    trace_polynomial,
-)
+from .polynomials import IntPoly, exact_divide, half_resultant, trace_polynomial
 
 __all__ = [
     "SpectralSystem",
     "TreeCount",
     "spectral_system",
     "tree_count_closed",
-    "tree_count_chebyshev",
 ]
 
 
@@ -48,8 +35,9 @@ class SpectralSystem:
     The c = -1 entry is the base polynomial, whose double root at z = 1 is
     divided out.  Family 1 has stride 1 and the base alone; families 2-4
     have stride 2 and the family polynomial (c = +1) in front of the base.
-    Every path takes (m, prefactor) from ``order``; the exact ones fold over
-    ``trace_factors``, the float ones over its outer z-roots, ``trace_roots``.
+    Every path takes (m, prefactor) from ``order``; the exact count folds over
+    ``trace_factors``, the float layer over their outer z-roots
+    (``mahler.trace_roots``).
     """
 
     spokes: int
@@ -103,27 +91,6 @@ class SpectralSystem:
         if n % self.stride != 0:
             raise HalfWithoutEvenN("families 2-4 are defined for even n only")
         return n // self.stride, Fraction(n * self.spokes, self.stride**2 * self.degeneracy)
-
-    def trace_roots(self, digits: int) -> list[tuple[IntPoly, int, list]]:
-        """(K, c, [(rho, s, radius)]) per entry of ``trace_factors``.
-
-        Each root x of K (a constant K has none), found with multiplicity by
-        mpmath's ``polyroots`` on each square-free layer, as its outer z-root:
-        rho + 1/rho = x, |rho| >= 1 and s = rho - 1/rho, taken as
-        +-sqrt((x - 2)(x + 2)) to keep its relative accuracy near x = +-2.
-        """
-        table = []
-        with mpmath.workdps(digits):
-            for k, c in self.trace_factors:
-                roots = []
-                for layer in squarefree_layers(k):
-                    for x, radius in roots_numeric(layer, digits=digits):
-                        s = mpmath.sqrt((x - 2) * (x + 2))
-                        if abs(x - s) > abs(x + s):
-                            s = -s
-                        roots.append(((x + s) / 2, s, radius))
-                table.append((k, c, roots))
-        return table
 
 
 @dataclass(frozen=True)
@@ -198,30 +165,6 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
 
 def tree_count_closed(spec: ConnectionSpec) -> TreeCount:
     """Exact spanning-tree count via the resultant reformulation."""
-    return closed_count_formal(spectral_system(require_connected(spec)), spec.n)
-
-
-def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
-    """High-precision float evaluation of the Chebyshev product formula.
-
-    The prefactor times |lead K|^m per trace factor (K, c) and
-    |2 T_m(x/2) + 2c| = |rho^m + rho^-m + 2c| per outer root rho.  Cross-checks
-    the exact path; returns ``(value, relative_error_bound)``.
-    """
-    sys = spectral_system(require_connected(spec))
-    m, prefactor = sys.order(spec.n)
-
-    def evaluate(dps):
-        with mpmath.workdps(dps):
-            value = mpmath.mpf(1)
-            for k, c, roots in sys.trace_roots(dps):
-                value *= mpmath.mpf(abs(k.lead)) ** m
-                for rho, _, _ in roots:
-                    value *= abs(rho**m + rho**-m + 2 * c)
-            return prefactor * value
-
-    value = evaluate(digits)
-    check = evaluate(digits + 16)
-    with mpmath.workdps(digits + 16):
-        rel_error = float(abs(value - check) / abs(check)) if check != 0 else 0.0
-    return value, rel_error
+    if require_connected(spec).r == spec.t == spec.s - 1 == 0:  # base R L - G = 0: connected
+        return TreeCount(4 if spec.half_r and spec.half_t else 1)  # only as a tree or a 4-cycle
+    return closed_count_formal(spectral_system(spec), spec.n)

@@ -1,4 +1,11 @@
-"""Mahler measures of the spectral polynomials and tree-count asymptotics.
+"""The float layer: roots, Mahler measures and tree-count asymptotics.
+
+This is the one module that imports mpmath and numpy; the exact core needs
+only the standard library, and ``bforest`` loads this module on first use
+of one of its names.  ``roots_numeric`` finds the roots of a square-free
+integer polynomial, and ``trace_roots`` maps those of a system's trace
+factors to their outer z-roots.  ``tree_count_chebyshev`` folds the
+Chebyshev product over them, a float cross-check of the exact count.
 
 Tree counts grow geometrically; the growth base is the Mahler measure
 M(P) = |lead| prod max(1, |z|) of the product P(z) = K(z + 1/z) of the
@@ -19,11 +26,13 @@ import mpmath
 import numpy as np
 
 from .counting import SpectralSystem, closed_count_formal, spectral_system
-from .errors import NonConvergence
+from .errors import NonConvergence, ZeroPolynomial
 from .graphs import ConnectionSpec, order_row, require_connected
-from .polynomials import IntPoly, _cosine_coefficients, roots_numeric, squarefree_layers
+from .polynomials import IntPoly, _cosine_coefficients, squarefree_layers
 
 __all__ = [
+    "roots_numeric",
+    "tree_count_chebyshev",
     "MahlerEstimate",
     "mahler_root_product",
     "mahler_quadrature",
@@ -31,6 +40,89 @@ __all__ = [
     "asymptotic_prediction",
     "convergence_report",
 ]
+
+
+ROOT_STEPS = 400  # Durand-Kerner sweeps before NonConvergence
+
+
+def roots_numeric(f: IntPoly, digits: int = 64):
+    """All complex roots by mpmath's Durand-Kerner ``polyroots``.
+
+    Returns ``(root, radius)`` pairs: the root a full-precision ``mpc``,
+    ``radius`` = deg |f/f'| there, which bounds its distance to a true root
+    up to the root's own rounding at ``digits + 10`` (callers add that).
+    The iteration runs 34 bits above that precision, so its rounding stays
+    below the step it stops at even for roots in the thousands.  Repeated
+    roots converge only linearly: split into ``squarefree_layers`` first.
+    """
+    if f.is_zero or f.degree < 1:
+        raise ZeroPolynomial("root finding needs degree >= 1")
+    deg, coeffs = f.degree, f.coeffs[::-1]
+    with mpmath.workdps(digits + 10):
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=ROOT_STEPS, cleanup=False, extraprec=34)
+        except mpmath.libmp.NoConvergence as exc:
+            raise NonConvergence(
+                f"Durand-Kerner polyroots did not settle in {ROOT_STEPS} steps; "
+                "repeated roots converge only linearly"
+            ) from exc
+        results = []
+        for x in roots:
+            value, slope = mpmath.polyval(coeffs, x, derivative=True)
+            if slope != 0:
+                radius = deg * abs(value / slope)
+            else:
+                radius = deg * (abs(value) / abs(f.lead)) ** (mpmath.mpf(1) / deg)
+            results.append((x, float(radius)))
+        return results
+
+
+def trace_roots(sys: SpectralSystem, digits: int) -> list[tuple[IntPoly, int, list]]:
+    """(K, c, [(rho, s, radius)]) per entry of ``sys.trace_factors``.
+
+    Each root x of K (a constant K has none), found with multiplicity by
+    mpmath's ``polyroots`` on each square-free layer, as its outer z-root:
+    rho + 1/rho = x, |rho| >= 1 and s = rho - 1/rho, taken as
+    +-sqrt((x - 2)(x + 2)) to keep its relative accuracy near x = +-2.
+    """
+    table = []
+    with mpmath.workdps(digits):
+        for k, c in sys.trace_factors:
+            roots = []
+            for layer in squarefree_layers(k):
+                for x, radius in roots_numeric(layer, digits=digits):
+                    s = mpmath.sqrt((x - 2) * (x + 2))
+                    if abs(x - s) > abs(x + s):
+                        s = -s
+                    roots.append(((x + s) / 2, s, radius))
+            table.append((k, c, roots))
+    return table
+
+
+def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
+    """High-precision float evaluation of the Chebyshev product formula.
+
+    The prefactor times |lead K|^m per trace factor (K, c) and
+    |2 T_m(x/2) + 2c| = |rho^m + rho^-m + 2c| per outer root rho.  Cross-checks
+    the exact path; returns ``(value, relative_error_bound)``.
+    """
+    sys = spectral_system(require_connected(spec))
+    m, prefactor = sys.order(spec.n)
+
+    def evaluate(dps):
+        with mpmath.workdps(dps):
+            value = mpmath.mpf(1)
+            for k, c, roots in trace_roots(sys, dps):
+                value *= mpmath.mpf(abs(k.lead)) ** m
+                for rho, _, _ in roots:
+                    value *= abs(rho**m + rho**-m + 2 * c)
+            return prefactor * value
+
+    value = evaluate(digits)
+    check = evaluate(digits + 16)
+    with mpmath.workdps(digits + 16):
+        rel_error = float(abs(value - check) / abs(check)) if check != 0 else 0.0
+    return value, rel_error
 
 
 @dataclass(frozen=True)
@@ -58,7 +150,7 @@ def mahler_root_product(poly: IntPoly, digits: int = 64) -> MahlerEstimate:
 
 
 def _trace_measure(sys: SpectralSystem, digits: int):
-    """(M, relative error bound) as mpf values, from ``sys.trace_roots``.
+    """(M, relative error bound) as mpf values, from ``trace_roots``.
 
     M = prod |lc K| prod |rho| over the outer roots rho.  A root x adds its
     rounding, 10^(1 - digits), and radius / |s|, the first-order change of
@@ -68,7 +160,7 @@ def _trace_measure(sys: SpectralSystem, digits: int):
     with mpmath.workdps(digits):
         value = mpmath.mpf(1)
         rel_error = mpmath.mpf(0)
-        for k, _, roots in sys.trace_roots(digits):
+        for k, _, roots in trace_roots(sys, digits):
             value *= abs(k.lead)
             for rho, s, radius in roots:
                 value *= abs(rho)

@@ -1,4 +1,4 @@
-"""Exact integer polynomial arithmetic, trace polynomials, resultants and roots.
+"""Exact integer polynomial arithmetic, trace polynomials and resultants.
 
 One carrier: dense integer polynomials (``IntPoly``).  Resultants use a
 primitive polynomial remainder sequence over exact integers.  There is one
@@ -11,9 +11,8 @@ trace polynomial K of the same degree (``trace_polynomial``); x -> z + 1/z
 is a ring map, so P's sums and products are formed on K.  The exact count's
 resultants against z^m + c run over the roots x of K as a fixed factor
 times a square, one resultant of K against Chebyshev U_k mod K with half
-the bits (``half_resultant``).  The float paths find those roots by
-mpmath's Durand-Kerner ``polyroots`` (``roots_numeric``) per square-free
-layer of K, with a-posteriori radii.
+the bits (``half_resultant``).  ``squarefree_layers`` splits K for the
+float layer, ``mahler``, which finds the roots themselves.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPolynomial
+from .errors import InexactDivision, NonIntegralResult, ZeroPolynomial
 
 __all__ = [
     "IntPoly",
@@ -34,7 +31,6 @@ __all__ = [
     "exact_divide",
     "squarefree_part",
     "squarefree_layers",
-    "roots_numeric",
 ]
 
 
@@ -330,38 +326,3 @@ def squarefree_layers(f: IntPoly) -> list[IntPoly]:
         layers.append(exact_divide(f, g))
         f = g
     return layers
-
-
-ROOT_STEPS = 400  # Durand-Kerner sweeps before NonConvergence
-
-
-def roots_numeric(f: IntPoly, digits: int = 64):
-    """All complex roots by mpmath's Durand-Kerner ``polyroots``.
-
-    Returns ``(root, radius)`` pairs: the root a full-precision ``mpc``,
-    ``radius`` = deg |f/f'| there, which bounds its distance to a true root
-    up to the root's own rounding at ``digits + 10`` (callers add that).
-    The iteration runs 34 bits above that precision, so its rounding stays
-    below the step it stops at even for roots in the thousands.  Repeated
-    roots converge only linearly: split into ``squarefree_layers`` first.
-    """
-    if f.is_zero or f.degree < 1:
-        raise ZeroPolynomial("root finding needs degree >= 1")
-    deg, coeffs = f.degree, f.coeffs[::-1]
-    with mpmath.workdps(digits + 10):
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=ROOT_STEPS, cleanup=False, extraprec=34)
-        except mpmath.libmp.NoConvergence as exc:
-            raise NonConvergence(
-                f"Durand-Kerner polyroots did not settle in {ROOT_STEPS} steps; "
-                "repeated roots converge only linearly"
-            ) from exc
-        results = []
-        for x in roots:
-            value, slope = mpmath.polyval(coeffs, x, derivative=True)
-            if slope != 0:
-                radius = deg * abs(value / slope)
-            else:
-                radius = deg * (abs(value) / abs(f.lead)) ** (mpmath.mpf(1) / deg)
-            results.append((x, float(radius)))
-        return results

@@ -174,8 +174,18 @@ def test_formal_count_rejects_non_positive_orders(family_specs):
             closed_count_formal(sys, n)
 
 
+# one spoke and no generators: the base R L - G is identically 0, and the
+# graph is connected only at these four specs
+ZERO_BASE = [
+    {"n": 1, "alphas": [], "betas": [], "gammas": [0]},
+    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_r": True},
+    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_t": True},
+    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_r": True, "half_t": True},
+]
+
+
 def test_closed_equals_oracle_on_random_specs():
-    for spec in random_connected_specs(40, seed=2024):
+    for spec in random_connected_specs(40, seed=2024) + [validate_spec(d) for d in ZERO_BASE]:
         assert tree_count_closed(spec).tau == tree_count_oracle(spec), spec
 
 
@@ -275,7 +285,7 @@ def test_trace_roots_are_the_outer_z_roots():
     # rho + 1/rho = x is a root of K, |rho| >= 1 and s = rho - 1/rho
     specs = random_connected_specs(24, seed=3, n_max=16, r_max=3, t_max=3, s_max=3)
     for spec in specs:
-        for k, _, roots in spectral_system(spec).trace_roots(40):
+        for k, _, roots in bforest.mahler.trace_roots(spectral_system(spec), 40):
             assert len(roots) == k.degree
             with mpmath.workdps(40):
                 for rho, s, _ in roots:

@@ -216,8 +216,15 @@ def test_growth_measures_come_from_the_trace_roots(monkeypatch, name):
     data, base, prediction, rows = RECORDED[name]
     spec = validate_spec(data)
 
-    def no_z_roots(*args, **kwargs):
-        raise AssertionError("the growth measure must not find roots in z")
+    # the trace roots come from roots_numeric too; a degree above every trace
+    # factor's is a polynomial in z
+    roots_numeric = bforest.mahler.roots_numeric
+    top = max(k.degree for k, _ in spectral_system(spec).trace_factors)
+
+    def no_z_roots(f, *args, **kwargs):
+        if f.degree > top:
+            raise AssertionError("the growth measure must not find roots in z")
+        return roots_numeric(f, *args, **kwargs)
 
     monkeypatch.setattr(bforest.mahler, "roots_numeric", no_z_roots)
     assert growth_base(spec).value == base

@@ -1,15 +1,24 @@
 """Source guards over src/bforest: no asserts, no process pools, no import
-beyond the runtime dependencies, no private name taken from counting, and
-at most 2000 lines in all."""
+beyond the stdlib outside the float layer, no private name taken from
+counting, and at most 2000 lines in all."""
 
 import ast
+import contextlib
+import io
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "bforest").glob("*.py"))
+from bforest import cli
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
+SOURCES = sorted((SRC / "bforest").glob("*.py"))
 RUNTIME = {"numpy", "mpmath"}  # the [project] dependencies of pyproject.toml
+FLOAT_LAYER = "mahler.py"  # the one module that imports them
 
 
 def _nodes(path):
@@ -34,7 +43,9 @@ def _imports(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_are_stdlib_or_runtime_dependencies(path):
-    allowed = set(sys.stdlib_module_names) | RUNTIME
+    # the exact core imports only the stdlib; mpmath and numpy enter through
+    # the float layer alone
+    allowed = set(sys.stdlib_module_names) | (RUNTIME if path.name == FLOAT_LAYER else set())
     assert [name for name in _imports(path) if name not in allowed] == []
 
 
@@ -65,3 +76,44 @@ def test_source_stays_within_its_line_budget():
     # src/bforest stays at or under 2000 lines: a change that needs more
     # deletes code first
     assert sum(len(path.read_text().splitlines()) for path in SOURCES) <= 2000
+
+
+PRISM = '{"n": 3, "alphas": [1], "betas": [1], "gammas": [0]}'
+EXACT_COMMANDS = ["count", "compare", "arithmetic", "genfun", "validate"]
+# prints, as JSON: each exact command's exit code and stdout, the runtime
+# dependencies loaded by then, and the module a float name resolves to after
+EXACT_RUN = f"""
+import contextlib, io, json, sys
+import bforest
+from bforest import cli
+outputs = []
+for command in {EXACT_COMMANDS!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run([command, "--spec", {PRISM!r}])
+    outputs.append([code, out.getvalue()])
+loaded = sorted(name for name in sys.modules if name.split(".")[0] in {sorted(RUNTIME)!r})
+print(json.dumps([outputs, loaded, bforest.growth_base.__module__]))
+"""
+
+
+def test_exact_paths_load_neither_mpmath_nor_numpy_under_O():
+    # -O strips asserts: the exact answers must not depend on them either
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", EXACT_RUN], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    outputs, loaded, home = json.loads(done.stdout)
+    assert loaded == []
+    assert home == "bforest.mahler"
+    expected = []
+    for command in EXACT_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run([command, "--spec", PRISM])
+        expected.append([code, out.getvalue()])
+    assert outputs == expected
+    assert json.loads(outputs[0][1])["rows"] == [{"n": 3, "tau": 75}]
+    assert json.loads(outputs[1][1])["all_equal"] is True
