@@ -127,8 +127,9 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
     base = right * left - gram
     if base.is_zero:
         raise DegenerateSystem(
-            "base spectral polynomial vanishes identically; "
-            "the spec has no cycle structure to count"
+            "base spectral polynomial R L - G vanishes identically (no spokes and a side "
+            "without generators, or one spoke and no generators); such a graph is connected "
+            "only with one spoke at n <= 2, where `bforest count` counts it"
         )
     stride = 1 if spec.family == 1 else 2
     # the n/2 chords add 2 to a vertex factor at the odd frequencies

@@ -148,13 +148,6 @@ def order_row(compute, spec: ConnectionSpec, n: int) -> dict:
         return {"n": n, "error": str(exc), "error_type": type(exc).__name__}
 
 
-def _gcd_many(n: int, values) -> int:
-    g = n
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 def check_connectivity(spec: ConnectionSpec) -> dict:
     """Sufficient gcd conditions plus the exact connectivity verdict.
 
@@ -163,14 +156,14 @@ def check_connectivity(spec: ConnectionSpec) -> dict:
     single spoke the pairwise-difference gcd condition has an empty
     difference set and is reported as False.
     """
-    cond_a = spec.s > 0 and _gcd_many(spec.n, spec.alphas) == 1
-    cond_b = spec.s > 0 and _gcd_many(spec.n, spec.betas) == 1
+    cond_a = spec.s > 0 and math.gcd(spec.n, *spec.alphas) == 1
+    cond_b = spec.s > 0 and math.gcd(spec.n, *spec.betas) == 1
     diffs = [
         spec.gammas[i] - spec.gammas[j]
         for j in range(spec.s)
         for i in range(j + 1, spec.s)
     ]
-    cond_c = bool(diffs) and _gcd_many(spec.n, diffs) == 1
+    cond_c = bool(diffs) and math.gcd(spec.n, *diffs) == 1
     return {"gcd_flags": (cond_a, cond_b, cond_c), "connected": is_connected(spec)}
 
 
@@ -187,7 +180,7 @@ def is_connected(spec: ConnectionSpec) -> bool:
         return False
     half = (spec.n // 2,) if spec.half_r or spec.half_t else ()
     diffs = (g - spec.gammas[0] for g in spec.gammas)
-    return _gcd_many(spec.n, (*spec.alphas, *spec.betas, *half, *diffs)) == 1
+    return math.gcd(spec.n, *spec.alphas, *spec.betas, *half, *diffs) == 1
 
 
 def require_connected(spec: ConnectionSpec) -> ConnectionSpec:

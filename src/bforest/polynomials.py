@@ -1,10 +1,11 @@
 """Exact integer polynomial arithmetic, trace polynomials and resultants.
 
-One carrier: dense integer polynomials (``IntPoly``).  Resultants use a
-primitive polynomial remainder sequence over exact integers.  There is one
-pseudo-division, ``_pseudo_mod``, which reports the power of the divisor's
-lead it scaled by; the remainder sequence, the square-free split and the
-Chebyshev reduction all use it.
+One carrier: dense integer polynomials (``IntPoly``).  There is one
+remainder sequence, Collins' subresultant sequence (``_subresultants``),
+whose divisions are all exact over Z: it gives the resultant and the gcd of
+the square-free split.  There is one pseudo-division, ``_pseudo_mod``, which
+reports the power of the divisor's lead it scaled by; the remainder sequence
+and the Chebyshev reduction use it.
 
 A palindromic P(z) = eta_0 + sum_j eta_j (z^j + z^-j) is K(z + 1/z) for the
 trace polynomial K of the same degree (``trace_polynomial``); x -> z + 1/z
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InexactDivision, NonIntegralResult, ZeroPolynomial
 
@@ -88,13 +88,7 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_mul_add(self.coeffs, other.coeffs, []))
 
     __rmul__ = __mul__
 
@@ -165,39 +159,49 @@ def _pseudo_mod(r: list[int], b) -> tuple[list[int], int]:
     return r, k
 
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Exact signed resultant via a primitive pseudo-remainder sequence."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
-    a = list(f.coeffs)
-    b = list(g.coeffs)
-    sign = 1
-    if len(a) < len(b):
-        a, b = b, a
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            sign = -sign
-    acc = Fraction(sign)
-    while True:
+def _divide(num: int, den: int, what: str) -> int:
+    """num / den, or :class:`NonIntegralResult` naming ``what`` if it is not an integer."""
+    quot, rem = divmod(num, den)
+    if rem:
+        raise NonIntegralResult(f"{what} came out non-integral")
+    return quot
+
+
+def _subresultants(a, b) -> tuple[int, list[int]]:
+    """(Res(a, b), the last nonzero remainder) by Collins' subresultant PRS.
+
+    ``a`` and ``b`` are nonzero coefficient sequences.  Each full
+    pseudo-remainder lc(b)^(delta + 1) a mod b, delta = deg a - deg b, is
+    divided by g h^delta, where g is the lead of the previous divisor and h
+    follows h <- g^delta / h^(delta - 1); every division is exact over Z
+    (Collins 1967; Cohen, GTM 138, Alg. 3.3.7).  The remainders are scalar
+    multiples of the Euclidean ones, so the last nonzero one is a gcd over Q.
+    """
+    a, b, sign = list(a), list(b), 1
+    if len(a) < len(b):  # Res(a, b) = (-1)^(deg a deg b) Res(b, a)
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = 1
+    while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            acc *= Fraction(b[0]) ** da
-            break
+        delta, sign = da - db, sign * (-1) ** (da * db)
         r, k = _pseudo_mod(a, b)
         if not r:
-            return 0
-        dr = len(r) - 1
-        # a = r / lc(b)^k (mod b): Res(a,b) = (-1)^(da*db) lc(b)^(da - dr - k*db) Res(b, r)
-        if da % 2 == 1 and db % 2 == 1:
-            acc = -acc
-        acc *= Fraction(b[-1]) ** (da - dr - k * db)
-        cont = math.gcd(*r)
-        if cont > 1:
-            r = [c // cont for c in r]
-            acc *= Fraction(cont) ** db
-        a, b = b, r
-    if acc.denominator != 1:
-        raise NonIntegralResult(f"resultant accumulator is not integral: {acc}")
-    return int(acc)
+            return 0, b
+        scale, den = b[-1] ** (delta + 1 - k), g * h**delta
+        a, b = b, [_divide(c * scale, den, "a subresultant") for c in r]
+        g = a[-1]
+        if delta:
+            h = _divide(g**delta, h ** (delta - 1), "a subresultant lead")
+    # b is a nonzero constant; h = 1 while a is constant too
+    res = _divide(b[0] ** (len(a) - 1), h ** max(len(a) - 2, 0), "the resultant")
+    return sign * res, b
+
+
+def resultant(f: IntPoly, g: IntPoly) -> int:
+    """Exact signed resultant by the subresultant sequence (Collins 1967)."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
+    return _subresultants(f.coeffs, g.coeffs)[0]
 
 
 def _mul_add(a: list[int], b: list[int], c: list[int]) -> list[int]:
@@ -260,10 +264,7 @@ def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
     r, kp = _pseudo_mod(p, f.coeffs)
     shift = degree - (len(r) - 1) - (e + kp) * f.degree
     root = abs(resultant(f, IntPoly(r))) * lead ** max(shift, 0) if r else 0
-    root, rem = divmod(root, lead ** max(-shift, 0))
-    if rem:
-        raise NonIntegralResult(f"Res(f, P) for z^{m} {c:+d} came out non-integral")
-    return fixed, root
+    return fixed, _divide(root, lead ** max(-shift, 0), f"Res(f, P) for z^{m} {c:+d}")
 
 
 def exact_divide(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -314,15 +315,12 @@ def squarefree_layers(f: IntPoly) -> list[IntPoly]:
     """Square-free polynomials whose product is f up to a constant factor.
 
     Layer i holds the roots of multiplicity >= i once each: divide f by
-    g = gcd(f, f') (a primitive remainder sequence), then repeat on g.
+    g = gcd(f, f'), the primitive part of the last nonzero subresultant
+    remainder, then repeat on g.
     """
     layers = []
     while f.degree >= 1:
-        a, b = _primitive(f), _primitive(f.derivative())
-        while b.degree >= 1:
-            r = IntPoly(_pseudo_mod(list(a.coeffs), b.coeffs)[0])
-            a, b = b, (r if r.is_zero else _primitive(r))
-        g = a if b.is_zero else IntPoly([1])
+        g = _primitive(IntPoly(_subresultants(f.coeffs, f.derivative().coeffs)[1]))
         layers.append(exact_divide(f, g))
         f = g
     return layers

@@ -213,6 +213,17 @@ def cyclotomic_quotient(n: int):
     return IntPoly([1] * n)
 
 
+# one spoke and no generators: the base R L - G is identically 0, and the
+# graph is connected only at these four specs, as an edge, a path (one half
+# flag) or a 4-cycle
+ZERO_BASE = [
+    {"n": 1, "alphas": [], "betas": [], "gammas": [0]},
+    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_r": True},
+    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_t": True},
+    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_r": True, "half_t": True},
+]
+
+
 @pytest.fixture(scope="session")
 def family_specs():
     """One representative spec per family (prism family and its three

@@ -8,6 +8,7 @@ import pytest
 
 from bforest import tau_sequence
 from bforest.cli import run
+from tests.conftest import ZERO_BASE
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "report.schema.json")
 
@@ -115,6 +116,29 @@ def test_asymptotics_rows_report_each_disconnected_order(capsys):
     assert [(r["n"], r.get("tau"), r.get("error")) for r in count] == [
         (r["n"], r.get("tau"), r.get("error")) for r in rows
     ]
+
+
+@pytest.mark.parametrize("spec, tau", zip(ZERO_BASE, (1, 1, 1, 4)), ids=range(4))
+def test_zero_base_specs_are_counted_and_refused_by_name(capsys, spec, tau):
+    # count, oracle and compare count them; the paths that need the spectral
+    # system give an error row or exit 2, and point at `bforest count`
+    n, spec = spec["n"], json.dumps(spec)
+    commands = ("validate", "count", "oracle", "compare", "arithmetic", "asymptotics", "genfun", "report")
+    results = {command: invoke(capsys, command, "--spec", spec) for command in commands}
+    docs = {command: json.loads(out) for command, (code, out, _) in results.items() if code == 0}
+    assert sorted(docs) == ["arithmetic", "compare", "count", "oracle", "validate"]
+    assert docs["validate"]["connected"] is True
+    assert docs["count"]["rows"] == docs["oracle"]["rows"] == [{"n": n, "tau": tau}]
+    assert docs["compare"]["all_equal"] is True
+    assert docs["compare"]["rows"] == [{"n": n, "closed": tau, "oracle": tau, "equal": True}]
+    (row,) = docs["arithmetic"]["rows"]
+    assert (row["n"], row["error_type"]) == (n, "DegenerateSystem")
+    assert "`bforest count` counts it" in row["error"]
+    assert docs["arithmetic"]["structure_odd"] is docs["arithmetic"]["structure_even"] is None
+    for command in ("asymptotics", "genfun", "report"):
+        code, out, err = results[command]
+        assert (code, out) == (2, ""), command
+        assert "`bforest count` counts it" in err
 
 
 TWO_SPOKE = '{"n":4,"alphas":[1],"betas":[1],"gammas":[0,1],"half_r":true,"half_t":true}'

@@ -28,7 +28,7 @@ from bforest import (
 )
 from bforest.mahler import asymptotic_prediction
 from bforest.polynomials import _cosine_coefficients
-from tests.conftest import lift, random_connected_specs
+from tests.conftest import ZERO_BASE, lift, random_connected_specs
 
 
 def test_prism_spectral_polynomials(family_specs):
@@ -172,16 +172,6 @@ def test_formal_count_rejects_non_positive_orders(family_specs):
     for n in (0, -3):
         with pytest.raises(ValueError):
             closed_count_formal(sys, n)
-
-
-# one spoke and no generators: the base R L - G is identically 0, and the
-# graph is connected only at these four specs
-ZERO_BASE = [
-    {"n": 1, "alphas": [], "betas": [], "gammas": [0]},
-    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_r": True},
-    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_t": True},
-    {"n": 2, "alphas": [], "betas": [], "gammas": [0], "half_r": True, "half_t": True},
-]
 
 
 def test_closed_equals_oracle_on_random_specs():

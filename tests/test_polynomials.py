@@ -251,6 +251,24 @@ def test_resultant_rejects_nonintegral_accumulator(monkeypatch):
         resultant(IntPoly([0, 0, 0, 1]), IntPoly([1, 0, 2]))
 
 
+def test_resultant_rejects_a_nonintegral_subresultant(monkeypatch):
+    # the second remainder, off by one, is not divisible by g h^delta = 4: the
+    # sequence stops there, before its third pseudo-division
+    real, calls = polynomials._pseudo_mod, []
+
+    def off_by_one(r, b):
+        rem, k = real(r, b)
+        calls.append(b)
+        if len(calls) == 2:
+            rem[0] += 1
+        return rem, k
+
+    monkeypatch.setattr(polynomials, "_pseudo_mod", off_by_one)
+    with pytest.raises(NonIntegralResult, match="a subresultant came out"):
+        resultant(IntPoly([1, 2, 0, 3, 1]), IntPoly([3, 0, 1, 2]))
+    assert len(calls) == 2
+
+
 def test_cyclotomic_quotient():
     q = cyclotomic_quotient(5)
     assert q * IntPoly([-1, 1]) == IntPoly([-1, 0, 0, 0, 0, 1])
