@@ -15,7 +15,7 @@ from fractions import Fraction
 from .counting import SpectralSystem, TreeCount, spectral_system
 from .errors import DegenerateSystem, NonDivisible, NonPositiveStructure, NotAPerfectSquare
 from .graphs import ConnectionSpec
-from .polynomials import squarefree_part
+from .polynomials import fixed_part, squarefree_part
 
 __all__ = ["ArithmeticProfile", "SquareWitness", "arithmetic_profile", "verify_square_structure"]
 
@@ -39,30 +39,29 @@ class SquareWitness:
     witness: int
 
 
-def _structure(sys: SpectralSystem, odd: bool) -> int | None:
-    """A branch's structure constant: the square-free part of K(-2), the value
-    at z = -1, of the family polynomial (odd branch) or the base (even branch).
-
-    A value <= 0 means the graph is disconnected at the orders of that
-    branch, so no constant exists for it: None.
-    """
-    raw = (sys.family_poly if odd else sys.base_poly)(-2)
-    return squarefree_part(raw) if raw > 0 else None
+def _structure(sys: SpectralSystem, m: int) -> int | None:
+    """The square-free part of prod |``fixed_part``(K, m, c)| / q over the
+    trace table, the values at x = +-2 the count takes outside its square;
+    None for a product 0: the graph is disconnected at the orders of m's parity."""
+    fixed = math.prod(abs(fixed_part(k, m, c)) for k, c in sys.trace_factors)
+    return squarefree_part(fixed // sys.degeneracy) if fixed else None
 
 
 def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
     """Parity counts plus the two square-free structure constants.
 
-    Family 1's family polynomial is the base, so its ``structure_odd`` is the
-    base's value, which no row uses: at odd n its cofactor is n * s.
+    ``structure_even`` is the constant at m = 2, ``structure_odd`` the one
+    at m = 1 for stride 2.  Family 1 reports its even constant as its odd
+    one, which no row uses: at odd n its constant is 1.
     """
     k1 = sum(1 for a in spec.alphas if a % 2 == 1)
     m1 = sum(1 for b in spec.betas if b % 2 == 1)
     h1 = sum(1 for g in spec.gammas if g % 2 == 1)
     try:
         sys = spectral_system(spec)
-        structure_odd, structure_even = _structure(sys, True), _structure(sys, False)
-    except DegenerateSystem:  # a vanishing base polynomial has no branches
+        structure_even = _structure(sys, 2)
+        structure_odd = _structure(sys, 1) if sys.stride == 2 else structure_even
+    except DegenerateSystem:  # a vanishing base or no spokes: no branches
         structure_odd = structure_even = None
     return ArithmeticProfile(
         odd_alphas=k1,
@@ -81,9 +80,8 @@ def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> Squar
 
     With (m, prefactor) = ``SpectralSystem.order(n)``, the branch is the
     parity of m, and the cofactor is prefactor * q = n * s / stride^2 times
-    the branch's structure constant, the one ``arithmetic_profile`` reports.
-    Family 1 at odd m has no factor whose z^m + c vanishes at z = -1, and
-    takes 1.  An order without a count raises as the count does.  Raises
+    the structure constant at m, the one ``arithmetic_profile`` reports for
+    m's parity.  An order without a count raises as the count does.  Raises
     :class:`NotAPerfectSquare` (a negative tau included) or
     :class:`NonDivisible` if the claimed decomposition fails.
     """
@@ -91,7 +89,7 @@ def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> Squar
     sys = spectral_system(spec)
     m, prefactor = sys.order(spec.n)
     branch = "odd" if m % 2 == 1 else "even"
-    structure = 1 if branch == "odd" and sys.stride == 1 else _structure(sys, branch == "odd")
+    structure = _structure(sys, m)
     if structure is None:
         raise NonPositiveStructure(
             "structure constant undefined: the spectral value at z=-1 "

@@ -1,5 +1,6 @@
-"""Spectral polynomials of a bicirculant spec and the exact tree count.
+"""The trace table of a bicirculant spec and the exact tree count.
 
+``spectral_system`` builds one self-checking table of (K, c) trace factors;
 ``tree_count_closed`` counts through integer resultants against cyclotomic
 factors, cheap even for n in the tens of thousands.  Its float cross-check,
 ``tree_count_chebyshev``, lives in the float layer, ``mahler``.
@@ -27,50 +28,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralSystem:
-    """Derived trace polynomials K(x), x = z + 1/z, of a spec; independent of n.
+    """The trace table of a spec: (K, c) pairs, K(x) in x = z + 1/z; independent of n.
 
     The count at group order n = stride * m is the prefactor
     n * s / (stride^2 q) times |Res(K(z + 1/z), z^m + c)|, a half-size
-    resultant squared (``half_resultant``), per entry (K, c) of ``factors``.
-    The c = -1 entry is the base polynomial, whose double root at z = 1 is
-    divided out.  Family 1 has stride 1 and the base alone; families 2-4
-    have stride 2 and the family polynomial (c = +1) in front of the base.
+    resultant squared (``half_resultant``), per entry (K, c) of the table.
+    The last, c = -1, is the base B = R L - G over x - 2, the image of its
+    double root at z = 1; families 2-4 (stride 2) put the family F (c = +1) first.
+    Near z = 1 the base is K(2) (z - 1)^2, so base''(1) = -2q makes K(2) = -q;
+    construction checks that, a spoke and q > 0, ``dataclasses.replace`` too.
     Every path takes (m, prefactor) from ``order``; the exact count folds over
-    ``trace_factors``, the float layer over their outer z-roots
-    (``mahler.trace_roots``).
+    the table, the float layer over its outer z-roots (``mahler.trace_roots``).
     """
 
     spokes: int
-    base_poly: IntPoly  # doubly degenerate at z=1: a simple root at x = 2
-    family_poly: IntPoly  # equals base_poly for family 1
     degeneracy: int  # the positive constant q with base''(1) = -2q in z
     stride: int
+    trace_factors: tuple[tuple[IntPoly, int], ...]
 
-    @property
-    def factors(self) -> tuple[tuple[IntPoly, int], ...]:
-        base = ((self.base_poly, -1),)
-        return base if self.stride == 1 else ((self.family_poly, 1),) + base
+    def __post_init__(self):
+        if self.spokes == 0:
+            raise DegenerateSystem(
+                "no spokes (q = 0): the two layers are never joined, so the graph is never connected"
+            )
+        reduced, q = self.trace_factors[-1][0], self.degeneracy
+        if q <= 0 or reduced(2) != -q:
+            raise DegenerateSystem(f"base K/(x - 2) is {reduced(2)} at x = 2, not -q for q = {q} > 0")
 
     @property
     def growth_poly(self) -> IntPoly:
-        """Product of the factor polynomials, whose Mahler measure is the growth base."""
-        return functools.reduce(operator.mul, (poly for poly, _ in self.factors))
-
-    @functools.cached_property
-    def trace_factors(self) -> tuple[tuple[IntPoly, int], ...]:
-        """``factors`` with the base reduced: (K, c), the base as K / (x - 2).
-
-        The base's double root at z = 1 is the simple root x = 2 of its K;
-        near z = 1 the base is K_red(2) (z - 1)^2, so base''(1) = -2q makes
-        K_red(2) = -q.  Built once per system.
-        """
-        table = list(self.factors)
-        reduced = exact_divide(table[-1][0], IntPoly([-2, 1]))
-        q = self.degeneracy
-        if q <= 0 or reduced(2) != -q:
-            raise DegenerateSystem(f"base K/(x - 2) is {reduced(2)} at x = 2, not -q for q = {q} > 0")
-        table[-1] = (reduced, -1)
-        return tuple(table)
+        """(x - 2) times the table's K, B or B F: its Mahler measure is the growth base."""
+        return functools.reduce(operator.mul, (k for k, _ in self.trace_factors), IntPoly([-2, 1]))
 
     @property
     def recurrence_bound(self) -> int:
@@ -85,7 +73,6 @@ class SpectralSystem:
         Raises :class:`OutOfRange` for n < 1 and :class:`HalfWithoutEvenN`
         for odd n in families 2-4.
         """
-        self.trace_factors  # raises DegenerateSystem unless q > 0, before q divides
         if n < 1:
             raise OutOfRange(f"group order must be positive, got {n}")
         if n % self.stride != 0:
@@ -118,7 +105,7 @@ def _vertex_factor(count: int, spokes: int, generators) -> IntPoly:
 
 
 def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
-    """Expand the exact spectral polynomials of a connection spec in x = z + 1/z."""
+    """The exact trace table of a spec: (F, +1) for families 2-4, then (B / (x - 2), -1)."""
     s = spec.s
     right = _vertex_factor(spec.r, s, spec.alphas)
     left = _vertex_factor(spec.t, s, spec.betas)
@@ -131,10 +118,12 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
             "without generators, or one spoke and no generators); such a graph is connected "
             "only with one spoke at n <= 2, where `bforest count` counts it"
         )
+    table = [(exact_divide(base, IntPoly([-2, 1])), -1)]  # B(2) = s^2 - s^2 = 0
     stride = 1 if spec.family == 1 else 2
-    # the n/2 chords add 2 to a vertex factor at the odd frequencies
-    half_r, half_t = IntPoly([2 * spec.half_r]), IntPoly([2 * spec.half_t])
-    family_poly = base if stride == 1 else (right + half_r) * (left + half_t) - gram
+    if stride == 2:
+        # the n/2 chords add 2 to a vertex factor at the odd frequencies
+        half_r, half_t = IntPoly([2 * spec.half_r]), IntPoly([2 * spec.half_t])
+        table.insert(0, ((right + half_r) * (left + half_t) - gram, 1))
 
     q = (
         s * sum(a * a for a in spec.alphas)
@@ -145,7 +134,7 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
             for i in range(j + 1, s)
         )
     )
-    return SpectralSystem(s, base, family_poly, q, stride)
+    return SpectralSystem(s, q, stride, tuple(table))
 
 
 def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:

@@ -162,8 +162,8 @@ def expand_series(gf: RationalGF, count: int) -> list[int]:
 
 
 def symmetry_scale(spec: ConnectionSpec) -> int:
-    """|product of leading spectral coefficients| rescaling the symmetry."""
-    return abs(math.prod(poly.lead for poly, _ in spectral_system(spec).factors))
+    """|product of the leads of the trace factors| rescaling the symmetry."""
+    return abs(math.prod(k.lead for k, _ in spectral_system(spec).trace_factors))
 
 
 def _scaled(p: IntPoly, scale: int) -> IntPoly:

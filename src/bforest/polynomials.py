@@ -28,6 +28,7 @@ __all__ = [
     "trace_polynomial",
     "resultant",
     "half_resultant",
+    "fixed_part",
     "exact_divide",
     "squarefree_part",
     "squarefree_layers",
@@ -238,6 +239,12 @@ def _chebyshev_u_mod(f: IntPoly, k: int) -> tuple[list[int], list[int], int]:
     return a, b, e
 
 
+def fixed_part(k: IntPoly, m: int, c: int) -> int:
+    """K(2) if c = -1, times K(-2) if c (-1)^m = -1: the fixed factor of
+    |Res(K(z + 1/z), z^m + c)|, from the roots z = 1 and z = -1 of z^m + c."""
+    return (k(2) if c < 0 else 1) * (k(-2) if c * (-1) ** m < 0 else 1)
+
+
 def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
     """(fixed, a) with |Res(F, z^m + c)| = |fixed| a^2, a = |Res(f, P)| of half the bits.
 
@@ -246,14 +253,13 @@ def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
     (rho^m + c)(rho^-m + c) = c (rho^(m/2) + c rho^(-m/2))^2 = (2 - x if c = -1)
     (x + 2 if c (-1)^m = -1) P(x)^2, P = U_k-1, U_k + U_k-1, V_k = 2 U_k - x U_k-1
     or U_k - U_k-1 for (c, m) = (-1, even), (-1, odd), (+1, even), (+1, odd).
-    P is monic of degree (m - w) / 2, w the fixed degree, so lc(f) cancels:
-    ``fixed`` is f(2), f(-2), their product or 1.  With P = R / lc^e (mod f),
+    P is monic of degree (m - w) / 2, w the fixed degree (1 at odd m; 2 or 0
+    at even m as c = -1 or +1), so lc(f) cancels: ``fixed`` is
+    ``fixed_part(f, m, c)``.  With P = R / lc^e (mod f),
     a = |Res(f, R)| |lc f|^(deg P - deg R - e d).
     """
     k, odd = divmod(m, 2)
-    at_two, at_minus_two = c < 0, c * (-1) ** m < 0
-    fixed = (f(2) if at_two else 1) * (f(-2) if at_minus_two else 1)
-    degree, lead = (m - at_two - at_minus_two) // 2, abs(f.lead)
+    fixed, degree, lead = fixed_part(f, m, c), (m - (c < 0)) // 2, abs(f.lead)
     if f.degree == 0:  # no roots: |lc f|^m = |fixed| Res(f, P)^2
         return fixed, lead**degree
     a, b, e = _chebyshev_u_mod(f, k)

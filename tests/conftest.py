@@ -23,7 +23,7 @@ from bforest.errors import (
     OrderExceeded,
     ZeroPolynomial,
 )
-from bforest.polynomials import _mul_add, _pseudo_mod
+from bforest.polynomials import _mul_add, _pseudo_mod, squarefree_part
 
 
 def connected_by_search(spec) -> bool:
@@ -175,6 +175,24 @@ def closed_count_by_lucas(spec) -> int:
     if value.denominator != 1:
         raise NonIntegralResult(f"closed-form count is not an integer: {value}")
     return int(value)
+
+
+def base_and_family(sys) -> tuple[IntPoly, IntPoly]:
+    """(B, F) rebuilt from the trace table: B = (x - 2) K for the base entry
+    (K, -1), and F the family entry (F, +1), or B itself at stride 1."""
+    base = IntPoly([-2, 1]) * sys.trace_factors[-1][0]
+    return base, sys.trace_factors[0][0] if sys.stride == 2 else base
+
+
+def structure_reference(sys, odd: bool) -> int | None:
+    """A branch's structure constant by the rule of the two polynomials: the
+    square-free part of the value at x = -2, z = -1, of F (odd branch) or B
+    (even branch); None when that value is <= 0.  The reference the
+    ``fixed_part`` fold of ``bforest.arithmetic`` is cross-checked against.
+    Family 1's odd orders take 1 in ``verify_square_structure`` instead."""
+    base, family = base_and_family(sys)
+    raw = (family if odd else base)(-2)
+    return squarefree_part(raw) if raw > 0 else None
 
 
 def chebyshev_T(n: int, x):

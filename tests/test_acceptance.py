@@ -28,7 +28,7 @@ from bforest import (
     verify_square_structure,
 )
 from bforest.mahler import convergence_report
-from tests.conftest import random_connected_specs
+from tests.conftest import base_and_family, random_connected_specs
 
 FAMILY_DATA = {
     1: {"alphas": [1], "betas": [1], "gammas": [0]},
@@ -123,7 +123,8 @@ def test_criterion_5_mahler_constants():
         root = growth_base(spec)
         assert abs(root.value - target) < 1e-9, fam
         sys = spectral_system(spec)
-        poly = sys.base_poly if fam == 1 else sys.family_poly * sys.base_poly
+        base, family = base_and_family(sys)
+        poly = base if fam == 1 else family * base
         quad = mahler_quadrature(poly)
         assert abs(quad.value - target) < 1e-4, fam
     elapsed = time.monotonic() - start

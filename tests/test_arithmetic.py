@@ -1,5 +1,6 @@
 """Parity profiles and the perfect-square factorization of tree counts."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from bforest import (
     validate_spec,
     verify_square_structure,
 )
-from tests.conftest import random_connected_specs
+from tests.conftest import random_connected_specs, structure_reference
 
 
 def test_profile_parity_counts():
@@ -44,6 +45,29 @@ def test_structure_constants_are_squarefree():
             while d * d <= value:
                 assert value % (d * d) != 0
                 d += 1
+
+
+def test_structure_constants_match_the_rule_of_the_two_polynomials():
+    # the fixed_part fold over the table against the square-free part of
+    # F(-2) or B(-2), in the profile and in the cofactor at n and n + stride
+    seen = set()
+    for spec in random_connected_specs(300, seed=7, n_max=20, r_max=3, t_max=3, s_max=4):
+        sys = spectral_system(spec)
+        profile = arithmetic_profile(spec)
+        expected = (structure_reference(sys, True), structure_reference(sys, False))
+        assert (profile.structure_odd, profile.structure_even) == expected, spec
+        for n in (spec.n, spec.n + sys.stride):
+            m, prefactor = sys.order(n)
+            odd = m % 2 == 1
+            structure = 1 if odd and sys.stride == 1 else structure_reference(sys, odd)
+            try:
+                witness = verify_square_structure(replace(spec, n=n), closed_count_formal(sys, n))
+            except NonPositiveStructure:
+                assert structure is None, (spec, n)
+                continue
+            assert witness.cofactor == prefactor * sys.degeneracy * structure, (spec, n)
+            seen.add((spec.family, odd))
+    assert seen == {(f, odd) for f in (1, 2, 3, 4) for odd in (False, True)}
 
 
 def test_cofactor_is_the_profile_constant_of_its_branch():

@@ -141,6 +141,35 @@ def test_zero_base_specs_are_counted_and_refused_by_name(capsys, spec, tau):
         assert "`bforest count` counts it" in err
 
 
+NO_SPOKES = [
+    '{"n":7,"alphas":[1],"betas":[1],"gammas":[]}',
+    '{"n":8,"alphas":[1],"betas":[3],"gammas":[],"half_r":true}',
+]
+
+
+@pytest.mark.parametrize("spec", NO_SPOKES, ids=["family1", "family2"])
+def test_no_spoke_specs_are_refused_as_never_connected(capsys, spec):
+    # no spokes, so q = 0: the per-order paths give NotConnected rows (the
+    # oracle counts 0 trees), there are no structure constants, and the
+    # paths that need the spectral system exit 2 naming the missing spokes
+    n = json.loads(spec)["n"]
+    commands = ("validate", "count", "oracle", "compare", "arithmetic", "asymptotics", "genfun", "report")
+    results = {command: invoke(capsys, command, "--spec", spec) for command in commands}
+    docs = {command: json.loads(out) for command, (code, out, _) in results.items() if code == 0}
+    assert sorted(docs) == ["arithmetic", "compare", "count", "oracle", "validate"]
+    assert docs["validate"]["connected"] is False
+    for command in ("count", "compare", "arithmetic"):
+        (row,) = docs[command]["rows"]
+        assert (row["n"], row["error_type"]) == (n, "NotConnected"), command
+    assert docs["oracle"]["rows"] == [{"n": n, "tau": 0}]
+    assert docs["compare"]["all_equal"] is False
+    assert docs["arithmetic"]["structure_odd"] is docs["arithmetic"]["structure_even"] is None
+    for command in ("asymptotics", "genfun", "report"):
+        code, out, err = results[command]
+        assert (code, out) == (2, ""), command
+        assert "no spokes (q = 0)" in err and "never connected" in err, command
+
+
 TWO_SPOKE = '{"n":4,"alphas":[1],"betas":[1],"gammas":[0,1],"half_r":true,"half_t":true}'
 
 

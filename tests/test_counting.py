@@ -28,13 +28,14 @@ from bforest import (
 )
 from bforest.mahler import asymptotic_prediction
 from bforest.polynomials import _cosine_coefficients
-from tests.conftest import ZERO_BASE, lift, random_connected_specs
+from tests.conftest import ZERO_BASE, base_and_family, lift, random_connected_specs
 
 
 def test_prism_spectral_polynomials(family_specs):
     sys = spectral_system(family_specs[1])
-    assert _cosine_coefficients(sys.base_poly) == [10, -6, 1]
-    assert sys.family_poly is sys.base_poly
+    # B = x^2 - 6x + 8 = (x - 2)(x - 4), and the table holds B / (x - 2) alone
+    assert _cosine_coefficients(base_and_family(sys)[0]) == [10, -6, 1]
+    assert sys.trace_factors == ((IntPoly([-4, 1]), -1),)
     assert sys.degeneracy == 2
     assert sys.spokes == 1
 
@@ -42,11 +43,10 @@ def test_prism_spectral_polynomials(family_specs):
 def test_variant_family_polynomials(family_specs):
     # with one alpha, no betas and a single spoke the three variants have
     # the documented low-degree family polynomials, read as cosine coefficients
-    assert _cosine_coefficients(spectral_system(family_specs[2]).family_poly) == [4, -1]
-    assert _cosine_coefficients(spectral_system(family_specs[3]).family_poly) == [8, -3]
-    assert _cosine_coefficients(spectral_system(family_specs[4]).family_poly) == [14, -3]
-    for fam in (2, 3, 4):
-        assert _cosine_coefficients(spectral_system(family_specs[fam]).base_poly) == [2, -1]
+    for fam, family in ((2, [4, -1]), (3, [8, -3]), (4, [14, -3])):
+        sys = spectral_system(family_specs[fam])
+        assert [c for _, c in sys.trace_factors] == [1, -1]
+        assert [_cosine_coefficients(k) for k in base_and_family(sys)] == [[2, -1], family]
 
 
 def test_spectral_polynomials_are_the_laurent_products():
@@ -59,17 +59,16 @@ def test_spectral_polynomials_are_the_laurent_products():
         right = 2 * spec.r + spec.s - sum(z**a + z**-a for a in spec.alphas)
         left = 2 * spec.t + spec.s - sum(z**b + z**-b for b in spec.betas)
         gram = sum(z ** (gl - gk) for gl in spec.gammas for gk in spec.gammas)
-        sys = spectral_system(spec)
-        assert sys.base_poly(z + 1 / z) == right * left - gram, spec
-        family = (right + 2 * spec.half_r) * (left + 2 * spec.half_t) - gram
-        assert sys.family_poly(z + 1 / z) == family, spec
+        base, family = base_and_family(spectral_system(spec))
+        assert base(z + 1 / z) == right * left - gram, spec
+        assert family(z + 1 / z) == (right + 2 * spec.half_r) * (left + 2 * spec.half_t) - gram, spec
 
 
 def test_degeneracy_report_structure(family_specs):
     # the base vanishes doubly at z = 1, and its reduced trace factor K_red,
     # without the simple root x = 2, is -q there
     sys = spectral_system(family_specs[1])
-    base = lift(sys.base_poly)
+    base = lift(base_and_family(sys)[0])
     assert base(1) == 0
     assert base.derivative()(1) == 0
     assert base.derivative().derivative()(1) == -2 * sys.degeneracy == -4
@@ -78,29 +77,28 @@ def test_degeneracy_report_structure(family_specs):
 
 
 def test_formal_count_rejects_inconsistent_q(family_specs):
-    # the closed path divides by q, so it must agree with the base's K_red(2) = -q
-    sys = dataclasses.replace(spectral_system(family_specs[1]), degeneracy=5)
+    # the closed path divides by q, so it must agree with the base's K_red(2) = -q;
+    # the system refuses the change itself, before any count
+    sys = spectral_system(family_specs[1])
     with pytest.raises(DegenerateSystem):
-        closed_count_formal(sys, 5)
+        dataclasses.replace(sys, degeneracy=5)
 
 
 def test_formal_count_rejects_higher_order_root_at_one(family_specs):
     # (z - 1)^4 / z^2 keeps a double root at z=1 after the (z-1)^2 division,
-    # which a positive q rules out
-    sys = dataclasses.replace(
-        spectral_system(family_specs[1]), base_poly=trace_polynomial([6, -4, 1])
-    )
+    # which a positive q rules out: its K_red is 0 at x = 2
+    sys = spectral_system(family_specs[1])
+    reduced = exact_divide(trace_polynomial([6, -4, 1]), IntPoly([-2, 1]))
     with pytest.raises(DegenerateSystem):
-        closed_count_formal(sys, 5)
+        dataclasses.replace(sys, trace_factors=((reduced, -1),))
 
 
 def test_reduced_base_strips_double_root(family_specs):
     # the base's double root at z = 1 is the simple root x = 2 of its trace
     # polynomial K, and |K / (x - 2)| at 2 is the z-domain boundary value
     for spec in family_specs.values():
-        base = spectral_system(spec).base_poly
-        reduced = exact_divide(base, IntPoly([-2, 1]))
-        z_reduced = exact_divide(lift(base), IntPoly([1, -2, 1]))
+        reduced = spectral_system(spec).trace_factors[-1][0]
+        z_reduced = exact_divide(lift(IntPoly([-2, 1]) * reduced), IntPoly([1, -2, 1]))
         assert abs(reduced(2)) == abs(z_reduced(1)) != 0
 
 
@@ -236,9 +234,10 @@ def test_order_gives_the_power_and_the_exact_prefactor(family_specs):
             m, prefactor = sys.order(n)
             assert m * sys.stride == n
             assert prefactor == Fraction(n * spec.s, sys.stride**2 * sys.degeneracy)
-    # q = 0 is refused before anything divides by it
+    # q = 0 is refused on construction, before anything divides by it
+    sys = spectral_system(family_specs[1])
     with pytest.raises(DegenerateSystem):
-        dataclasses.replace(spectral_system(family_specs[1]), degeneracy=0).order(3)
+        dataclasses.replace(sys, degeneracy=0)
 
 
 PRISM = ConnectionSpec(3, (1,), (1,), (0,))

@@ -21,7 +21,7 @@ from bforest import (
     tree_count_closed,
     validate_spec,
 )
-from tests.conftest import lift, random_connected_specs
+from tests.conftest import base_and_family, lift, random_connected_specs
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -182,10 +182,10 @@ def test_convergence_report_rejects_disconnected():
 
 
 def test_product_polynomial_measure_multiplies(family_specs):
-    sys = spectral_system(family_specs[4])
-    m_product = mahler_root_product(lift(sys.family_poly * sys.base_poly)).value
-    m_family = mahler_root_product(lift(sys.family_poly)).value
-    m_base = mahler_root_product(lift(sys.base_poly)).value
+    base, family = base_and_family(spectral_system(family_specs[4]))
+    m_product = mahler_root_product(lift(family * base)).value
+    m_family = mahler_root_product(lift(family)).value
+    m_base = mahler_root_product(lift(base)).value
     assert abs(m_product - m_family * m_base) < 1e-9
 
 

@@ -1,6 +1,7 @@
-"""Property tests of the factor table over random connected specs in all
-four families: every fold over ``SpectralSystem.factors`` agrees with its
-independent cross-check, and every per-order table refuses the same orders."""
+"""Property tests of the trace table over random connected specs in all
+four families: every fold over ``SpectralSystem.trace_factors`` agrees with
+its independent cross-check, and every per-order table refuses the same
+orders."""
 
 import json
 import math
@@ -69,7 +70,7 @@ def test_factor_table_folds_agree_with_cross_checks(spec):
     with mpmath.workdps(64):
         assert abs(value / tau.tau - 1) <= max(10 * rel_error, mpmath.mpf("1e-50"))
 
-    factors = spectral_system(spec).factors
+    factors = spectral_system(spec).trace_factors
     product = math.prod(mahler_root_product(lift(k)).value for k, _ in factors)
     assert math.isclose(growth_base(spec).value, product, rel_tol=1e-12)
 

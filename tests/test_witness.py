@@ -21,7 +21,12 @@ from bforest import (
 )
 from bforest import polynomials
 from bforest.polynomials import half_resultant, squarefree_part
-from tests.conftest import abs_resultant_with_power, closed_count_by_lucas, random_connected_specs
+from tests.conftest import (
+    abs_resultant_with_power,
+    base_and_family,
+    closed_count_by_lucas,
+    random_connected_specs,
+)
 
 BIG = {"alphas": [1, 3, 5], "betas": [2, 7], "gammas": [0, 1, 4]}
 ORACLE_VERTICES = 60
@@ -50,10 +55,11 @@ def mapped_witness(spec) -> Fraction:
     sys = spectral_system(spec)
     m, _ = sys.order(spec.n)
     witness = Fraction(math.prod(half_resultant(k, m, c)[1] for k, c in sys.trace_factors))
+    base, family = base_and_family(sys)
     if m % 2 == 0:
-        witness *= Fraction(_square_part(sys.base_poly(-2)), 2)
+        witness *= Fraction(_square_part(base(-2)), 2)
     elif sys.stride == 2:
-        witness *= _square_part(sys.family_poly(-2))
+        witness *= _square_part(family(-2))
     return witness
 
 
