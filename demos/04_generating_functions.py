@@ -1,7 +1,8 @@
 """Exact rational generating functions of tree-count sequences.
 
 The counts of a fixed connection pattern satisfy a short linear recurrence
-recovered exactly by Berlekamp-Massey over the rationals.  The resulting
+recovered exactly by Berlekamp-Massey modulo word-size primes, combined by
+CRT and rational reconstruction and checked on every term.  The resulting
 rational function obeys an x <-> 1/x symmetry after rescaling by the
 leading spectral coefficients.
 """

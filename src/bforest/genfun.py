@@ -4,13 +4,15 @@ The tree counts of a fixed connection pattern, indexed by the group order,
 satisfy a linear recurrence; the generating function is therefore rational
 with integer coefficients and obeys an x <-> 1/x symmetry after rescaling
 by the leading spectral coefficients.  The recurrence is recovered exactly
-by fraction-free Berlekamp-Massey over the integers (rational terms are
-first scaled by one common denominator) and certified on held-out terms.
+by Berlekamp-Massey modulo word-size primes, combined by CRT and rational
+reconstruction, and certified on held-out terms; an order over the cap
+modulo one prime is refused at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,47 +78,106 @@ def tau_sequence(spec: ConnectionSpec, count: int) -> TauSequence:
     return TauSequence(spec.family, tuple(terms))
 
 
-def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
-    """Minimal homogeneous linear recurrence, exactly, via Berlekamp-Massey.
+_PRIMES: list[int] = []  # the primes below 2^62, descending, found on first use
 
-    Fraction-free: rational terms are scaled by one common denominator, and
-    C is updated as b C - d x^gap B over the integers, its content divided
-    out each step.  Returns integer coefficients e0..eL (content-free,
-    e0 > 0) with sum_i e_i a(n-i) = 0 for every index the sequence supplies.
-    Raises :class:`OrderExceeded` if the minimal order is larger than
-    ``max_order`` or too large to certify from the given terms.
+
+def _prime(k: int) -> int:
+    """The k-th prime below 2^62, k = 0 the largest: Miller-Rabin on the
+    first twelve prime bases decides primality below 2^64."""
+    n = _PRIMES[-1] if _PRIMES else 2**62 + 1
+    while len(_PRIMES) <= k:
+        n -= 2
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+        if all(
+            pow(a, (n - 1) >> s, n) == 1 or n - 1 in (pow(a, (n - 1) >> r, n) for r in range(1, s + 1))
+            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        ):
+            _PRIMES.append(n)
+    return _PRIMES[k]
+
+
+def _massey(terms: list[int], p: int) -> tuple[int, list[int]]:
+    """Massey's algorithm over F_p: the order L of the terms mod p, and their
+    connection polynomial C, C[0] = 1, as L + 1 coefficients."""
+    rev = [t % p for t in reversed(terms)]
+    conn, prev = [1], [1]  # C(x); B, C before its last length change
+    order, gap, scale = 0, 1, 1  # scale: the inverse of B's discrepancy
+    for i in range(len(rev)):
+        discrepancy = sum(map(operator.mul, conn, rev[len(rev) - 1 - i :])) % p
+        if discrepancy == 0:
+            gap += 1
+            continue
+        t = discrepancy * scale % p
+        update = conn + [0] * (gap + len(prev) - len(conn))
+        update[gap : gap + len(prev)] = [(u - t * b) % p for u, b in zip(update[gap:], prev)]
+        if 2 * order <= i:
+            prev, scale, order, gap = conn, pow(discrepancy, -1, p), i + 1 - order, 1
+        else:
+            gap += 1
+        conn = update
+    return order, conn + [0] * (order + 1 - len(conn))
+
+
+def _rational(r: int, m: int) -> tuple[int, int] | None:
+    """(a, b) with a = b r (mod m), b > 0 and |a|, b <= sqrt(m/2), if one
+    exists: rational reconstruction by the half extended Euclid."""
+    bound, r0, r1, t0, t1 = math.isqrt(m // 2), m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
+    """Minimal homogeneous linear recurrence, exactly: Berlekamp-Massey
+    modulo primes below 2^62, combined by CRT.
+
+    Rational terms are scaled by one common denominator.  The primes that
+    agree on the order L_p of the terms mod p pool their connection
+    polynomials, and each coefficient is rebuilt by rational reconstruction
+    until one more prime leaves it unchanged; a prime that disagrees is
+    outvoted.  Returns integer coefficients e0..eL (content-free, e0 > 0),
+    checked to give sum_i e_i a(n-i) = 0 at every index the sequence supplies.
+
+    Raises :class:`OrderExceeded` if one L_p exceeds ``max_order``, or two
+    agree on an order too large to certify from the given terms.  An integer
+    recurrence with e0 = 1 reduces mod p, so L_p > ``max_order`` proves that
+    no such recurrence of order <= ``max_order`` fits the terms: the form
+    ``genfun`` needs, which Fatou's lemma gives every rational series with
+    integer terms.  One with e0 != 1 may fit, as (p, -1) fits p^9, .., p, 1.
     """
     values = [Fraction(v) for v in (seq.values if isinstance(seq, TauSequence) else seq)]
     denom = math.lcm(*(v.denominator for v in values))
     terms = [v.numerator * (denom // v.denominator) for v in values]
-    conn, prev = [1], [1]  # connection polynomial C(x); B, C before its last length change
-    order, gap, prev_discrepancy = 0, 1, 1
-    for i in range(len(terms)):
-        discrepancy = sum(conn[j] * terms[i - j] for j in range(order + 1))
-        if discrepancy == 0:
-            gap += 1
+    # Hadamard: minors of the terms up to size L + 1 have at most `bits` bits.
+    # They bound C's coefficients, and a prime that errs divides one or two
+    # of them, so the run below holds enough good primes to settle on C
+    size = min(max_order, len(terms)) + 1
+    bits = size * (max(map(abs, terms), default=1).bit_length() + size.bit_length())
+    runs: dict[int, tuple] = {}  # L_p -> (modulus, CRT residues, reconstruction)
+    for k in range(3 + 4 * bits // 61):
+        p = _prime(k)
+        order, conn = _massey(terms, p)
+        if order > max_order:
+            raise OrderExceeded(f"recurrence order L_p = {order} modulo p = {p} exceeds cap {max_order}")
+        modulus, residues, last = runs.get(order, (1, [0] * (order + 1), None))
+        if modulus > 1 and 2 * order + 2 > len(terms) + 1:
+            raise OrderExceeded(f"two primes give order L_p = {order}, more than {len(terms)} terms certify")
+        inverse = pow(modulus, -1, p)
+        residues = [r + modulus * ((c - r) * inverse % p) for r, c in zip(residues, conn)]
+        modulus *= p
+        runs[order] = modulus, residues, [_rational(r, modulus) for r in residues]
+        if runs[order][2] != last or None in last:
             continue
-        update = [prev_discrepancy * c for c in conn] + [0] * (gap + len(prev) - len(conn))
-        for j, c in enumerate(prev):
-            update[gap + j] -= discrepancy * c
-        content = math.gcd(*update)
-        update = [c // content for c in update]
-        if 2 * order <= i:
-            prev, prev_discrepancy, order, gap = conn, discrepancy, i + 1 - order, 1
-        else:
-            gap += 1
-        conn = update
-
-    if order > max_order:
-        raise OrderExceeded(f"minimal recurrence order {order} exceeds cap {max_order}")
-    if 2 * order + 2 > len(terms) + 1:
-        raise OrderExceeded(f"order {order} cannot be certified from {len(terms)} terms")
-    conn = conn[: order + 1]
-    for i in range(order, len(terms)):
-        if sum(conn[j] * terms[i - j] for j in range(order + 1)) != 0:
-            raise InvariantViolation("Berlekamp-Massey output fails on the training terms")
-    content = math.gcd(*conn) if conn[0] > 0 else -math.gcd(*conn)
-    return tuple(c // content for c in conn)
+        # each a/b is in lowest terms and C[0] = 1, so the lcm of the b leaves
+        # e0 > 0 and no content
+        scale = math.lcm(*(b for _, b in last))
+        recurrence = tuple(a * (scale // b) for a, b in last)
+        if all(sum(map(operator.mul, recurrence, terms[i::-1])) == 0 for i in range(order, len(terms))):
+            return recurrence
+    raise InvariantViolation(f"Berlekamp-Massey modulo {k + 1} primes found no recurrence that fits")
 
 
 def genfun(seq, recurrence) -> RationalGF:

@@ -322,3 +322,38 @@ def find_recurrence_fractions(values, max_order: int = 128) -> tuple[int, ...]:
     ints = [c.numerator * (denom // c.denominator) for c in conn]
     content = math.gcd(*ints)
     return tuple(c // content if ints[0] > 0 else -c // content for c in ints)
+
+
+def find_recurrence_integers(values, max_order: int = 128) -> tuple[int, ...]:
+    """Fraction-free Berlekamp-Massey over the integers: rational terms are
+    scaled by one common denominator, and C is updated as b C - d x^gap B,
+    its content divided out each step.  The second independent oracle the
+    modular version is cross-checked against."""
+    values = [Fraction(v) for v in values]
+    denom = math.lcm(*(v.denominator for v in values))
+    terms = [v.numerator * (denom // v.denominator) for v in values]
+    conn, prev = [1], [1]  # connection polynomial C(x); B, C before its last length change
+    order, gap, prev_discrepancy = 0, 1, 1
+    for i in range(len(terms)):
+        discrepancy = sum(conn[j] * terms[i - j] for j in range(order + 1))
+        if discrepancy == 0:
+            gap += 1
+            continue
+        update = [prev_discrepancy * c for c in conn] + [0] * (gap + len(prev) - len(conn))
+        for j, c in enumerate(prev):
+            update[gap + j] -= discrepancy * c
+        content = math.gcd(*update)
+        update = [c // content for c in update]
+        if 2 * order <= i:
+            prev, prev_discrepancy, order, gap = conn, discrepancy, i + 1 - order, 1
+        else:
+            gap += 1
+        conn = update
+    if order > max_order or 2 * order + 2 > len(terms) + 1:
+        raise OrderExceeded(f"order {order} is over the cap or uncertified")
+    conn = conn[: order + 1]
+    for i in range(order, len(terms)):
+        if sum(conn[j] * terms[i - j] for j in range(order + 1)) != 0:
+            raise InvariantViolation("Berlekamp-Massey output fails on the training terms")
+    content = math.gcd(*conn) if conn[0] > 0 else -math.gcd(*conn)
+    return tuple(c // content for c in conn)

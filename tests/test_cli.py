@@ -195,6 +195,23 @@ def test_genfun_asks_for_the_terms_the_spectral_bound_certifies(
         assert "internal error" in err and "bounds the order by 6" in err
 
 
+BIG = '{"n":16,"alphas":[1,3,5],"betas":[2,7],"gammas":[0,1,4]}'
+SMALL_D13 = '{"n":10,"alphas":[1,2],"betas":[4],"gammas":[2,9],"half_r":true}'
+
+
+@pytest.mark.parametrize(
+    "command,spec,bound",
+    [("genfun", BIG, 354294), ("genfun", SMALL_D13, 3188646), ("report", SMALL_D13, 3188646)],
+    ids=["genfun-big", "genfun-d13", "report-d13"],
+)
+def test_genfun_refuses_an_order_over_the_cap_at_the_first_prime(capsys, command, spec, bound):
+    # 258 terms each: the order modulo the first prime, over the default cap
+    # of 128, settles the refusal before any CRT
+    code, out, err = invoke(capsys, command, "--spec", spec)
+    assert (code, out) == (2, "")
+    assert "L_p = 129" in err and "cap 128" in err and f"bounds the order by {bound}" in err
+
+
 @pytest.mark.parametrize("command", ["genfun", "report"])
 @pytest.mark.parametrize("max_order", ["0", "-1"])
 def test_max_order_below_one_is_a_spec_error(capsys, command, max_order):

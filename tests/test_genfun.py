@@ -1,5 +1,9 @@
 """Recurrence discovery, rational generating functions and their symmetry."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +23,8 @@ from bforest import (
     validate_spec,
     verify_symmetry,
 )
-from tests.conftest import find_recurrence_fractions
+from bforest.genfun import _massey, _prime
+from tests.conftest import find_recurrence_fractions, find_recurrence_integers, random_connected_specs
 
 
 def test_find_recurrence_trivial_sequences():
@@ -58,11 +63,6 @@ ORACLE_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("values", ORACLE_INPUTS)
-def test_integer_recurrence_matches_the_fraction_oracle(values):
-    assert find_recurrence(values) == find_recurrence_fractions(values)
-
-
 @pytest.mark.parametrize(
     "values,max_order",
     [([1, 0, 0, 1, 0], 128), ([1, 1, 2, 3, 5, 8, 13, 21], 1), ([Fraction(1, n) for n in range(1, 13)], 128)],
@@ -71,6 +71,61 @@ def test_integer_recurrence_refuses_where_the_oracle_does(values, max_order):
     for recover in (find_recurrence, find_recurrence_fractions):
         with pytest.raises(OrderExceeded):
             recover(values, max_order=max_order)
+
+
+P0 = _prime(0)  # the first prime the modular Berlekamp-Massey uses
+# unlucky at P0: the minimal recurrence (P0, -1) of P0^9, .., P0, 1 has
+# e0 = P0, so mod P0 the terms read 0, .., 0, 1, of order 10; and the first
+# discrepancy of P0 2^k + k, its first term P0, vanishes mod P0, which
+# leaves order 2 of the true 3
+UNLUCKY = [[P0 ** (9 - k) for k in range(10)], [P0 * 2**k + k for k in range(12)]]
+
+
+@pytest.mark.parametrize("values", ORACLE_INPUTS + UNLUCKY)
+def test_integer_recurrence_matches_the_fraction_oracle(values):
+    expected = find_recurrence_fractions(values)
+    assert find_recurrence(values) == expected == find_recurrence_integers(values)
+
+
+def test_unlucky_first_prime_is_outvoted():
+    assert [_massey(values, P0)[0] for values in UNLUCKY] == [10, 2]
+    assert [find_recurrence(values) for values in UNLUCKY] == [(P0, -1), (1, -4, 5, -2)]
+
+
+def test_refusal_proves_no_monic_recurrence_fits():
+    # L_p > cap says nothing of recurrences with e0 != 1: (P0, -1) fits with
+    # order 1 <= 5.  A recurrence of order <= 5 that fits the 10 >= 1 + 5
+    # terms annihilates the same geometric series, so it is a multiple of
+    # P0 - x, and by Gauss's lemma its e0 is a multiple of P0, never 1
+    values = UNLUCKY[0]
+    with pytest.raises(OrderExceeded, match=f"L_p = 10 modulo p = {P0} exceeds cap 5"):
+        find_recurrence(values, max_order=5)
+    assert find_recurrence_fractions(values, max_order=5) == (P0, -1)
+    with pytest.raises(NonMonicDenominator):
+        genfun(values, (P0, -1))
+
+
+def test_modular_recurrence_matches_both_oracles_on_random_specs():
+    specs = random_connected_specs(40, seed=11, n_max=14, r_max=2, t_max=2, s_max=3)
+    checked = 0
+    for spec in specs:
+        bound = spectral_system(spec).recurrence_bound
+        if bound <= 40:
+            values = tau_sequence(spec, 2 * bound + 2).values
+            recurrence = find_recurrence(values, max_order=bound)
+            expected = find_recurrence_fractions(values)
+            assert recurrence == expected == find_recurrence_integers(values), spec
+            checked += 1
+    assert checked == 15
+
+
+def test_import_finds_no_primes():
+    # the prime run is found on the first call that needs it, not at import
+    path = [str(pathlib.Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import bforest; from bforest.genfun import _PRIMES; print(len(_PRIMES))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 def test_integer_recurrence_matches_the_oracle_on_tree_counts(family_specs):
