@@ -18,8 +18,10 @@ from bforest import (
 
 spec = validate_spec({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]})
 root = growth_base(spec)
-# the quadrature averages log|K(2 cos theta)| for the trace polynomial K of the
-# growth polynomial, the prism's base in x = z + 1/z
+# the quadrature is the midpoint rule for the mean of log|K(2 cos theta)|, K the
+# prism's base in x = z + 1/z, on 2^20 points: its factor x - 2 in closed form,
+# 2 ln 2 / 2^20 (the 1.3e-6 it sits above the root product), and the smooth
+# rest from 2048 samples, where it has already converged
 quad = mahler_quadrature(spectral_system(spec).growth_poly)
 print(f"root-product measure: {root.value:.12f} (error bound {root.error_bound:.1e})")
 print(f"quadrature measure  : {quad.value:.12f} (error bound {quad.error_bound:.1e})")

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arithmetic import arithmetic_profile, verify_square_structure
 from .counting import spectral_system, tree_count_closed
-from .errors import BforestError, OrderExceeded, SpecError
+from .errors import BforestError, InvariantViolation, OrderExceeded, SpecError
 from .genfun import (
     find_recurrence,
     genfun,
@@ -172,13 +172,17 @@ def _cmd_genfun(spec: ConnectionSpec, args) -> dict:
 
 
 def _cmd_report(spec: ConnectionSpec, args) -> dict:
-    return {
+    report = {
         "validate": _cmd_validate(spec, args),
         "compare": _cmd_compare(spec, args),
         "arithmetic": _cmd_arithmetic(spec, args),
         "asymptotics": _cmd_asymptotics(spec, args),
-        "genfun": _cmd_genfun(spec, args),
     }
+    try:
+        report["genfun"] = _cmd_genfun(spec, args)
+    except BforestError as exc:  # a refusal, such as OrderExceeded, keeps the other sections
+        report["genfun"] = {"error": str(exc), "error_type": type(exc).__name__}
+    return report
 
 
 _COMMANDS = {
@@ -291,7 +295,8 @@ def run(argv=None) -> int:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 1
     except BforestError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        label = "internal error" if isinstance(exc, InvariantViolation) else type(exc).__name__
+        print(f"{label}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,12 +14,14 @@ root needs to be classified against the unit circle.  ``growth_base`` takes
 it from the outer roots of the trace factors, the same roots the Chebyshev
 cross-check uses: a pair (z, 1/z) contributes max(|z|, 1/|z|).
 Two independent checks remain: ``mahler_root_product`` over the roots z of
-a polynomial in z, and ``mahler_quadrature``, the defining log-integral of
-|K(2 cos 2 pi t)| over the circle.
+a polynomial in z, and ``mahler_quadrature``, the midpoint rule for the
+log-integral of |K(2 cos 2 pi t)| over the circle: the factors x -+ 2 in
+closed form, the rest on 2048 points wherever it has converged there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import mpmath
@@ -28,7 +30,7 @@ import numpy as np
 from .counting import SpectralSystem, closed_count_formal, spectral_system
 from .errors import NonConvergence, ZeroPolynomial
 from .graphs import ConnectionSpec, order_row, require_connected
-from .polynomials import IntPoly, _cosine_coefficients, squarefree_layers
+from .polynomials import IntPoly, _cosine_coefficients, exact_divide, squarefree_layers
 
 __all__ = [
     "roots_numeric",
@@ -180,36 +182,45 @@ def _abs_on_circle(k: IntPoly, t: np.ndarray) -> np.ndarray:
     return np.abs(total)
 
 
+def _mean_log(k: IntPoly, n: int) -> float:
+    """Mean of log|K(2 cos 2 pi t)| over the n midpoints, leaving out exact zeros."""
+    values = _abs_on_circle(k, (np.arange(n) + 0.5) / n)
+    good = values > 1e-300
+    if not np.any(good):
+        raise NonConvergence("polynomial vanishes on the whole sample grid")
+    return float(np.sum(np.log(values[good])) / n)
+
+
 def mahler_quadrature(k: IntPoly, subdivisions: int = 1 << 20) -> MahlerEstimate:
-    """exp of the mean of log|P| over the unit circle, by midpoint rule.
+    """exp of the midpoint rule for the mean of log|P| over the unit circle.
 
     ``k`` is a trace polynomial: P(z) = K(z + 1/z), which is K(2 cos 2 pi t)
-    at z = exp(2 pi i t).
-
-    The midpoint grid never samples t=0, which keeps the integrable log
-    singularity of degenerate polynomials off the nodes; any other
-    accidental zero hit is excluded from the sum (a measure-zero window).
-    The difference from the grid of half the size is the error estimate.
+    at z = exp(2 pi i t).  The rule runs on the largest grid 1024 * 2^j within
+    the cap; its difference from the grid of half the size, plus 4 / cap, is
+    the error bound.  Each factor x -+ 2, a double zero of P at z = +-1, is
+    divided off exactly: its mean log on an even grid of N midpoints is
+    2 ln 2 / N, as prod_j 2 sin(pi (j + 1/2) / N) = 2.  The rest converges
+    geometrically unless it has roots on the circle: if its means on 1024 and
+    2048 points agree to rounding, that is its mean on the top grid; if not,
+    the whole K is sampled on the top grid and its half.
     """
     if subdivisions < 8:
         raise ValueError("need at least 8 subdivisions")
     if subdivisions < 2048:
         raise NonConvergence("subdivision cap too small for an error estimate")
-    # the largest grid 1024 * 2^j within the cap, then its half, whose arrays
-    # are the smaller ones to hold next to the other grid's
     top = 1024 << ((subdivisions // 1024).bit_length() - 1)
-    estimates = []
-    for n in (top, top // 2):
-        t = (np.arange(n) + 0.5) / n
-        values = _abs_on_circle(k, t)
-        good = values > 1e-300
-        if not np.any(good):
-            raise NonConvergence("polynomial vanishes on the whole sample grid")
-        estimates.append(float(np.sum(np.log(values[good])) / n))
-    last, prev = estimates
-    error = abs(last - prev)
+    rest, peeled = k, 0
+    for root in (2, -2):
+        while rest.degree > 0 and rest(root) == 0:
+            rest, peeled = exact_divide(rest, IntPoly([-root, 1])), peeled + 1
+    coarse, fine = _mean_log(rest, 1024), _mean_log(rest, 2048)
+    if abs(fine - coarse) <= 2.0**-52 * max(1.0, abs(fine)):
+        share = peeled * math.log(4) / top
+        last, prev = fine + share, fine + 2 * share
+    else:
+        last, prev = _mean_log(k, top), _mean_log(k, top // 2)
     value = float(np.exp(last))
-    return MahlerEstimate(value, value * (error + 4.0 / subdivisions))
+    return MahlerEstimate(value, value * (abs(last - prev) + 4.0 / subdivisions))
 
 
 def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:

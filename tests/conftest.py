@@ -1,10 +1,13 @@
 """Shared fixtures: the four worked-example connection specs and helpers."""
 
+import functools
 import math
 import random
 from collections import deque
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from bforest import (
@@ -19,11 +22,13 @@ from bforest import (
 from bforest.errors import (
     InexactDivision,
     InvariantViolation,
+    NonConvergence,
     NonIntegralResult,
     OrderExceeded,
     ZeroPolynomial,
 )
-from bforest.polynomials import _mul_add, _pseudo_mod, squarefree_part
+from bforest.mahler import MahlerEstimate, _abs_on_circle
+from bforest.polynomials import _mul_add, _pseudo_mod, squarefree_layers, squarefree_part
 
 
 def connected_by_search(spec) -> bool:
@@ -222,6 +227,57 @@ def lift(k: IntPoly) -> IntPoly:
         out = out + (power * c).shift(k.degree - i)
         power = power * IntPoly([1, 0, 1])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_roots(k: IntPoly) -> tuple:
+    """The 2d roots of ``lift(k)`` with multiplicity, as mpc values: the two
+    roots of z^2 - x z + 1 per root x of K, one mpmath run per square-free layer."""
+    roots = []
+    with mpmath.workdps(40):
+        for layer in squarefree_layers(k):
+            for x in mpmath.polyroots(layer.coeffs[::-1], maxsteps=400, extraprec=60):
+                r = mpmath.sqrt(x * x - 4)
+                roots += [(x + r) / 2, (x - r) / 2]
+    return tuple(roots)
+
+
+def midpoint_mean_exact(k: IntPoly, n: int):
+    """The n-point midpoint mean of log|K(2 cos 2 pi t)|, summed without sampling.
+
+    The nodes w_j = exp(2 pi i (j + 1/2) / n) are the roots of w^n + 1, so
+    prod_j (z - w_j) = z^n + 1, and the mean of log|lift(K)(w_j)|, which is
+    |K(w_j + 1/w_j)| on the circle, is log|lc| + (1/n) sum log|z_i^n + 1|
+    over the roots z_i of the lift.  An mpf at 40 digits: the reference the
+    quadrature's shortcut is checked against.
+    """
+    with mpmath.workdps(40):
+        total = sum(mpmath.log(abs(z**n + 1)) for z in _lift_roots(k))
+        return mpmath.log(abs(k.lead)) + total / n
+
+
+def mahler_quadrature_two_grids(k: IntPoly, subdivisions: int = 1 << 20) -> MahlerEstimate:
+    """The quadrature as it sampled every K on the top grid and its half:
+    the reference its slow path must equal bit for bit."""
+    if subdivisions < 8:
+        raise ValueError("need at least 8 subdivisions")
+    if subdivisions < 2048:
+        raise NonConvergence("subdivision cap too small for an error estimate")
+    # the largest grid 1024 * 2^j within the cap, then its half, whose arrays
+    # are the smaller ones to hold next to the other grid's
+    top = 1024 << ((subdivisions // 1024).bit_length() - 1)
+    estimates = []
+    for n in (top, top // 2):
+        t = (np.arange(n) + 0.5) / n
+        values = _abs_on_circle(k, t)
+        good = values > 1e-300
+        if not np.any(good):
+            raise NonConvergence("polynomial vanishes on the whole sample grid")
+        estimates.append(float(np.sum(np.log(values[good])) / n))
+    last, prev = estimates
+    error = abs(last - prev)
+    value = float(np.exp(last))
+    return MahlerEstimate(value, value * (error + 4.0 / subdivisions))
 
 
 def cyclotomic_quotient(n: int):

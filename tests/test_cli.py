@@ -6,8 +6,10 @@ import os
 import jsonschema
 import pytest
 
+import bforest.cli
 from bforest import tau_sequence
 from bforest.cli import run
+from bforest.errors import InvariantViolation, NonConvergence
 from tests.conftest import ZERO_BASE
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "report.schema.json")
@@ -192,7 +194,19 @@ def test_genfun_asks_for_the_terms_the_spectral_bound_certifies(
     status, _, err = invoke(capsys, "genfun", "--spec", spec, *cap)
     assert (asked, status) == ([terms], code)
     if code:
-        assert "internal error" in err and "bounds the order by 6" in err
+        # a refusal is named by its class; "internal error" is kept for InvariantViolation
+        assert err.startswith("OrderExceeded: ") and "bounds the order by 6" in err
+
+
+@pytest.mark.parametrize(
+    "error,label", [(InvariantViolation, "internal error"), (NonConvergence, "NonConvergence")]
+)
+def test_failures_exit_2_under_their_class_name(capsys, monkeypatch, error, label):
+    def failing(spec, args):
+        raise error("no answer")
+
+    monkeypatch.setitem(bforest.cli._COMMANDS, "count", failing)
+    assert invoke(capsys, "count", "--spec", PRISM) == (2, "", f"{label}: no answer\n")
 
 
 BIG = '{"n":16,"alphas":[1,3,5],"betas":[2,7],"gammas":[0,1,4]}'
@@ -208,7 +222,18 @@ def test_genfun_refuses_an_order_over_the_cap_at_the_first_prime(capsys, command
     # 258 terms each: the order modulo the first prime, over the default cap
     # of 128, settles the refusal before any CRT
     code, out, err = invoke(capsys, command, "--spec", spec)
-    assert (code, out) == (2, "")
+    if command == "report":
+        # the refusal is the genfun section's error object; the other four stand
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        with open(SCHEMA_PATH, encoding="utf-8") as fh:
+            jsonschema.validate(doc, json.load(fh))
+        assert doc["asymptotics"]["convergence"][0]["tau"] == doc["compare"]["rows"][0]["closed"]
+        assert doc["genfun"]["error_type"] == "OrderExceeded"
+        err = doc["genfun"]["error"]
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("OrderExceeded: ")
     assert "L_p = 129" in err and "cap 128" in err and f"bounds the order by {bound}" in err
 
 

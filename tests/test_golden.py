@@ -49,10 +49,12 @@ DIGESTS = {
 }
 
 # root-product value, quadrature value and error bound, then
-# (prediction, ratio, deviation) per convergence row
+# (prediction, ratio, deviation) per convergence row; the quadrature pair was
+# re-recorded when the factors x -+ 2 came to be summed in closed form and the
+# rest on 2048 points, within 4e-16 of the exact midpoint sum on 2^20 points
 ASYMPTOTICS = {
     1: [
-        3.732050807568877, 3.732055741993919, 1.9170432783187083e-05,
+        3.732050807568877, 3.7320557416169677, 1.917071418371316e-05,
         (77.97114317029974, 1.0396152422706633, 0.03961524227066319),
         (387.9896904477143, 1.010389818874256, 0.010389818874255878),
         (1809.9965469547383, 1.0027681700580269, 0.0027681700580268064),
@@ -61,7 +63,7 @@ ASYMPTOTICS = {
         (150535.99989371313, 1.0000531455524098, 5.314555240972887e-05),
     ],
     2: [
-        3.732050807568877, 3.732055741993919, 1.9170432783187083e-05,
+        3.732050807568877, 3.7320557416169677, 1.917071418371316e-05,
         (13.928203230275509, 0.8705127018922193, 0.12948729810778067),
         (77.97114317029974, 0.9626067058061696, 0.03739329419383038),
         (387.9896904477143, 0.989769618489067, 0.010230381510933018),
@@ -69,7 +71,7 @@ ASYMPTOTICS = {
         (8105.9988897111725, 0.9992602181596614, 0.0007397818403386506),
     ],
     3: [
-        6.645751311064591, 6.645760097887591, 3.413777019958711e-05,
+        6.645751311064591, 6.645760097240947, 3.41377450333934e-05,
         (44.166010488516726, 0.6900939138830738, 0.30990608611692616),
         (440.27448316282874, 0.8386180631672928, 0.16138193683270718),
         (3901.2729649435387, 0.9218508896369421, 0.07814911036305797),
@@ -77,7 +79,7 @@ ASYMPTOTICS = {
         (258455.4940323946, 0.9832887982118738, 0.0167112017881262),
     ],
     4: [
-        13.324555320336758, 13.324572935869192, 6.84460883027761e-05,
+        13.324555320336758, 13.324572936387595, 6.84452744223735e-05,
         (177.54377448471462, 0.9058355841056869, 0.09416441589431315),
         (3548.537767354461, 0.9775586135962702, 0.022441386403729807),
         (63043.5837165584, 0.9948804399153895, 0.0051195600846104476),
