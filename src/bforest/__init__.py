@@ -9,127 +9,44 @@ generating functions of the resulting integer sequences.
 The exact core imports only the standard library.  The float names (roots,
 Mahler measures, asymptotics, the Chebyshev check) live in ``mahler``,
 which this package imports, with mpmath and numpy, on first use of one.
+Each module's ``__all__`` is the one list of its public names; the package
+exports their union.
 """
 
-from .arithmetic import (
-    ArithmeticProfile,
-    SquareWitness,
-    arithmetic_profile,
-    verify_square_structure,
-)
-from .counting import (
-    SpectralSystem,
-    TreeCount,
-    closed_count_formal,
-    spectral_system,
-    tree_count_closed,
-)
-from .errors import (
-    BforestError,
-    DegenerateSystem,
-    HalfWithoutEvenN,
-    InexactDivision,
-    InvariantViolation,
-    NonConvergence,
-    NonDivisible,
-    NonIntegralResult,
-    NonMonicDenominator,
-    NonPositiveStructure,
-    NotAPerfectSquare,
-    NotConnected,
-    OrderExceeded,
-    OutOfRange,
-    SpecError,
-)
-from .genfun import (
-    RationalGF,
-    TauSequence,
-    expand_series,
-    find_recurrence,
-    genfun,
-    gf_eval,
-    symmetry_scale,
-    tau_sequence,
-    verify_symmetry,
-)
-from .graphs import (
-    ConnectionSpec,
-    check_connectivity,
-    is_connected,
-    realize,
-    validate_spec,
-)
-from .matrixtree import det_fraction_free, tree_count_oracle
-from .polynomials import (
-    IntPoly,
-    exact_divide,
-    resultant,
-    squarefree_part,
-    trace_polynomial,
-)
+import sys as _sys
+
+from .arithmetic import *
+from .counting import *
+from .errors import *
+from .genfun import *
+from .graphs import *
+from .matrixtree import *
+from .polynomials import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArithmeticProfile",
-    "SquareWitness",
-    "arithmetic_profile",
-    "verify_square_structure",
-    "SpectralSystem",
-    "TreeCount",
-    "closed_count_formal",
-    "spectral_system",
+_EXACT_MODULES = ("arithmetic", "counting", "errors", "genfun", "graphs", "matrixtree", "polynomials")
+# the float layer's public names: mahler takes its __all__ from here, so
+# importing the package loads no float library
+_FLOAT_NAMES = (
+    "roots_numeric",
     "tree_count_chebyshev",
-    "tree_count_closed",
-    "BforestError",
-    "DegenerateSystem",
-    "HalfWithoutEvenN",
-    "InexactDivision",
-    "InvariantViolation",
-    "NonConvergence",
-    "NonDivisible",
-    "NonIntegralResult",
-    "NonMonicDenominator",
-    "NonPositiveStructure",
-    "NotAPerfectSquare",
-    "NotConnected",
-    "OrderExceeded",
-    "OutOfRange",
-    "SpecError",
-    "RationalGF",
-    "TauSequence",
-    "expand_series",
-    "find_recurrence",
-    "genfun",
-    "gf_eval",
-    "symmetry_scale",
-    "tau_sequence",
-    "verify_symmetry",
-    "ConnectionSpec",
-    "check_connectivity",
-    "is_connected",
-    "realize",
-    "validate_spec",
     "MahlerEstimate",
+    "mahler_quadrature",
+    "growth_base",
     "asymptotic_prediction",
     "convergence_report",
-    "growth_base",
-    "mahler_quadrature",
-    "mahler_root_product",
-    "det_fraction_free",
-    "tree_count_oracle",
-    "IntPoly",
-    "exact_divide",
-    "resultant",
-    "roots_numeric",
-    "squarefree_part",
-    "trace_polynomial",
-]
+)
+
+# a star import binds e.g. ``genfun`` to the function, so read each list
+# from the module object itself
+__all__ = [name for m in _EXACT_MODULES for name in _sys.modules[f"{__name__}.{m}"].__all__]
+__all__ += _FLOAT_NAMES
 
 
 def __getattr__(name):
-    # every name of __all__ not bound above is a float name (PEP 562)
-    if name in __all__:
+    # the float names resolve through mahler on first use (PEP 562)
+    if name in _FLOAT_NAMES:
         from . import mahler
 
         return getattr(mahler, name)

@@ -39,9 +39,8 @@ _MIN_PRECISION, _MAX_PRECISION = 32, 256
 
 def _load_spec_source(source: str) -> dict:
     """Parse --spec as inline JSON first, then as a file path."""
-    text = source
     try:
-        return json.loads(text)
+        return json.loads(source)
     except ValueError:
         pass
     try:
@@ -176,12 +175,14 @@ def _cmd_report(spec: ConnectionSpec, args) -> dict:
         "validate": _cmd_validate(spec, args),
         "compare": _cmd_compare(spec, args),
         "arithmetic": _cmd_arithmetic(spec, args),
-        "asymptotics": _cmd_asymptotics(spec, args),
     }
-    try:
-        report["genfun"] = _cmd_genfun(spec, args)
-    except BforestError as exc:  # a refusal, such as OrderExceeded, keeps the other sections
-        report["genfun"] = {"error": str(exc), "error_type": type(exc).__name__}
+    for name, command in (("asymptotics", _cmd_asymptotics), ("genfun", _cmd_genfun)):
+        try:
+            report[name] = command(spec, args)
+        except InvariantViolation:  # a bug, not a refusal: run() reports it as one
+            raise
+        except BforestError as exc:  # a refusal, such as OrderExceeded, keeps the other sections
+            report[name] = {"error": str(exc), "error_type": type(exc).__name__}
     return report
 
 

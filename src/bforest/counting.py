@@ -21,6 +21,7 @@ from .polynomials import IntPoly, exact_divide, half_resultant, trace_polynomial
 __all__ = [
     "SpectralSystem",
     "TreeCount",
+    "closed_count_formal",
     "spectral_system",
     "tree_count_closed",
 ]

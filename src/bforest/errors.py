@@ -63,3 +63,6 @@ class NonMonicDenominator(BforestError, ValueError):
 
 class InvariantViolation(BforestError, ArithmeticError):
     """An identity the mathematics guarantees failed: a bug, not bad input."""
+
+
+__all__ = [name for name, value in globals().items() if isinstance(value, type)]

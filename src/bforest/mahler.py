@@ -13,8 +13,7 @@ spectral system's factor polynomials.  It is continuous in the roots, so no
 root needs to be classified against the unit circle.  ``growth_base`` takes
 it from the outer roots of the trace factors, the same roots the Chebyshev
 cross-check uses: a pair (z, 1/z) contributes max(|z|, 1/|z|).
-Two independent checks remain: ``mahler_root_product`` over the roots z of
-a polynomial in z, and ``mahler_quadrature``, the midpoint rule for the
+``mahler_quadrature`` is the independent check, the midpoint rule for the
 log-integral of |K(2 cos 2 pi t)| over the circle: the factors x -+ 2 in
 closed form, the rest on 2048 points wherever it has converged there.
 """
@@ -27,21 +26,13 @@ from dataclasses import dataclass, replace
 import mpmath
 import numpy as np
 
+from . import _FLOAT_NAMES
 from .counting import SpectralSystem, closed_count_formal, spectral_system
 from .errors import NonConvergence, ZeroPolynomial
 from .graphs import ConnectionSpec, order_row, require_connected
 from .polynomials import IntPoly, _cosine_coefficients, exact_divide, squarefree_layers
 
-__all__ = [
-    "roots_numeric",
-    "tree_count_chebyshev",
-    "MahlerEstimate",
-    "mahler_root_product",
-    "mahler_quadrature",
-    "growth_base",
-    "asymptotic_prediction",
-    "convergence_report",
-]
+__all__ = list(_FLOAT_NAMES)
 
 
 ROOT_STEPS = 400  # Durand-Kerner sweeps before NonConvergence
@@ -131,24 +122,6 @@ def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
 class MahlerEstimate:
     value: float
     error_bound: float
-
-
-def mahler_root_product(poly: IntPoly, digits: int = 64) -> MahlerEstimate:
-    """|lead| prod max(1, |z|) over the roots z of ``poly``, a polynomial in z.
-
-    The roots are found per square-free layer.  Each root adds its rounding,
-    10^(1 - digits), and radius / max(1, |z|) to the relative error bound, as
-    max(1, |z|) is 1-Lipschitz.
-    """
-    roots = [r for layer in squarefree_layers(poly) for r in roots_numeric(layer, digits=digits)]
-    with mpmath.workdps(digits):
-        value = mpmath.mpf(abs(poly.lead))
-        rel_error = mpmath.mpf(0)
-        for root, radius in roots:
-            modulus = max(mpmath.mpf(1), abs(root))
-            value *= modulus
-            rel_error += mpmath.mpf(10) ** (1 - digits) + radius / modulus
-        return MahlerEstimate(float(value), float(value * rel_error))
 
 
 def _trace_measure(sys: SpectralSystem, digits: int):

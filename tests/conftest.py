@@ -27,7 +27,7 @@ from bforest.errors import (
     OrderExceeded,
     ZeroPolynomial,
 )
-from bforest.mahler import MahlerEstimate, _abs_on_circle
+from bforest.mahler import MahlerEstimate, _abs_on_circle, roots_numeric
 from bforest.polynomials import _mul_add, _pseudo_mod, squarefree_layers, squarefree_part
 
 
@@ -240,6 +240,26 @@ def _lift_roots(k: IntPoly) -> tuple:
                 r = mpmath.sqrt(x * x - 4)
                 roots += [(x + r) / 2, (x - r) / 2]
     return tuple(roots)
+
+
+def mahler_root_product(poly: IntPoly, digits: int = 64) -> MahlerEstimate:
+    """|lead| prod max(1, |z|) over the roots z of ``poly``, a polynomial in z:
+    the Mahler measure from the roots of the lift, the oracle the trace-root
+    ``growth_base`` and the quadrature are cross-checked against.
+
+    The roots are found per square-free layer.  Each root adds its rounding,
+    10^(1 - digits), and radius / max(1, |z|) to the relative error bound, as
+    max(1, |z|) is 1-Lipschitz.
+    """
+    roots = [r for layer in squarefree_layers(poly) for r in roots_numeric(layer, digits=digits)]
+    with mpmath.workdps(digits):
+        value = mpmath.mpf(abs(poly.lead))
+        rel_error = mpmath.mpf(0)
+        for root, radius in roots:
+            modulus = max(mpmath.mpf(1), abs(root))
+            value *= modulus
+            rel_error += mpmath.mpf(10) ** (1 - digits) + radius / modulus
+        return MahlerEstimate(float(value), float(value * rel_error))
 
 
 def midpoint_mean_exact(k: IntPoly, n: int):

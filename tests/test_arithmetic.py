@@ -12,6 +12,7 @@ from bforest import (
     arithmetic_profile,
     closed_count_formal,
     spectral_system,
+    squarefree_part,
     tree_count_closed,
     validate_spec,
     verify_square_structure,
@@ -25,6 +26,31 @@ def test_profile_parity_counts():
     assert (p.odd_alphas, p.even_alphas) == (1, 1)
     assert (p.odd_betas, p.even_betas) == (1, 1)
     assert (p.odd_gammas, p.even_gammas) == (2, 1)
+
+
+def test_structure_constants_in_the_parity_counts():
+    # the theorem's form: with k1, m1, h1 the odd alphas, betas and gammas,
+    # the even constant is sqfree(|(s + 4 k1)(s + 4 m1) - (s - 2 h1)^2| / 4)
+    # and, for families 2-4, the odd one adds 2 per half flag to its factor;
+    # a product 0 gives None, and family 1 reports its even constant as odd
+    def constant(product):
+        return squarefree_part(abs(product)) if product else None
+
+    seen = set()
+    for spec in random_connected_specs(300, seed=8, n_max=20, r_max=3, t_max=3, s_max=4):
+        p, s = arithmetic_profile(spec), spec.s
+        assert (p.odd_alphas + p.even_alphas, p.odd_betas + p.even_betas) == (spec.r, spec.t)
+        assert p.odd_gammas + p.even_gammas == s
+        k1, m1, h1 = p.odd_alphas, p.odd_betas, p.odd_gammas
+        even = (s + 4 * k1) * (s + 4 * m1) - (s - 2 * h1) ** 2
+        assert even % 4 == 0, spec
+        odd = (s + 4 * k1 + 2 * spec.half_r) * (s + 4 * m1 + 2 * spec.half_t) - (s - 2 * h1) ** 2
+        expected_even = constant(even // 4)
+        expected_odd = expected_even if spec.family == 1 else constant(odd)
+        assert (p.structure_odd, p.structure_even) == (expected_odd, expected_even), spec
+        seen.add((spec.family, expected_even is None))
+    assert {family for family, _ in seen} == {1, 2, 3, 4}
+    assert {vanishes for _, vanishes in seen} == {False, True}
 
 
 def test_structure_constants_of_worked_examples(family_specs):

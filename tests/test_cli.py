@@ -120,15 +120,35 @@ def test_asymptotics_rows_report_each_disconnected_order(capsys):
     ]
 
 
+def assert_report_refuses_as_its_commands(docs, results, *phrases):
+    # asymptotics and genfun exit 2 naming ``phrases``; report keeps the exact
+    # sections and holds each refusal, by class and text, in that command's
+    # section
+    report = docs["report"]
+    assert {name: report[name] for name in ("validate", "compare", "arithmetic")} == {
+        name: docs[name] for name in ("validate", "compare", "arithmetic")
+    }
+    for command in ("asymptotics", "genfun"):
+        code, out, err = results[command]
+        assert (code, out) == (2, ""), command
+        assert [phrase for phrase in phrases if phrase not in err] == [], command
+        section = report[command]
+        assert sorted(section) == ["error", "error_type"], command
+        assert err == f"{section['error_type']}: {section['error']}\n", command
+    with open(SCHEMA_PATH, encoding="utf-8") as fh:
+        jsonschema.validate(report, json.load(fh))
+
+
 @pytest.mark.parametrize("spec, tau", zip(ZERO_BASE, (1, 1, 1, 4)), ids=range(4))
 def test_zero_base_specs_are_counted_and_refused_by_name(capsys, spec, tau):
     # count, oracle and compare count them; the paths that need the spectral
-    # system give an error row or exit 2, and point at `bforest count`
+    # system give an error row, exit 2 or, in report, a refusal section, and
+    # point at `bforest count`
     n, spec = spec["n"], json.dumps(spec)
     commands = ("validate", "count", "oracle", "compare", "arithmetic", "asymptotics", "genfun", "report")
     results = {command: invoke(capsys, command, "--spec", spec) for command in commands}
     docs = {command: json.loads(out) for command, (code, out, _) in results.items() if code == 0}
-    assert sorted(docs) == ["arithmetic", "compare", "count", "oracle", "validate"]
+    assert sorted(docs) == ["arithmetic", "compare", "count", "oracle", "report", "validate"]
     assert docs["validate"]["connected"] is True
     assert docs["count"]["rows"] == docs["oracle"]["rows"] == [{"n": n, "tau": tau}]
     assert docs["compare"]["all_equal"] is True
@@ -137,10 +157,7 @@ def test_zero_base_specs_are_counted_and_refused_by_name(capsys, spec, tau):
     assert (row["n"], row["error_type"]) == (n, "DegenerateSystem")
     assert "`bforest count` counts it" in row["error"]
     assert docs["arithmetic"]["structure_odd"] is docs["arithmetic"]["structure_even"] is None
-    for command in ("asymptotics", "genfun", "report"):
-        code, out, err = results[command]
-        assert (code, out) == (2, ""), command
-        assert "`bforest count` counts it" in err
+    assert_report_refuses_as_its_commands(docs, results, "`bforest count` counts it")
 
 
 NO_SPOKES = [
@@ -153,12 +170,13 @@ NO_SPOKES = [
 def test_no_spoke_specs_are_refused_as_never_connected(capsys, spec):
     # no spokes, so q = 0: the per-order paths give NotConnected rows (the
     # oracle counts 0 trees), there are no structure constants, and the
-    # paths that need the spectral system exit 2 naming the missing spokes
+    # paths that need the spectral system exit 2 naming the missing spokes,
+    # or in report hold that refusal in their sections
     n = json.loads(spec)["n"]
     commands = ("validate", "count", "oracle", "compare", "arithmetic", "asymptotics", "genfun", "report")
     results = {command: invoke(capsys, command, "--spec", spec) for command in commands}
     docs = {command: json.loads(out) for command, (code, out, _) in results.items() if code == 0}
-    assert sorted(docs) == ["arithmetic", "compare", "count", "oracle", "validate"]
+    assert sorted(docs) == ["arithmetic", "compare", "count", "oracle", "report", "validate"]
     assert docs["validate"]["connected"] is False
     for command in ("count", "compare", "arithmetic"):
         (row,) = docs[command]["rows"]
@@ -166,10 +184,7 @@ def test_no_spoke_specs_are_refused_as_never_connected(capsys, spec):
     assert docs["oracle"]["rows"] == [{"n": n, "tau": 0}]
     assert docs["compare"]["all_equal"] is False
     assert docs["arithmetic"]["structure_odd"] is docs["arithmetic"]["structure_even"] is None
-    for command in ("asymptotics", "genfun", "report"):
-        code, out, err = results[command]
-        assert (code, out) == (2, ""), command
-        assert "no spokes (q = 0)" in err and "never connected" in err, command
+    assert_report_refuses_as_its_commands(docs, results, "no spokes (q = 0)", "never connected")
 
 
 TWO_SPOKE = '{"n":4,"alphas":[1],"betas":[1],"gammas":[0,1],"half_r":true,"half_t":true}'
@@ -207,6 +222,17 @@ def test_failures_exit_2_under_their_class_name(capsys, monkeypatch, error, labe
 
     monkeypatch.setitem(bforest.cli._COMMANDS, "count", failing)
     assert invoke(capsys, "count", "--spec", PRISM) == (2, "", f"{label}: no answer\n")
+
+
+@pytest.mark.parametrize("section", ["asymptotics", "genfun"])
+def test_report_fails_on_a_bug_in_a_section_it_keeps_refusals_in(capsys, monkeypatch, section):
+    # a refusal becomes the section's error object; an InvariantViolation is
+    # a bug, so report exits 2 as an internal error
+    def failing(spec, args):
+        raise InvariantViolation("no answer")
+
+    monkeypatch.setattr(f"bforest.cli._cmd_{section}", failing)
+    assert invoke(capsys, "report", "--spec", PRISM) == (2, "", "internal error: no answer\n")
 
 
 BIG = '{"n":16,"alphas":[1,3,5],"betas":[2,7],"gammas":[0,1,4]}'

@@ -15,7 +15,6 @@ from bforest import (
     convergence_report,
     growth_base,
     mahler_quadrature,
-    mahler_root_product,
     spectral_system,
     trace_polynomial,
     tree_count_closed,
@@ -25,6 +24,7 @@ from tests.conftest import (
     base_and_family,
     lift,
     mahler_quadrature_two_grids,
+    mahler_root_product,
     midpoint_mean_exact,
     random_connected_specs,
 )

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bforest import (
     IntPoly,
     exact_divide,
-    mahler_root_product,
     resultant,
     roots_numeric,
     squarefree_part,
@@ -32,6 +31,7 @@ from tests.conftest import (
     cyclotomic_quotient,
     lift,
     lucas_mod,
+    mahler_root_product,
     resultant_sylvester,
 )
 

@@ -20,7 +20,6 @@ from bforest import (
     find_recurrence,
     growth_base,
     is_connected,
-    mahler_root_product,
     spectral_system,
     tau_sequence,
     tree_count_chebyshev,
@@ -30,7 +29,7 @@ from bforest import (
     verify_square_structure,
 )
 from bforest.cli import run
-from tests.conftest import lift, random_connected_specs
+from tests.conftest import lift, mahler_root_product, random_connected_specs
 
 
 @st.composite

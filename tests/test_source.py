@@ -75,7 +75,8 @@ def test_no_private_names_from_counting(path):
 def test_source_stays_within_its_line_budget():
     # src/bforest stays at or under 2000 lines: a change that needs more
     # deletes code first
-    assert sum(len(path.read_text().splitlines()) for path in SOURCES) <= 2000
+    lines = {path.name: len(path.read_text().splitlines()) for path in SOURCES}
+    assert sum(lines.values()) <= 2000, lines
 
 
 PRISM = '{"n": 3, "alphas": [1], "betas": [1], "gammas": [0]}'
