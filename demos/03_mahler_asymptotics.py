@@ -9,6 +9,7 @@ exact counts.
 import math
 
 from bforest import (
+    IntPoly,
     convergence_report,
     growth_base,
     mahler_quadrature,
@@ -18,11 +19,12 @@ from bforest import (
 
 spec = validate_spec({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]})
 root = growth_base(spec)
-# the quadrature is the midpoint rule for the mean of log|K(2 cos theta)|, K the
-# prism's base in x = z + 1/z, on 2^20 points: its factor x - 2 in closed form,
-# 2 ln 2 / 2^20 (the 1.3e-6 it sits above the root product), and the smooth
-# rest from 2048 samples, where it has already converged
-quad = mahler_quadrature(spectral_system(spec).growth_poly)
+# the quadrature is the midpoint rule for the mean of log|K(2 cos theta)|, over
+# the prism's base x - 2 and its trace factor K, on 2^20 points: x - 2 in closed
+# form, 2 ln 2 / 2^20 (the 1.3e-6 it sits above the root product), and K by its
+# exact midpoint sum on 2048 points, a resultant against z^2048 + 1
+factors = [IntPoly([-2, 1]), *(k for k, _ in spectral_system(spec).trace_factors)]
+quad = mahler_quadrature(*factors)
 print(f"root-product measure: {root.value:.12f} (error bound {root.error_bound:.1e})")
 print(f"quadrature measure  : {quad.value:.12f} (error bound {quad.error_bound:.1e})")
 print(f"algebraic value     : {2 + math.sqrt(3):.12f} = 2 + sqrt(3)")

@@ -8,7 +8,7 @@ generating functions of the resulting integer sequences.
 
 The exact core imports only the standard library.  The float names (roots,
 Mahler measures, asymptotics, the Chebyshev check) live in ``mahler``,
-which this package imports, with mpmath and numpy, on first use of one.
+which this package imports, with mpmath, on first use of one.
 Each module's ``__all__`` is the one list of its public names; the package
 exports their union.
 """

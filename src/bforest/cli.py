@@ -31,6 +31,7 @@ from .genfun import (
 )
 from .graphs import ConnectionSpec, check_connectivity, order_row, validate_spec
 from .matrixtree import tree_count_oracle
+from .polynomials import IntPoly
 
 __all__ = ["main", "run"]
 
@@ -134,7 +135,7 @@ def _cmd_asymptotics(spec: ConnectionSpec, args) -> dict:
     from .mahler import _growth_report, mahler_quadrature  # the float layer, on first use
 
     system, root, rows = _growth_report(spec, _n_values(args, spec), args.precision)
-    quad = mahler_quadrature(system.growth_poly)
+    quad = mahler_quadrature(IntPoly([-2, 1]), *(k for k, _ in system.trace_factors))
     return {
         "measure": {
             "root_product": {"value": root.value, "error_bound": root.error_bound},

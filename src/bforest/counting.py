@@ -8,9 +8,7 @@ factors, cheap even for n in the tens of thousands.  Its float cross-check,
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,11 +53,6 @@ class SpectralSystem:
         reduced, q = self.trace_factors[-1][0], self.degeneracy
         if q <= 0 or reduced(2) != -q:
             raise DegenerateSystem(f"base K/(x - 2) is {reduced(2)} at x = 2, not -q for q = {q} > 0")
-
-    @property
-    def growth_poly(self) -> IntPoly:
-        """(x - 2) times the table's K, B or B F: its Mahler measure is the growth base."""
-        return functools.reduce(operator.mul, (k for k, _ in self.trace_factors), IntPoly([-2, 1]))
 
     @property
     def recurrence_bound(self) -> int:

@@ -1,7 +1,7 @@
 """The float layer: roots, Mahler measures and tree-count asymptotics.
 
-This is the one module that imports mpmath and numpy; the exact core needs
-only the standard library, and ``bforest`` loads this module on first use
+This is the one module that imports mpmath; the exact core needs only the
+standard library, and ``bforest`` loads this module on first use
 of one of its names.  ``roots_numeric`` finds the roots of a square-free
 integer polynomial, and ``trace_roots`` maps those of a system's trace
 factors to their outer z-roots.  ``tree_count_chebyshev`` folds the
@@ -14,8 +14,9 @@ root needs to be classified against the unit circle.  ``growth_base`` takes
 it from the outer roots of the trace factors, the same roots the Chebyshev
 cross-check uses: a pair (z, 1/z) contributes max(|z|, 1/|z|).
 ``mahler_quadrature`` is the independent check, the midpoint rule for the
-log-integral of |K(2 cos 2 pi t)| over the circle: the factors x -+ 2 in
-closed form, the rest on 2048 points wherever it has converged there.
+log-integral of |K(2 cos 2 pi t)| over the circle, per trace factor K and
+summed without sampling: the midpoints are the roots of z^N + 1, so each sum
+is a resultant, ``half_resultant(K, N, +1)``.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath
-import numpy as np
 
 from . import _FLOAT_NAMES
 from .counting import SpectralSystem, closed_count_formal, spectral_system
-from .errors import NonConvergence, ZeroPolynomial
+from .errors import InexactDivision, NonConvergence, ZeroPolynomial
 from .graphs import ConnectionSpec, order_row, require_connected
-from .polynomials import IntPoly, _cosine_coefficients, exact_divide, squarefree_layers
+from .polynomials import IntPoly, exact_divide, half_resultant, squarefree_layers
 
 __all__ = list(_FLOAT_NAMES)
 
@@ -146,54 +146,56 @@ def _trace_measure(sys: SpectralSystem, digits: int):
         return value, rel_error
 
 
-def _abs_on_circle(k: IntPoly, t: np.ndarray) -> np.ndarray:
-    """|K(2 cos 2 pi t)|, summed as eta_0 + sum_j 2 eta_j cos(2 pi j t)."""
-    eta = _cosine_coefficients(k) or [0]
-    total = np.full_like(t, float(eta[0]))
-    for j, c in enumerate(eta[1:], start=1):
-        total += 2.0 * c * np.cos(2 * np.pi * j * t)
-    return np.abs(total)
+def _midpoint_mean(k: IntPoly, n: int) -> float:
+    """Mean of log|K(2 cos 2 pi t)| over the n midpoints t = (j + 1/2) / n, n even.
+
+    They lift to the roots of z^n + 1, so the sum is log|Res(z^d K(z + 1/z),
+    z^n + 1)| = 2 log a, a = ``half_resultant(K, n, +1)[1]``.
+    """
+    a = half_resultant(k, n, 1)[1]
+    if a == 0:
+        raise NonConvergence(f"a root lies on a midpoint of the {n}-point grid")
+    return 2 * math.log(a) / n
 
 
-def _mean_log(k: IntPoly, n: int) -> float:
-    """Mean of log|K(2 cos 2 pi t)| over the n midpoints, leaving out exact zeros."""
-    values = _abs_on_circle(k, (np.arange(n) + 0.5) / n)
-    good = values > 1e-300
-    if not np.any(good):
-        raise NonConvergence("polynomial vanishes on the whole sample grid")
-    return float(np.sum(np.log(values[good])) / n)
-
-
-def mahler_quadrature(k: IntPoly, subdivisions: int = 1 << 20) -> MahlerEstimate:
+def mahler_quadrature(*factors: IntPoly, subdivisions: int = 1 << 20) -> MahlerEstimate:
     """exp of the midpoint rule for the mean of log|P| over the unit circle.
 
-    ``k`` is a trace polynomial: P(z) = K(z + 1/z), which is K(2 cos 2 pi t)
-    at z = exp(2 pi i t).  The rule runs on the largest grid 1024 * 2^j within
-    the cap; its difference from the grid of half the size, plus 4 / cap, is
-    the error bound.  Each factor x -+ 2, a double zero of P at z = +-1, is
-    divided off exactly: its mean log on an even grid of N midpoints is
-    2 ln 2 / N, as prod_j 2 sin(pi (j + 1/2) / N) = 2.  The rest converges
-    geometrically unless it has roots on the circle: if its means on 1024 and
-    2048 points agree to rounding, that is its mean on the top grid; if not,
-    the whole K is sampled on the top grid and its half.
+    P(z) is the product of the factors K(z + 1/z), which is K(2 cos 2 pi t) at
+    z = exp(2 pi i t).  The rule stands for the largest grid N = 1024 * 2^j
+    within the cap, and samples nothing.  The circle factors x -+ 2 and V_2^i
+    (x, x^2 - 2, ..., degree <= 256) are divided off: their lifted roots are
+    2^a-th roots of unity, a <= 10, so z^N = 1 and each degree adds 2 ln 2 / N.
+    Every other root of unity adds exactly 0 on these grids and roots off the
+    circle converge geometrically, so the rest's exact mean on 2048 points
+    (``_midpoint_mean``) stands for the top grid's.  The error bound is the top
+    grid's distance from its half, the rest's from 1024 to 2048 points, which
+    shows where it has not converged, and 4 / cap.
     """
     if subdivisions < 8:
         raise ValueError("need at least 8 subdivisions")
     if subdivisions < 2048:
         raise NonConvergence("subdivision cap too small for an error estimate")
     top = 1024 << ((subdivisions // 1024).bit_length() - 1)
-    rest, peeled = k, 0
-    for root in (2, -2):
-        while rest.degree > 0 and rest(root) == 0:
-            rest, peeled = exact_divide(rest, IntPoly([-root, 1])), peeled + 1
-    coarse, fine = _mean_log(rest, 1024), _mean_log(rest, 2048)
-    if abs(fine - coarse) <= 2.0**-52 * max(1.0, abs(fine)):
-        share = peeled * math.log(4) / top
-        last, prev = fine + share, fine + 2 * share
-    else:
-        last, prev = _mean_log(k, top), _mean_log(k, top // 2)
-    value = float(np.exp(last))
-    return MahlerEstimate(value, value * (abs(last - prev) + 4.0 / subdivisions))
+    coarse = fine = peeled = 0
+    for rest in factors:
+        if rest.is_zero:
+            raise NonConvergence("the zero polynomial vanishes on every grid")
+        circle, lucas = [IntPoly([-2, 1]), IntPoly([2, 1])], IntPoly([0, 1])
+        while lucas.degree <= min(rest.degree, 256):
+            circle, lucas = circle + [lucas], lucas * lucas - IntPoly([2])
+        for factor in circle:
+            while rest.degree >= factor.degree:
+                try:
+                    rest = exact_divide(rest, factor)
+                except InexactDivision:
+                    break
+                peeled += factor.degree
+        coarse += _midpoint_mean(rest, 1024)
+        fine += _midpoint_mean(rest, 2048)
+    share = peeled * math.log(4) / top
+    value = math.exp(fine + share)
+    return MahlerEstimate(value, value * (share + abs(fine - coarse) + 4.0 / subdivisions))
 
 
 def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:

@@ -124,19 +124,6 @@ def trace_polynomial(eta) -> IntPoly:
     return out
 
 
-def _cosine_coefficients(k: IntPoly) -> list[int]:
-    """[eta_0, ..., eta_d] with K(z + 1/z) = eta_0 + sum_j eta_j (z^j + z^-j).
-
-    The exact inverse of ``trace_polynomial``, from the binomial expansion
-    x^d = (z + 1/z)^d = sum_i C(d, i) z^(d - 2i); empty for the zero K.
-    """
-    eta = [0] * (k.degree + 1)
-    for d, c in enumerate(k.coeffs):
-        for i in range(d // 2 + 1):
-            eta[d - 2 * i] += c * math.comb(d, i)
-    return eta
-
-
 def _pseudo_mod(r: list[int], b) -> tuple[list[int], int]:
     """(R, k) with r = R / lc(b)^k (mod b) and deg R < deg b, over Z.
 

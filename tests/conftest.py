@@ -7,7 +7,6 @@ from collections import deque
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from bforest import (
@@ -22,12 +21,11 @@ from bforest import (
 from bforest.errors import (
     InexactDivision,
     InvariantViolation,
-    NonConvergence,
     NonIntegralResult,
     OrderExceeded,
     ZeroPolynomial,
 )
-from bforest.mahler import MahlerEstimate, _abs_on_circle, roots_numeric
+from bforest.mahler import MahlerEstimate, roots_numeric
 from bforest.polynomials import _mul_add, _pseudo_mod, squarefree_layers, squarefree_part
 
 
@@ -219,6 +217,19 @@ def chebyshev_T(n: int, x):
     return tm
 
 
+def _cosine_coefficients(k: IntPoly) -> list[int]:
+    """[eta_0, ..., eta_d] with K(z + 1/z) = eta_0 + sum_j eta_j (z^j + z^-j).
+
+    The exact inverse of ``trace_polynomial``, from the binomial expansion
+    x^d = (z + 1/z)^d = sum_i C(d, i) z^(d - 2i); empty for the zero K.
+    """
+    eta = [0] * (k.degree + 1)
+    for d, c in enumerate(k.coeffs):
+        for i in range(d // 2 + 1):
+            eta[d - 2 * i] += c * math.comb(d, i)
+    return eta
+
+
 def lift(k: IntPoly) -> IntPoly:
     """z^d K(z + 1/z) with d = deg K, a palindromic polynomial of degree 2d:
     a trace polynomial as a polynomial in z, for the z-domain oracles."""
@@ -274,30 +285,6 @@ def midpoint_mean_exact(k: IntPoly, n: int):
     with mpmath.workdps(40):
         total = sum(mpmath.log(abs(z**n + 1)) for z in _lift_roots(k))
         return mpmath.log(abs(k.lead)) + total / n
-
-
-def mahler_quadrature_two_grids(k: IntPoly, subdivisions: int = 1 << 20) -> MahlerEstimate:
-    """The quadrature as it sampled every K on the top grid and its half:
-    the reference its slow path must equal bit for bit."""
-    if subdivisions < 8:
-        raise ValueError("need at least 8 subdivisions")
-    if subdivisions < 2048:
-        raise NonConvergence("subdivision cap too small for an error estimate")
-    # the largest grid 1024 * 2^j within the cap, then its half, whose arrays
-    # are the smaller ones to hold next to the other grid's
-    top = 1024 << ((subdivisions // 1024).bit_length() - 1)
-    estimates = []
-    for n in (top, top // 2):
-        t = (np.arange(n) + 0.5) / n
-        values = _abs_on_circle(k, t)
-        good = values > 1e-300
-        if not np.any(good):
-            raise NonConvergence("polynomial vanishes on the whole sample grid")
-        estimates.append(float(np.sum(np.log(values[good])) / n))
-    last, prev = estimates
-    error = abs(last - prev)
-    value = float(np.exp(last))
-    return MahlerEstimate(value, value * (error + 4.0 / subdivisions))
 
 
 def cyclotomic_quotient(n: int):

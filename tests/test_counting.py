@@ -27,8 +27,7 @@ from bforest import (
     verify_square_structure,
 )
 from bforest.mahler import asymptotic_prediction
-from bforest.polynomials import _cosine_coefficients
-from tests.conftest import ZERO_BASE, base_and_family, lift, random_connected_specs
+from tests.conftest import ZERO_BASE, _cosine_coefficients, base_and_family, lift, random_connected_specs
 
 
 def test_prism_spectral_polynomials(family_specs):

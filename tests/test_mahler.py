@@ -23,7 +23,6 @@ from bforest import (
 from tests.conftest import (
     base_and_family,
     lift,
-    mahler_quadrature_two_grids,
     mahler_root_product,
     midpoint_mean_exact,
     random_connected_specs,
@@ -81,43 +80,43 @@ def test_quadrature_handles_vanishing_at_one():
     assert abs(est.value - (2 + math.sqrt(3))) < 1e-4
 
 
-# (value, error bound) of the prism's growth polynomial by subdivision cap,
-# re-recorded when x - 2 came to be summed in closed form and the rest on 2048
-# points: the midpoint rule on the top grid, to within 1e-15 of the exact sum
+# (value, error bound) of the prism's growth factors by subdivision cap,
+# re-recorded when every midpoint sum came to be a resultant: the midpoint rule
+# on the top grid, to within 2e-16 of the exact sum
 PRISM_QUADRATURE = {
-    2048: (3.7345778937187655, 0.009822038989306628),
-    3000: (3.7345778937187655, 0.0075073787322621835),
-    5000: (3.7333141368202596, 0.004250194360276761),
-    1 << 20: (3.7320557416169677, 1.917071418371316e-05),
+    2048: (3.7345778937187646, 0.009822038989307655),
+    3000: (3.7345778937187646, 0.007507378732263212),
+    5000: (3.7333141368202587, 0.004250194360278104),
+    1 << 20: (3.732055741616967, 1.9170714185071486e-05),
 }
 
 
 @pytest.mark.parametrize("subdivisions", sorted(PRISM_QUADRATURE))
 def test_quadrature_uses_the_top_two_grids_bit_identically(family_specs, subdivisions):
-    est = mahler_quadrature(spectral_system(family_specs[1]).growth_poly, subdivisions)
+    est = mahler_quadrature(*growth_of(family_specs[1]), subdivisions=subdivisions)
     assert (est.value, est.error_bound) == PRISM_QUADRATURE[subdivisions]
 
 
 def test_quadrature_of_a_high_degree_growth_polynomial_is_pinned():
-    # big-family4's growth polynomial has degree 24 in x, where the golden specs
-    # reach 2; (value, error bound) re-recorded when x - 2 came to be summed in
-    # closed form and the rest on 2048 points
+    # big-family4's growth factors have degree 24 in x, where the golden specs
+    # reach 2; (value, error bound) re-recorded when every midpoint sum came to
+    # be a resultant
     big = {"alphas": [1, 3, 5], "betas": [2, 7], "gammas": [0, 1, 4]}
     spec = validate_spec({**big, "n": 16, "half_r": True, "half_t": True})
-    growth = spectral_system(spec).growth_poly
-    assert growth.degree == 24
-    est = mahler_quadrature(growth)
-    assert (est.value, est.error_bound) == (4331.8495403347615, 0.022251717331589576)
+    factors = growth_of(spec)
+    assert sum(k.degree for k in factors) == 24
+    est = mahler_quadrature(*factors)
+    assert (est.value, est.error_bound) == (4331.84954033477, 0.022251717331242524)
 
 
 def test_quadrature_needs_two_grids_and_a_nonzero_polynomial():
     with pytest.raises(ValueError):
-        mahler_quadrature(IntPoly([-1, -1, 1]), 7)
+        mahler_quadrature(IntPoly([-1, -1, 1]), subdivisions=7)
     for cap in (8, 1024, 2047):
         with pytest.raises(NonConvergence):
-            mahler_quadrature(IntPoly([-1, -1, 1]), cap)
+            mahler_quadrature(IntPoly([-1, -1, 1]), subdivisions=cap)
     with pytest.raises(NonConvergence):
-        mahler_quadrature(IntPoly(), 4096)
+        mahler_quadrature(IntPoly(), subdivisions=4096)
 
 
 BIG = {"alphas": [1, 3, 5], "betas": [2, 7], "gammas": [0, 1, 4]}
@@ -132,20 +131,21 @@ NAMED_GROWTH = {
 }
 TWO_SPOKE = {"n": 4, "alphas": [1], "betas": [1], "gammas": [0, 1], "half_r": True, "half_t": True}
 ROOTS_AT_MINUS_ONE = {"n": 7, "alphas": [3], "betas": [3], "gammas": [0, 3]}  # trace roots x = -1
-# the indices of random_specs() whose growth polynomial, x -+ 2 divided off,
-# has means on 1024 and 2048 points more than 2^-52 max(1, |mean|) apart: 58,
-# 125, 160, 163, 190 and 268 have trace roots on the circle, 4, 54 and 260
-# differ by 2-4 units in the last place of the float sums
+# the indices of random_specs() that a sampled quadrature sent to 2^20 points:
+# 58, 125, 160, 163, 190 and 268 have trace roots on the circle, and in 4, 54
+# and 260 float sums on 1024 and 2048 points differed in the last place
 SLOW_INDICES = (4, 54, 58, 125, 160, 163, 190, 260, 268)
-_mean_log = bforest.mahler._mean_log
+_midpoint_mean = bforest.mahler._midpoint_mean
 
 
 def random_specs():
     return random_connected_specs(300, seed=7, n_max=16, r_max=3, t_max=3, s_max=3)
 
 
-def growth_of(spec) -> IntPoly:
-    return spectral_system(validate_spec(spec) if isinstance(spec, dict) else spec).growth_poly
+def growth_of(spec) -> tuple[IntPoly, ...]:
+    """x - 2 and the table's K: the factors whose product has the growth base as its measure."""
+    sys = spectral_system(validate_spec(spec) if isinstance(spec, dict) else spec)
+    return (IntPoly([-2, 1]), *(k for k, _ in sys.trace_factors))
 
 
 @pytest.fixture
@@ -155,17 +155,18 @@ def grids(monkeypatch):
 
     def recording(k, n):
         sizes.append(n)
-        return _mean_log(k, n)
+        return _midpoint_mean(k, n)
 
-    monkeypatch.setattr(bforest.mahler, "_mean_log", recording)
+    monkeypatch.setattr(bforest.mahler, "_midpoint_mean", recording)
     return sizes
 
 
-def assert_exact_midpoint_rule(k: IntPoly, cap: int):
+def assert_exact_midpoint_rule(factors, cap: int):
     # value and bound from the exact sums on the top grid and its half
     top = 1024 << ((cap // 1024).bit_length() - 1)
-    last, prev = midpoint_mean_exact(k, top), midpoint_mean_exact(k, top // 2)
-    est = mahler_quadrature(k, cap)
+    with mpmath.workdps(40):
+        last, prev = (sum(midpoint_mean_exact(k, n) for k in factors) for n in (top, top // 2))
+    est = mahler_quadrature(*factors, subdivisions=cap)
     assert est.value == pytest.approx(float(mpmath.exp(last)), rel=1e-14, abs=0)
     bound = est.value * (float(abs(last - prev)) + 4 / cap)
     assert est.error_bound == pytest.approx(bound, rel=1e-9, abs=0)
@@ -179,26 +180,28 @@ def test_quadrature_is_the_exact_midpoint_sum_on_the_top_grid(grids, name, cap):
 
 
 def test_quadrature_of_random_specs_is_the_exact_midpoint_sum(grids):
-    # the first 40 random specs but the slow one, which the next test takes
-    for index, spec in enumerate(random_specs()[:40]):
-        if index not in SLOW_INDICES:
-            for cap in (2048, 5000, 1 << 20):
-                assert_exact_midpoint_rule(growth_of(spec), cap)
-            assert max(grids) <= 2048, spec
+    for spec in random_specs()[:40]:
+        for cap in (2048, 5000, 1 << 20):
+            assert_exact_midpoint_rule(growth_of(spec), cap)
+        assert max(grids) <= 2048, spec
 
 
 @pytest.mark.parametrize("index", [None, *SLOW_INDICES])
 def test_slow_path_is_the_two_grid_recipe_bit_for_bit(grids, index):
+    # the specs of the former 2^20-point path now take the one path, the
+    # exact sums on 1024 and 2048 points per factor, at every cap
     spec = ROOTS_AT_MINUS_ONE if index is None else random_specs()[index]
-    k = growth_of(spec)
-    assert mahler_quadrature(k) == mahler_quadrature_two_grids(k)
-    assert grids == [1024, 2048, 1 << 20, 1 << 19]
+    factors = growth_of(spec)
+    for cap in (2048, 5000, 1 << 20):
+        assert_exact_midpoint_rule(factors, cap)
+    assert grids == [1024, 2048] * (3 * len(factors))
 
 
 @pytest.mark.parametrize("spec", [NAMED_GROWTH["prism"], TWO_SPOKE, NAMED_GROWTH["big-family4"]])
 def test_quadrature_samples_at_most_2048_points_where_the_rest_converges(grids, spec):
-    mahler_quadrature(growth_of(spec))
-    assert grids == [1024, 2048]
+    factors = growth_of(spec)
+    mahler_quadrature(*factors)
+    assert grids == [1024, 2048] * len(factors)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_GROWTH))
@@ -206,7 +209,7 @@ def test_quadrature_holds_the_growth_base_within_its_bound(name):
     # the bound carries the x - 2 factor's 2 ln 2 / 2^20, the quadrature's
     # whole distance from the measure where the rest has converged
     spec = validate_spec(NAMED_GROWTH[name])
-    quad, root = mahler_quadrature(growth_of(spec)), growth_base(spec)
+    quad, root = mahler_quadrature(*growth_of(spec)), growth_base(spec)
     assert abs(quad.value - root.value) <= quad.error_bound
 
 

@@ -20,12 +20,12 @@ from bforest import polynomials
 from bforest.errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPolynomial
 from bforest.polynomials import (
     _chebyshev_u_mod,
-    _cosine_coefficients,
     half_resultant,
     squarefree_layers,
     trace_polynomial,
 )
 from tests.conftest import (
+    _cosine_coefficients,
     abs_resultant_with_power,
     chebyshev_T,
     cyclotomic_quotient,

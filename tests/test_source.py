@@ -8,16 +8,23 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
 from bforest import cli
 
-SRC = pathlib.Path(__file__).parent.parent / "src"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "bforest").glob("*.py"))
-RUNTIME = {"numpy", "mpmath"}  # the [project] dependencies of pyproject.toml
+# the distribution names of the [project] dependencies, e.g. "mpmath>=1.3" -> mpmath
+RUNTIME = {
+    re.match(r"[\w.-]+", dep).group()
+    for dep in tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+}
 FLOAT_LAYER = "mahler.py"  # the one module that imports them
 
 
@@ -43,8 +50,8 @@ def _imports(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_are_stdlib_or_runtime_dependencies(path):
-    # the exact core imports only the stdlib; mpmath and numpy enter through
-    # the float layer alone
+    # the exact core imports only the stdlib; the runtime dependencies enter
+    # through the float layer alone
     allowed = set(sys.stdlib_module_names) | (RUNTIME if path.name == FLOAT_LAYER else set())
     assert [name for name in _imports(path) if name not in allowed] == []
 
@@ -98,15 +105,20 @@ print(json.dumps([outputs, loaded, bforest.growth_base.__module__]))
 """
 
 
-def test_exact_paths_load_neither_mpmath_nor_numpy_under_O():
-    # -O strips asserts: the exact answers must not depend on them either
+def _python(*args):
+    """A fresh interpreter on this checkout's sources: its parsed JSON stdout."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
-        [sys.executable, "-O", "-c", EXACT_RUN], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    outputs, loaded, home = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_exact_paths_load_neither_mpmath_nor_numpy_under_O():
+    # -O strips asserts: the exact answers must not depend on them either
+    outputs, loaded, home = _python("-O", "-c", EXACT_RUN)
     assert loaded == []
     assert home == "bforest.mahler"
     expected = []
@@ -118,3 +130,21 @@ def test_exact_paths_load_neither_mpmath_nor_numpy_under_O():
     assert outputs == expected
     assert json.loads(outputs[0][1])["rows"] == [{"n": 3, "tau": 75}]
     assert json.loads(outputs[1][1])["all_equal"] is True
+
+
+# prints, as JSON: the exit codes of the float commands on the prism and
+# whether numpy and mpmath are loaded by then
+FLOAT_RUN = f"""
+import contextlib, io, json, sys
+from bforest import cli
+codes = []
+for command in ["asymptotics", "report"]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run([command, "--spec", {PRISM!r}]))
+print(json.dumps([codes, "numpy" in sys.modules, "mpmath" in sys.modules]))
+"""
+
+
+def test_float_paths_load_mpmath_but_not_numpy():
+    # the quadrature sums exactly, so the float layer needs mpmath alone
+    assert _python("-c", FLOAT_RUN) == [[0, 0], False, True]
