@@ -14,12 +14,13 @@ from fractions import Fraction
 
 from .errors import DegenerateSystem, HalfWithoutEvenN, NonIntegralResult, OutOfRange
 from .graphs import ConnectionSpec, require_connected
-from .polynomials import IntPoly, exact_divide, half_resultant, trace_polynomial
+from .polynomials import IntPoly, exact_divide, half_resultant, half_resultants, trace_polynomial
 
 __all__ = [
     "SpectralSystem",
     "TreeCount",
     "closed_count_formal",
+    "closed_counts",
     "spectral_system",
     "tree_count_closed",
 ]
@@ -119,16 +120,18 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
         half_r, half_t = IntPoly([2 * spec.half_r]), IntPoly([2 * spec.half_t])
         table.insert(0, ((right + half_r) * (left + half_t) - gram, 1))
 
-    q = (
-        s * sum(a * a for a in spec.alphas)
-        + s * sum(b * b for b in spec.betas)
-        + sum(
-            (spec.gammas[i] - spec.gammas[j]) ** 2
-            for j in range(s)
-            for i in range(j + 1, s)
-        )
-    )
+    spread = sum((gl - gk) ** 2 for i, gl in enumerate(spec.gammas) for gk in spec.gammas[:i])
+    q = s * sum(v * v for v in (*spec.alphas, *spec.betas)) + spread
     return SpectralSystem(s, q, stride, tuple(table))
+
+
+def _fold(prefactor: Fraction, parts) -> TreeCount:
+    """prefactor * prod |fixed| * (prod a)^2 over the (fixed, a) of each trace factor."""
+    fixed, witness = math.prod(abs(f) for f, _ in parts), math.prod(a for _, a in parts)
+    tau, rem = divmod(prefactor.numerator * fixed * witness**2, prefactor.denominator)
+    if rem:
+        raise NonIntegralResult(f"closed-form count is not an integer: remainder {rem}")
+    return TreeCount(tau)
 
 
 def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
@@ -139,12 +142,13 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     the counting formula itself, which generating-function work needs for small n.
     """
     m, prefactor = sys.order(n)
-    parts = [half_resultant(k, m, c) for k, c in sys.trace_factors]
-    fixed, witness = math.prod(abs(f) for f, _ in parts), math.prod(a for _, a in parts)
-    tau, rem = divmod(prefactor.numerator * fixed * witness**2, prefactor.denominator)
-    if rem:
-        raise NonIntegralResult(f"closed-form count is not an integer: remainder {rem}")
-    return TreeCount(tau)
+    return _fold(prefactor, [half_resultant(k, m, c) for k, c in sys.trace_factors])
+
+
+def closed_counts(sys: SpectralSystem, count: int) -> list[TreeCount]:
+    """``closed_count_formal(sys, stride * m)`` for m = 1..count, one sweep per trace factor."""
+    columns = zip(*(half_resultants(k, c, count) for k, c in sys.trace_factors))
+    return [_fold(sys.order(sys.stride * m)[1], parts) for m, parts in enumerate(columns, 1)]
 
 
 def tree_count_closed(spec: ConnectionSpec) -> TreeCount:

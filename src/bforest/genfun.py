@@ -4,9 +4,9 @@ The tree counts of a fixed connection pattern, indexed by the group order,
 satisfy a linear recurrence; the generating function is therefore rational
 with integer coefficients and obeys an x <-> 1/x symmetry after rescaling
 by the leading spectral coefficients.  The recurrence is recovered exactly
-by Berlekamp-Massey modulo word-size primes, combined by CRT and rational
-reconstruction, and certified on held-out terms; an order over the cap
-modulo one prime is refused at once.
+by Berlekamp-Massey modulo word-size primes, combined by CRT and
+maximal-quotient rational reconstruction, and certified by its exact fit
+to every term; an order over the cap modulo one prime is refused at once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import closed_count_formal, spectral_system
+from .counting import closed_counts, spectral_system
 from .errors import InvariantViolation, NonMonicDenominator, OrderExceeded
 from .graphs import ConnectionSpec
 from .polynomials import IntPoly
@@ -66,16 +66,14 @@ class RationalGF:
 
 
 def tau_sequence(spec: ConnectionSpec, count: int) -> TauSequence:
-    """First ``count`` terms of the formal tree-count sequence.
+    """First ``count`` terms of the formal tree-count sequence, by ``closed_counts``.
 
     Terms are values of the closed counting formula, which is defined for
     every n >= 1 even when the literal graph at that order would degenerate.
     """
     if count < 1:
         raise ValueError("need at least one term")
-    sys = spectral_system(spec)
-    terms = (closed_count_formal(sys, sys.stride * k).tau for k in range(1, count + 1))
-    return TauSequence(spec.family, tuple(terms))
+    return TauSequence(spec.family, tuple(t.tau for t in closed_counts(spectral_system(spec), count)))
 
 
 _PRIMES: list[int] = []  # the primes below 2^62, descending, found on first use
@@ -119,15 +117,18 @@ def _massey(terms: list[int], p: int) -> tuple[int, list[int]]:
 
 
 def _rational(r: int, m: int) -> tuple[int, int] | None:
-    """(a, b) with a = b r (mod m), b > 0 and |a|, b <= sqrt(m/2), if one
-    exists: rational reconstruction by the half extended Euclid."""
-    bound, r0, r1, t0, t1 = math.isqrt(m // 2), m, r, 0, 1
-    while r1 > bound:
+    """(a, b) with a = b r (mod m), b > 0, gcd(a, b) = 1: the convergent of the
+    half extended Euclid before its largest partial quotient q > 2^20, if any;
+    q ~ m / (|a| b), so |a| b may reach m / 2^21 (Monagan, ISSAC 2004)."""
+    best, top, r0, r1, t0, t1 = None if r else (0, 1), 2**20, m, r, 0, 1
+    while r1 and r0 > top:
         q = r0 // r1
+        if q > top:
+            best, top = (r1, t1), q
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+    if best is None or math.gcd(*best) != 1:
         return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
+    return best if best[1] > 0 else (-best[0], -best[1])
 
 
 def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
@@ -136,10 +137,11 @@ def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
 
     Rational terms are scaled by one common denominator.  The primes that
     agree on the order L_p of the terms mod p pool their connection
-    polynomials, and each coefficient is rebuilt by rational reconstruction
-    until one more prime leaves it unchanged; a prime that disagrees is
-    outvoted.  Returns integer coefficients e0..eL (content-free, e0 > 0),
-    checked to give sum_i e_i a(n-i) = 0 at every index the sequence supplies.
+    polynomials, and the first rebuild (``_rational``) that fits all N >= 2L + 1
+    terms is returned; a prime that disagrees is outvoted.  The fit certifies
+    it: it is a multiple of the minimal recurrence over Q, which Gauss's lemma
+    makes p-integral too, so of order L_Q >= L_p, and the two are equal.
+    Returns integer coefficients e0..eL (content-free, e0 > 0).
 
     Raises :class:`OrderExceeded` if one L_p exceeds ``max_order``, or two
     agree on an order too large to certify from the given terms.  An integer
@@ -156,25 +158,26 @@ def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
     # of them, so the run below holds enough good primes to settle on C
     size = min(max_order, len(terms)) + 1
     bits = size * (max(map(abs, terms), default=1).bit_length() + size.bit_length())
-    runs: dict[int, tuple] = {}  # L_p -> (modulus, CRT residues, reconstruction)
+    runs: dict[int, tuple] = {}  # L_p -> (modulus, CRT residues)
     for k in range(3 + 4 * bits // 61):
         p = _prime(k)
         order, conn = _massey(terms, p)
         if order > max_order:
             raise OrderExceeded(f"recurrence order L_p = {order} modulo p = {p} exceeds cap {max_order}")
-        modulus, residues, last = runs.get(order, (1, [0] * (order + 1), None))
+        modulus, residues = runs.get(order, (1, [0] * (order + 1)))
         if modulus > 1 and 2 * order + 2 > len(terms) + 1:
             raise OrderExceeded(f"two primes give order L_p = {order}, more than {len(terms)} terms certify")
         inverse = pow(modulus, -1, p)
         residues = [r + modulus * ((c - r) * inverse % p) for r, c in zip(residues, conn)]
         modulus *= p
-        runs[order] = modulus, residues, [_rational(r, modulus) for r in residues]
-        if runs[order][2] != last or None in last:
+        runs[order] = modulus, residues
+        rebuilt = [_rational(r, modulus) for r in residues]
+        if None in rebuilt or 2 * order + 2 > len(terms) + 1:
             continue
         # each a/b is in lowest terms and C[0] = 1, so the lcm of the b leaves
         # e0 > 0 and no content
-        scale = math.lcm(*(b for _, b in last))
-        recurrence = tuple(a * (scale // b) for a, b in last)
+        scale = math.lcm(*(b for _, b in rebuilt))
+        recurrence = tuple(a * (scale // b) for a, b in rebuilt)
         if all(sum(map(operator.mul, recurrence, terms[i::-1])) == 0 for i in range(order, len(terms))):
             return recurrence
     raise InvariantViolation(f"Berlekamp-Massey modulo {k + 1} primes found no recurrence that fits")

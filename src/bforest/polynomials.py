@@ -12,8 +12,9 @@ trace polynomial K of the same degree (``trace_polynomial``); x -> z + 1/z
 is a ring map, so P's sums and products are formed on K.  The exact count's
 resultants against z^m + c run over the roots x of K as a fixed factor
 times a square, one resultant of K against Chebyshev U_k mod K with half
-the bits (``half_resultant``).  ``squarefree_layers`` splits K for the
-float layer, ``mahler``, which finds the roots themselves.
+the bits (``half_resultant``; ``half_resultants`` sweeps a run of orders).
+``squarefree_layers`` splits K for the float layer, ``mahler``, which finds
+the roots themselves.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "trace_polynomial",
     "resultant",
     "half_resultant",
+    "half_resultants",
     "fixed_part",
     "exact_divide",
     "squarefree_part",
@@ -232,6 +234,21 @@ def fixed_part(k: IntPoly, m: int, c: int) -> int:
     return (k(2) if c < 0 else 1) * (k(-2) if c * (-1) ** m < 0 else 1)
 
 
+def _half_tail(f: IntPoly, m: int, c: int, a: list[int], b: list[int], e: int) -> tuple[int, int]:
+    """``half_resultant(f, m, c)`` from (U_k-1, U_k) = (a, b) / lc^e (mod f), k = m // 2."""
+    fixed, degree, lead = fixed_part(f, m, c), (m - (c < 0)) // 2, abs(f.lead)
+    if f.degree == 0:  # no roots: |lc f|^m = |fixed| Res(f, P)^2
+        return fixed, lead**degree
+    if m % 2:
+        p = _mul_add([-c], a, b)
+    else:
+        p = list(a) if c < 0 else _mul_add([0, -1], a, [2 * y for y in b])
+    r, kp = _pseudo_mod(p, f.coeffs)
+    shift = degree - (len(r) - 1) - (e + kp) * f.degree
+    root = abs(resultant(f, IntPoly(r))) * lead ** max(shift, 0) if r else 0
+    return fixed, _divide(root, lead ** max(-shift, 0), f"Res(f, P) for z^{m} {c:+d}")
+
+
 def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
     """(fixed, a) with |Res(F, z^m + c)| = |fixed| a^2, a = |Res(f, P)| of half the bits.
 
@@ -243,21 +260,22 @@ def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
     P is monic of degree (m - w) / 2, w the fixed degree (1 at odd m; 2 or 0
     at even m as c = -1 or +1), so lc(f) cancels: ``fixed`` is
     ``fixed_part(f, m, c)``.  With P = R / lc^e (mod f),
-    a = |Res(f, R)| |lc f|^(deg P - deg R - e d).
+    a = |Res(f, R)| |lc f|^(deg P - deg R - e d).  U_k comes by doubling.
     """
-    k, odd = divmod(m, 2)
-    fixed, degree, lead = fixed_part(f, m, c), (m - (c < 0)) // 2, abs(f.lead)
-    if f.degree == 0:  # no roots: |lc f|^m = |fixed| Res(f, P)^2
-        return fixed, lead**degree
-    a, b, e = _chebyshev_u_mod(f, k)
-    if c < 0:
-        p = _mul_add([1], a, b) if odd else a
-    else:
-        p = _mul_add([-1], a, b) if odd else _mul_add([0, -1], a, [2 * y for y in b])
-    r, kp = _pseudo_mod(p, f.coeffs)
-    shift = degree - (len(r) - 1) - (e + kp) * f.degree
-    root = abs(resultant(f, IntPoly(r))) * lead ** max(shift, 0) if r else 0
-    return fixed, _divide(root, lead ** max(-shift, 0), f"Res(f, P) for z^{m} {c:+d}")
+    pair = _chebyshev_u_mod(f, m // 2) if f.degree else ([], [], 0)  # a constant f needs none
+    return _half_tail(f, m, c, *pair)
+
+
+def half_resultants(f: IntPoly, c: int, count: int) -> list[tuple[int, int]]:
+    """``half_resultant(f, m, c)`` for m = 1..count: (U_k-1, U_k) steps by U_k+1 =
+    x U_k - U_k-1 mod f, the older one scaled by the lc^j of that step's reduction."""
+    lead, out, a, b, e = f.lead, [], [], [1], 0  # U_-1, U_0 over lc^e
+    for m in range(1, count + 1):
+        if m % 2 == 0:  # k = m // 2 moves up by one
+            r, j = _pseudo_mod(_mul_add([0, 1], b, [-y for y in a]), f.coeffs)
+            a, b, e = [y * lead**j for y in b], r, e + j
+        out.append(_half_tail(f, m, c, a, b, e))
+    return out
 
 
 def exact_divide(f: IntPoly, g: IntPoly) -> IntPoly:

@@ -1,5 +1,6 @@
 """Recurrence discovery, rational generating functions and their symmetry."""
 
+import importlib
 import os
 import pathlib
 import subprocess
@@ -13,6 +14,7 @@ from bforest import (
     NonMonicDenominator,
     OrderExceeded,
     RationalGF,
+    closed_count_formal,
     expand_series,
     find_recurrence,
     genfun,
@@ -23,7 +25,7 @@ from bforest import (
     validate_spec,
     verify_symmetry,
 )
-from bforest.genfun import _massey, _prime
+from bforest.genfun import _massey, _prime, _rational
 from tests.conftest import find_recurrence_fractions, find_recurrence_integers, random_connected_specs
 
 
@@ -117,6 +119,43 @@ def test_modular_recurrence_matches_both_oracles_on_random_specs():
             assert recurrence == expected == find_recurrence_integers(values), spec
             checked += 1
     assert checked == 15
+
+
+TWO_SPOKE = {"n": 4, "alphas": [1], "betas": [1], "gammas": [0, 1], "half_r": True, "half_t": True}
+
+
+def test_two_primes_settle_the_two_spoke_recurrence(monkeypatch):
+    # its 97-bit coefficients need four primes under the balanced bound
+    # sqrt(M / 2) and a fifth to see the rebuild stay; the largest quotient
+    # finds them in two, and the fit on every term certifies them
+    seq = tau_sequence(validate_spec(TWO_SPOKE), 130)
+    module, primes = importlib.import_module("bforest.genfun"), []
+    monkeypatch.setattr(module, "_massey", lambda terms, p: primes.append(p) or _massey(terms, p))
+    recurrence = find_recurrence(seq, max_order=64)
+    assert len(primes) <= 2
+    assert len(recurrence) == 55
+    assert max(abs(e) for e in recurrence).bit_length() > 90
+    assert recurrence == find_recurrence_integers(seq.values)
+
+
+def test_rational_reconstruction_takes_the_largest_quotient():
+    # |a| > sqrt(m / 2), past the balanced bound, but |a| b is 2^30 below m
+    m = _prime(0) * _prime(1)
+    for a, b in [(5**39, 3), (-(7**25), 2**20 + 1), (5, 1), (0, 1), (-1, 1)]:
+        assert _rational(a * pow(b, -1, m) % m, m) == (a, b)
+    # no quotient stands out in a residue of m's size with no small a/b
+    assert _rational(3**77 % m, m) is None
+
+
+def test_tau_sequence_is_the_closed_count_at_every_order():
+    # lead -3: the sweep's pseudo-remainders carry powers of lc K the
+    # doubling does not, over 300 orders
+    lead = validate_spec({"n": 20, "alphas": [], "betas": [4, 5, 6], "gammas": [3, 9]})
+    specs = random_connected_specs(40, seed=11, n_max=14, r_max=2, t_max=2, s_max=3)
+    for spec, count in [(spec, 40) for spec in specs] + [(lead, 300)]:
+        system = spectral_system(spec)
+        expected = tuple(closed_count_formal(system, system.stride * k).tau for k in range(1, count + 1))
+        assert tau_sequence(spec, count).values == expected, spec
 
 
 def test_import_finds_no_primes():

@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bforest import (
@@ -21,6 +21,7 @@ from bforest.errors import InexactDivision, NonConvergence, NonIntegralResult, Z
 from bforest.polynomials import (
     _chebyshev_u_mod,
     half_resultant,
+    half_resultants,
     squarefree_layers,
     trace_polynomial,
 )
@@ -235,6 +236,19 @@ def test_half_resultant_at_every_small_order(coeffs):
         for c in (-1, 1):
             fixed, root = half_resultant(k, m, c)
             assert abs(fixed) * root**2 == abs_resultant_with_power(k, m, c), (m, c)
+
+
+@given(trace_polys, st.sampled_from([-1, 1]))
+@example(IntPoly([-3]), -1)
+@example(IntPoly([-3]), 1)
+@example(IntPoly([1, 1, 3]), -1)
+@settings(max_examples=60, deadline=None)
+def test_half_resultants_sweep_what_half_resultant_doubles_to(k, c):
+    # stepping U_k+1 = x U_k - U_k-1 keeps another power of lc K than the
+    # doubling, but every order's answer is the same integer pair
+    swept = half_resultants(k, c, 40)
+    for m in range(1, 41):
+        assert swept[m - 1] == half_resultant(k, m, c), m
 
 
 def test_half_resultant_rejects_a_witness_lc_does_not_divide(monkeypatch):
