@@ -1,39 +1,29 @@
-"""Exact spanning-tree oracle: Laplacian cofactor via sparse fraction-free elimination.
+"""Exact spanning-tree oracle: Laplacian cofactor via symmetric fraction-free elimination.
 
 The oracle reads the graph as neighbour lists (:func:`graphs.realize`) and
-orders the vertices by reverse Cuthill-McKee (Cuthill & McKee 1969; George &
-Liu, *Computer Solution of Large Sparse Positive Definite Systems*, 1981),
-which keeps the fill-in of elimination inside a narrow envelope, of constant
-width for a bicirculant graph.  Bareiss elimination then runs over each
-row's nonzeros.  All arithmetic uses Python's arbitrary-precision integers,
-so tree counts are bit-exact no matter how fast they grow.  Nothing here
-shares code with the spectral count.
+orders the vertices by reverse Cuthill-McKee from a pseudo-peripheral vertex
+(Cuthill & McKee 1969; George & Liu, *Computer Solution of Large Sparse
+Positive Definite Systems*, 1981), which keeps the fill-in inside a narrow
+envelope, of constant width for a bicirculant graph.  Bareiss elimination
+then runs over the nonzeros of the reduced Laplacian's upper triangle.  All
+arithmetic uses Python's arbitrary-precision integers, so tree counts are
+bit-exact no matter how fast they grow.  Nothing here shares code with the
+spectral count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from .errors import InexactDivision, InvariantViolation, OutOfRange
 from .graphs import ConnectionSpec, realize
 
-__all__ = ["det_fraction_free", "tree_count_oracle"]
+__all__ = ["tree_count_oracle"]
 
 # Largest graph the oracle takes (n = 400), a bound on time: the neighbour
 # lists take O(n * degree) memory, but the cost of elimination grows with the
 # envelope.  In reverse Cuthill-McKee order it stays banded: at V = 800 the
-# prism takes 0.034 s and family 4 0.028 s on one Xeon core, the big spec
-# (bandwidth 29, not 5-10) 3.1 s.
+# prism takes 0.025-0.045 s and family 4 0.02-0.04 s on one Xeon core, the
+# big spec (bandwidth 29, not 5-10) 1.8-3.0 s, as the host's speed drifts.
 MAX_ORACLE_VERTICES = 800
-
-
-def _nonzeros(row, size: int) -> dict[int, int]:
-    """{column: value} of a dense row of length ``size`` or of a mapping."""
-    dense = not isinstance(row, Mapping)
-    entries = {int(j): int(x) for j, x in (enumerate(row) if dense else row.items()) if x}
-    if (dense and len(row) != size) or any(not 0 <= j < size for j in entries):
-        raise ValueError("determinant needs a square matrix")
-    return entries
 
 
 def _divide(numerator: int, divisor: int) -> int:
@@ -43,89 +33,96 @@ def _divide(numerator: int, divisor: int) -> int:
     return quot
 
 
-def det_fraction_free(matrix) -> int:
-    """Exact determinant by Bareiss one-step fraction-free elimination over nonzeros.
+def _det_semidefinite(rows: list[dict[int, int]]) -> int:
+    """Exact determinant of a symmetric positive semidefinite integer matrix,
+    given as its upper triangle: ``rows[i]`` is {j: a_ij} over the nonzeros
+    with j >= i.  The rows are consumed.
 
-    ``matrix`` is a list of ``len(matrix)`` rows, each a dense sequence or a
-    mapping {column: value}.  Rows are kept as their nonzeros, and step k
-    touches only the rows with a nonzero in column k; the first of them is
-    the pivot row (a swap flips the sign, none means det 0).  A row that step
-    k skips would only be scaled by pivot_k / pivot_(k-1).  Instead it keeps
+    Bareiss one-step fraction-free elimination (Bareiss, *Math. Comp.* 22,
+    1968) keeps every intermediate matrix symmetric, and its pivots are the
+    leading principal minors, never negative.  So no pivot needs a swap, and
+    step k updates only the rows i in ``rows[k]``, each on its columns j >= i,
+    with the lead a_ik = a_ki read off the pivot row.  A row that step k
+    skips would only be scaled by pivot_k / pivot_(k-1).  Instead it keeps
     its stamp s, the step after its last update, and takes all the skipped
     scalings at once, pivot_(k-1) / pivot_(s-1), when next touched; below
     the pivot that scaling folds into the update, whose divisor becomes
-    pivot_(s-1).  Every entry is an integer minor (Sylvester's identity), so
-    every division is exact: checked, not trusted.
+    pivot_(s-1), and whose lead is the stale one, a_ki pivot_(s-1) /
+    pivot_(k-1).  Every entry is an integer minor (Sylvester's identity), so
+    every division is exact: checked, not trusted.  A zero pivot means det 0,
+    as semidefiniteness forces the rest of its row to vanish; a nonzero rest
+    or a negative pivot raises :class:`InvariantViolation`.
     """
-    size = len(matrix)
-    rows = [_nonzeros(row, size) for row in matrix]
-    # holders[j]: positions >= k of the rows with a nonzero in column j
-    holders = [set() for _ in range(size)]
-    for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
     # pivots[s] = pivot of step s - 1, the divisor for a row with stamp s
     pivots = [1]
-    stamp = [0] * size
-    sign = 1
-    for k in range(size):
-        top = min(holders[k], default=None)
-        if top is None:
-            return 0
-        if top != k:
-            # a column held by one of the two rows changes position, one held
-            # by both is toggled twice
-            for i in (k, top):
-                for j in rows[i]:
-                    holders[j] ^= {k, top}
-            rows[k], rows[top] = rows[top], rows[k]
-            stamp[k], stamp[top] = stamp[top], stamp[k]
-            sign = -sign
-        pivot_row = rows[k]
-        for j in pivot_row:
-            holders[j].discard(k)
+    stamp = [0] * len(rows)
+    for k, pivot_row in enumerate(rows):
         if stamp[k] < k:
             scale, divisor = pivots[k], pivots[stamp[k]]
             for j, x in pivot_row.items():
                 pivot_row[j] = _divide(x * scale, divisor)
-        pivot = pivot_row.pop(k)
-        for i in holders[k]:
-            row = rows[i]
-            divisor = pivots[stamp[i]]
-            lead = row.pop(k)
+        pivot = pivot_row.pop(k, 0)
+        if pivot <= 0:
+            if pivot or pivot_row:
+                raise InvariantViolation("elimination met a matrix that is not positive semidefinite")
+            return 0
+        tail = sorted(pivot_row.items())
+        for at, (i, lead) in enumerate(tail):
+            row, divisor = rows[i], pivots[stamp[i]]
+            if stamp[i] < k:
+                lead = _divide(lead * divisor, pivots[k])
             for j in row:
                 row[j] *= pivot
-            for j, x in pivot_row.items():
-                if j in row:
-                    row[j] -= lead * x
-                else:
-                    row[j] = -lead * x
-                    holders[j].add(i)
+            for j, x in tail[at:]:
+                row[j] = row.get(j, 0) - lead * x
             for j, x in list(row.items()):
                 if x:
                     row[j] = _divide(x, divisor)
                 else:
                     del row[j]
-                    holders[j].discard(i)
             stamp[i] = k + 1
         pivots.append(pivot)
-    return sign * pivots[-1]
+    return pivots[-1]
+
+
+def _levels(neighbours: list[list[int]], root: int, seen: list[bool]) -> list[list[int]]:
+    """Breadth-first levels from ``root`` over the vertices not yet ``seen``,
+    neighbours in index order; marks each vertex it reaches as seen."""
+    seen[root], levels = True, [[root]]
+    while True:
+        ahead = []
+        for v in levels[-1]:
+            for w in neighbours[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    ahead.append(w)
+        if not ahead:
+            return levels
+        levels.append(ahead)
+
+
+def _pseudo_peripheral(neighbours: list[list[int]]) -> int:
+    """A vertex of near-maximal eccentricity in the component of vertex 0,
+    found the George-Liu way (*ACM TOMS* 5, 1979): search from vertex 0, then
+    restart from a least-degree vertex of the last level while the
+    eccentricity grows."""
+    levels = _levels(neighbours, 0, [False] * len(neighbours))
+    while True:
+        start = min(levels[-1], key=lambda v: len(neighbours[v]))
+        ahead = _levels(neighbours, start, [False] * len(neighbours))
+        if len(ahead) <= len(levels):
+            return levels[0][0]
+        levels = ahead
 
 
 def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
-    """Breadth-first order, neighbours in index order and one restart per
-    component, reversed."""
-    order, seen, head = [], [False] * len(neighbours), 0
-    for root in range(len(neighbours)):
+    """Breadth-first order, reversed.  The first search starts at a
+    pseudo-peripheral vertex, which narrows the envelope; each further
+    component restarts at its least vertex."""
+    order, seen = [], [False] * len(neighbours)
+    for root in [_pseudo_peripheral(neighbours), *range(len(neighbours))]:
         if not seen[root]:
-            seen[root] = True
-            order.append(root)
-        while head < len(order):
-            for w in neighbours[order[head]]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-            head += 1
+            order += (v for level in _levels(neighbours, root, seen) for v in level)
     order.reverse()
     return order
 
@@ -134,11 +131,11 @@ def tree_count_oracle(spec: ConnectionSpec) -> int:
     """Exact number of spanning trees: any cofactor of the Laplacian.
 
     The vertices of ``realize(spec)`` are put in reverse Cuthill-McKee order,
-    and the Laplacian rows, minus the last vertex in that order, are built as
-    nonzeros straight from the neighbour lists: the degree on the diagonal,
-    -1 for each edge.  Returns 0 iff the graph is disconnected.  Raises
-    :class:`OutOfRange` above ``MAX_ORACLE_VERTICES`` vertices, before the
-    graph is built.
+    and the Laplacian's upper triangle, minus the last vertex in that order,
+    is built as nonzeros straight from the neighbour lists: the degree on the
+    diagonal, -1 for each edge to a later vertex.  Returns 0 iff the graph is
+    disconnected.  Raises :class:`OutOfRange` above ``MAX_ORACLE_VERTICES``
+    vertices, before the graph is built.
     """
     if 2 * spec.n > MAX_ORACLE_VERTICES:
         raise OutOfRange(f"the oracle takes at most {MAX_ORACLE_VERTICES} vertices, got {2 * spec.n}")
@@ -146,13 +143,11 @@ def tree_count_oracle(spec: ConnectionSpec) -> int:
     order = _reverse_cuthill_mckee(neighbours)
     place = {v: p for p, v in enumerate(order)}
     last = len(order) - 1
-    rows = []
-    for v in order[:last]:
-        row = {place[w]: -1 for w in neighbours[v]}
-        row.pop(last, None)
-        row[place[v]] = len(neighbours[v])
-        rows.append(row)
-    value = det_fraction_free(rows)
+    rows = [
+        {p: len(neighbours[v]), **{place[w]: -1 for w in neighbours[v] if p < place[w] < last}}
+        for p, v in enumerate(order[:last])
+    ]
+    value = _det_semidefinite(rows)
     if value < 0:
         raise InvariantViolation("Laplacian cofactor cannot be negative")
     return value

@@ -4,6 +4,7 @@ import functools
 import math
 import random
 from collections import deque
+from collections.abc import Mapping
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,6 @@ import pytest
 
 from bforest import (
     IntPoly,
-    det_fraction_free,
     is_connected,
     realize,
     resultant,
@@ -26,6 +26,7 @@ from bforest.errors import (
     ZeroPolynomial,
 )
 from bforest.mahler import MahlerEstimate, roots_numeric
+from bforest.matrixtree import _divide
 from bforest.polynomials import _mul_add, _pseudo_mod, squarefree_layers, squarefree_part
 
 
@@ -46,6 +47,84 @@ def connected_by_search(spec) -> bool:
                 count += 1
                 queue.append(w)
     return count == total
+
+
+def _nonzeros(row, size: int) -> dict[int, int]:
+    """{column: value} of a dense row of length ``size`` or of a mapping."""
+    dense = not isinstance(row, Mapping)
+    entries = {int(j): int(x) for j, x in (enumerate(row) if dense else row.items()) if x}
+    if (dense and len(row) != size) or any(not 0 <= j < size for j in entries):
+        raise ValueError("determinant needs a square matrix")
+    return entries
+
+
+def det_fraction_free(matrix) -> int:
+    """Exact determinant by Bareiss one-step fraction-free elimination over nonzeros.
+
+    ``matrix`` is a list of ``len(matrix)`` rows, each a dense sequence or a
+    mapping {column: value}.  Rows are kept as their nonzeros, and step k
+    touches only the rows with a nonzero in column k; the first of them is
+    the pivot row (a swap flips the sign, none means det 0).  A row that step
+    k skips would only be scaled by pivot_k / pivot_(k-1).  Instead it keeps
+    its stamp s, the step after its last update, and takes all the skipped
+    scalings at once, pivot_(k-1) / pivot_(s-1), when next touched; below
+    the pivot that scaling folds into the update, whose divisor becomes
+    pivot_(s-1).  Every entry is an integer minor (Sylvester's identity), so
+    every division is exact: checked, not trusted.
+    """
+    size = len(matrix)
+    rows = [_nonzeros(row, size) for row in matrix]
+    # holders[j]: positions >= k of the rows with a nonzero in column j
+    holders = [set() for _ in range(size)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    # pivots[s] = pivot of step s - 1, the divisor for a row with stamp s
+    pivots = [1]
+    stamp = [0] * size
+    sign = 1
+    for k in range(size):
+        top = min(holders[k], default=None)
+        if top is None:
+            return 0
+        if top != k:
+            # a column held by one of the two rows changes position, one held
+            # by both is toggled twice
+            for i in (k, top):
+                for j in rows[i]:
+                    holders[j] ^= {k, top}
+            rows[k], rows[top] = rows[top], rows[k]
+            stamp[k], stamp[top] = stamp[top], stamp[k]
+            sign = -sign
+        pivot_row = rows[k]
+        for j in pivot_row:
+            holders[j].discard(k)
+        if stamp[k] < k:
+            scale, divisor = pivots[k], pivots[stamp[k]]
+            for j, x in pivot_row.items():
+                pivot_row[j] = _divide(x * scale, divisor)
+        pivot = pivot_row.pop(k)
+        for i in holders[k]:
+            row = rows[i]
+            divisor = pivots[stamp[i]]
+            lead = row.pop(k)
+            for j in row:
+                row[j] *= pivot
+            for j, x in pivot_row.items():
+                if j in row:
+                    row[j] -= lead * x
+                else:
+                    row[j] = -lead * x
+                    holders[j].add(i)
+            for j, x in list(row.items()):
+                if x:
+                    row[j] = _divide(x, divisor)
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+            stamp[i] = k + 1
+        pivots.append(pivot)
+    return sign * pivots[-1]
 
 
 def sylvester_matrix(f, g):

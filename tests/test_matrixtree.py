@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from bforest import (
     InvariantViolation,
-    det_fraction_free,
     is_connected,
     realize,
     tree_count_closed,
     tree_count_oracle,
     validate_spec,
 )
-from bforest.matrixtree import MAX_ORACLE_VERTICES, _reverse_cuthill_mckee
-from tests.conftest import det_bareiss_dense, random_connected_specs
+from bforest.matrixtree import MAX_ORACLE_VERTICES, _det_semidefinite, _reverse_cuthill_mckee
+from tests.conftest import det_bareiss_dense, det_fraction_free, random_connected_specs
 
 
 def brute_force_det(matrix):
@@ -116,7 +115,7 @@ def test_oracle_rejects_negative_cofactor(monkeypatch):
     # a typed error, not an assert, so the check survives python -O
     from bforest import matrixtree
 
-    monkeypatch.setattr(matrixtree, "det_fraction_free", lambda rows: -1)
+    monkeypatch.setattr(matrixtree, "_det_semidefinite", lambda rows: -1)
     spec = validate_spec({"n": 1, "alphas": [], "betas": [], "gammas": [0]})
     with pytest.raises(InvariantViolation):
         tree_count_oracle(spec)
@@ -217,6 +216,53 @@ def test_sparse_rows_outside_the_matrix_are_refused():
     assert det_fraction_free([{1: 2}, {0: 3, 1: 0}]) == -6
 
 
+def upper(matrix):
+    """The nonzeros of a square matrix on and above the diagonal, by row."""
+    return [{j: x for j, x in enumerate(row) if j >= i and x} for i, row in enumerate(matrix)]
+
+
+@given(st.integers(0, 10), st.integers(0, 12), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_semidefinite_determinant_of_a_gram_matrix(size, depth, density, seed):
+    # B^T B is semidefinite, and singular when B has fewer rows than columns
+    rng = random.Random(seed)
+    b = [[rng.choice(NONZERO) if rng.random() < density else 0 for _ in range(size)] for _ in range(depth)]
+    gram = [[sum(row[i] * row[j] for row in b) for j in range(size)] for i in range(size)]
+    expected = det_bareiss_dense(gram)
+    assert _det_semidefinite(upper(gram)) == expected
+    if depth < size:
+        assert expected == 0
+
+
+@given(st.integers(2, 12), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_semidefinite_determinant_of_a_weighted_laplacian(size, density, seed):
+    # a reduced Laplacian of a random graph with edge weights 1-5, connected
+    # or not: its determinant counts weighted spanning trees
+    rng = random.Random(seed)
+    lap = [[0] * size for _ in range(size)]
+    for v in range(size):
+        for w in range(v + 1, size):
+            if rng.random() < density:
+                weight = rng.randint(1, 5)
+                lap[v][w] = lap[w][v] = -weight
+                lap[v][v] += weight
+                lap[w][w] += weight
+    reduced = [row[:-1] for row in lap[:-1]]
+    assert _det_semidefinite(upper(lap)) == 0
+    assert _det_semidefinite(upper(reduced)) == det_bareiss_dense(reduced) >= 0
+
+
+def test_semidefinite_determinant_edge_cases():
+    assert _det_semidefinite([]) == 1
+    assert _det_semidefinite(upper([[4, 2], [2, 1]])) == 0
+    # a zero pivot with a nonzero rest, and a negative pivot: not semidefinite,
+    # a typed error that survives python -O
+    for matrix in ([[0, 1], [1, 0]], [[-1]], [[1, 2], [2, 1]]):
+        with pytest.raises(InvariantViolation):
+            _det_semidefinite(upper(matrix))
+
+
 @pytest.mark.parametrize("family", [1, 4])
 def test_oracle_matches_the_closed_form_at_the_cap(family_specs, family):
     spec = replace(family_specs[family], n=MAX_ORACLE_VERTICES // 2)
@@ -256,3 +302,41 @@ def test_reverse_cuthill_mckee_bandwidth_does_not_grow_with_n(family_specs):
 
     for spec in family_specs.values():
         assert bandwidth(replace(spec, n=100)) == bandwidth(replace(spec, n=400)) <= 10
+
+
+def eccentricity(neighbours, root):
+    distance = {root: 0}
+    queue = [root]
+    for v in queue:
+        for w in neighbours[v]:
+            if w not in distance:
+                distance[w] = distance[v] + 1
+                queue.append(w)
+    return max(distance.values())
+
+
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_reverse_cuthill_mckee_starts_at_a_peripheral_vertex_of_a_tree(size, seed):
+    # in a tree, a vertex farthest from any vertex ends a longest path, so the
+    # pseudo-peripheral search finds a root whose eccentricity is the diameter
+    rng = random.Random(seed)
+    label = list(range(size))
+    rng.shuffle(label)
+    neighbours = [[] for _ in range(size)]
+    for v in range(1, size):
+        u = rng.randrange(v)
+        neighbours[label[u]].append(label[v])
+        neighbours[label[v]].append(label[u])
+    for adjacent in neighbours:
+        adjacent.sort()
+    diameter = max(eccentricity(neighbours, v) for v in range(size))
+    assert eccentricity(neighbours, _reverse_cuthill_mckee(neighbours)[-1]) == diameter
+
+
+def test_reverse_cuthill_mckee_does_not_start_in_the_middle_of_a_path():
+    # the path 3 - 1 - 0 - 2 - 4: a search from vertex 0 has eccentricity 2
+    neighbours = [[1, 2], [0, 3], [0, 4], [1], [2]]
+    order = _reverse_cuthill_mckee(neighbours)
+    assert sorted(order) == list(range(5))
+    assert eccentricity(neighbours, order[-1]) == 4
