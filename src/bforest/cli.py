@@ -1,12 +1,15 @@
 """Command-line front end for batch tree-count experiments.
 
-Subcommands cover spec validation, the three counting paths, the
-arithmetic square structure, Mahler asymptotics, generating functions,
-and a combined machine-readable report.  JSON output is canonical and
-byte-deterministic; CSV and text cover the tabular subcommands.  Every row
-table, the convergence table included, is built by ``graphs.order_row`` one
-order at a time in the calling process, so all of them have their error rows
-at the same orders; ``--jobs`` is accepted and ignored.
+Commands cover spec validation, the three counting paths, the arithmetic
+square structure, Mahler asymptotics, generating functions, and a combined
+machine-readable report.  One flat parser takes the command name and the
+eight flags that every command shares, in any order; ``_COMMANDS`` holds
+each command's function and help text, which ``bforest --help`` lists.
+JSON output is canonical and byte-deterministic; CSV and text cover the
+tabular commands.  Every row table, the convergence table included, is built
+by ``graphs.order_row`` one order at a time in the calling process, so all
+of them have their error rows at the same orders; ``--jobs`` is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -58,12 +61,9 @@ def _n_values(args, spec: ConnectionSpec) -> list[int]:
         return [spec.n]
     start = args.n_start if args.n_start is not None else spec.n
     end = args.n_end if args.n_end is not None else start
-    step = args.step
-    if step < 1:
-        raise SpecError(f"--step must be positive, got {step}")
-    values = list(range(start, end + 1, step))
+    values = list(range(start, end + 1, args.step))
     if not values:
-        raise SpecError(f"empty n-range {start}..{end} step {step}")
+        raise SpecError(f"empty n-range {start}..{end} step {args.step}")
     return values
 
 
@@ -188,14 +188,14 @@ def _cmd_report(spec: ConnectionSpec, args) -> dict:
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "count": _cmd_count,
-    "oracle": _cmd_oracle,
-    "compare": _cmd_compare,
-    "arithmetic": _cmd_arithmetic,
-    "asymptotics": _cmd_asymptotics,
-    "genfun": _cmd_genfun,
-    "report": _cmd_report,
+    "validate": (_cmd_validate, "normalize a spec and report connectivity"),
+    "count": (_cmd_count, "closed-form tree counts over an n-range"),
+    "oracle": (_cmd_oracle, "matrix-tree tree counts over an n-range"),
+    "compare": (_cmd_compare, "closed form vs oracle with an equality verdict"),
+    "arithmetic": (_cmd_arithmetic, "square-structure witnesses over an n-range"),
+    "asymptotics": (_cmd_asymptotics, "Mahler measure values and convergence table"),
+    "genfun": (_cmd_genfun, "minimal recurrence, rational GF and symmetry verdict"),
+    "report": (_cmd_report, "everything above as one JSON document"),
 }
 
 
@@ -244,36 +244,28 @@ def _emit_text(payload: dict, indent: str = "") -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<13}{text}" for name, (_, text) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="bforest",
-        description="Spanning-tree counts of bicirculant graphs: exact counting, "
-        "arithmetic structure, asymptotics and generating functions.",
+        description="Spanning-tree counts of bicirculant graphs: exact counting, arithmetic\n"
+        "structure, asymptotics and generating functions.",
+        epilog=f"commands:{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "normalize a spec and report connectivity"),
-        ("count", "closed-form tree counts over an n-range"),
-        ("oracle", "matrix-tree tree counts over an n-range"),
-        ("compare", "closed form vs oracle with an equality verdict"),
-        ("arithmetic", "square-structure witnesses over an n-range"),
-        ("asymptotics", "Mahler measure values and convergence table"),
-        ("genfun", "minimal recurrence, rational GF and symmetry verdict"),
-        ("report", "everything above as one JSON document"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--spec", required=True, help="inline JSON object or path to a JSON file")
-        p.add_argument("--n-start", type=int, default=None, help="first group order (default: the spec's n)")
-        p.add_argument("--n-end", type=int, default=None, help="last group order, inclusive")
-        p.add_argument("--step", type=int, default=1, help="stride through the n-range")
-        p.add_argument(
-            "--precision",
-            type=int,
-            default=64,
-            help=f"float-path decimal digits, {_MIN_PRECISION}-{_MAX_PRECISION} (default 64)",
-        )
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--jobs", type=int, default=1, help="ignored: rows run in the calling process")
-        p.add_argument("--max-order", type=int, default=128, help="recurrence order cap for genfun")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--spec", required=True, help="inline JSON object or path to a JSON file")
+    parser.add_argument("--n-start", type=int, default=None, help="first group order (default: the spec's n)")
+    parser.add_argument("--n-end", type=int, default=None, help="last group order, inclusive")
+    parser.add_argument("--step", type=int, default=1, help="stride through the n-range")
+    parser.add_argument(
+        "--precision",
+        type=int,
+        default=64,
+        help=f"float-path decimal digits, {_MIN_PRECISION}-{_MAX_PRECISION} (default 64)",
+    )
+    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    parser.add_argument("--jobs", type=int, default=1, help="ignored: rows run in the calling process")
+    parser.add_argument("--max-order", type=int, default=128, help="recurrence order cap for genfun")
     return parser
 
 
@@ -284,8 +276,11 @@ def run(argv=None) -> int:
             raise SpecError(f"--precision must be between {_MIN_PRECISION} and {_MAX_PRECISION}")
         if args.max_order < 1:
             raise SpecError(f"--max-order must be positive, got {args.max_order}")
+        if args.step < 1:
+            raise SpecError(f"--step must be positive, got {args.step}")
         spec = validate_spec(_load_spec_source(args.spec))
-        payload = _COMMANDS[args.command](spec, args)
+        command, _ = _COMMANDS[args.command]
+        payload = command(spec, args)
         if args.format == "json":
             sys.stdout.write(_emit_json(payload))
         elif args.format == "csv":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import BforestError, HalfWithoutEvenN, NotConnected, OutOfRange, SpecError
 
@@ -114,15 +114,20 @@ def validate_spec(raw) -> ConnectionSpec:
     """Parse candidate connection data into a :class:`ConnectionSpec`.
 
     Numbers must be integral and half flags ``bool``; nothing is truncated
-    or coerced, and a ``bool`` is not a number.  Generators are sorted and
-    deduplicated; the range and parity checks are the spec's own.  A
-    ``ConnectionSpec`` is returned unchanged.  Raises :class:`HalfWithoutEvenN`,
+    or coerced, and a ``bool`` is not a number.  A key outside the six
+    fields is refused, so a misspelt one counts no other graph.  Generators
+    are sorted and deduplicated; the range and parity checks are the spec's
+    own.  A ``ConnectionSpec`` is returned unchanged.  Raises :class:`HalfWithoutEvenN`,
     :class:`OutOfRange` or another :class:`SpecError` on invalid data.
     """
     if isinstance(raw, ConnectionSpec):
         return raw
     if not isinstance(raw, dict):
         raise SpecError("connection data must be a mapping")
+    known = [field.name for field in fields(ConnectionSpec)]
+    unknown = sorted(set(raw) - set(known), key=str)
+    if unknown:
+        raise SpecError(f"unknown keys {unknown}; a spec takes {known}")
     if "n" not in raw:
         raise SpecError("missing group order n")
     n = _as_int(raw["n"], "group order n")

@@ -36,6 +36,7 @@ __all__ = list(_FLOAT_NAMES)
 
 
 ROOT_STEPS = 400  # Durand-Kerner sweeps before NonConvergence
+QUADRATURE_POINTS = 1 << 20  # the midpoint grid mahler_quadrature stands for
 
 
 def roots_numeric(f: IntPoly, digits: int = 64):
@@ -158,25 +159,20 @@ def _midpoint_mean(k: IntPoly, n: int) -> float:
     return 2 * math.log(a) / n
 
 
-def mahler_quadrature(*factors: IntPoly, subdivisions: int = 1 << 20) -> MahlerEstimate:
+def mahler_quadrature(*factors: IntPoly) -> MahlerEstimate:
     """exp of the midpoint rule for the mean of log|P| over the unit circle.
 
     P(z) is the product of the factors K(z + 1/z), which is K(2 cos 2 pi t) at
-    z = exp(2 pi i t).  The rule stands for the largest grid N = 1024 * 2^j
-    within the cap, and samples nothing.  The circle factors x -+ 2 and V_2^i
+    z = exp(2 pi i t).  The rule stands for the grid of N = QUADRATURE_POINTS
+    midpoints, and samples nothing.  The circle factors x -+ 2 and V_2^i
     (x, x^2 - 2, ..., degree <= 256) are divided off: their lifted roots are
     2^a-th roots of unity, a <= 10, so z^N = 1 and each degree adds 2 ln 2 / N.
     Every other root of unity adds exactly 0 on these grids and roots off the
     circle converge geometrically, so the rest's exact mean on 2048 points
-    (``_midpoint_mean``) stands for the top grid's.  The error bound is the top
-    grid's distance from its half, the rest's from 1024 to 2048 points, which
-    shows where it has not converged, and 4 / cap.
+    (``_midpoint_mean``) stands for the N-point grid's.  The error bound is
+    the grid's distance from its half, the rest's from 1024 to 2048 points,
+    which shows where it has not converged, and 4 / N.
     """
-    if subdivisions < 8:
-        raise ValueError("need at least 8 subdivisions")
-    if subdivisions < 2048:
-        raise NonConvergence("subdivision cap too small for an error estimate")
-    top = 1024 << ((subdivisions // 1024).bit_length() - 1)
     coarse = fine = peeled = 0
     for rest in factors:
         if rest.is_zero:
@@ -193,9 +189,9 @@ def mahler_quadrature(*factors: IntPoly, subdivisions: int = 1 << 20) -> MahlerE
                 peeled += factor.degree
         coarse += _midpoint_mean(rest, 1024)
         fine += _midpoint_mean(rest, 2048)
-    share = peeled * math.log(4) / top
+    share = peeled * math.log(4) / QUADRATURE_POINTS
     value = math.exp(fine + share)
-    return MahlerEstimate(value, value * (share + abs(fine - coarse) + 4.0 / subdivisions))
+    return MahlerEstimate(value, value * (share + abs(fine - coarse) + 4.0 / QUADRATURE_POINTS))
 
 
 def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:

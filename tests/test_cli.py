@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import jsonschema
 import pytest
@@ -34,10 +35,12 @@ def test_validate_json(capsys):
 
 
 def test_validate_rejects_bad_spec(capsys):
-    # odd n with a half flag; then input that validation once truncated or coerced
+    # odd n with a half flag; input that validation once truncated or coerced;
+    # a misspelt key, once dropped
     for spec in (
         '{"n":5,"gammas":[0],"half_r":true}',
         '{"n":12.7,"alphas":[1.9],"gammas":[0],"half_r":"false"}',
+        '{"n":5,"alpha":[1],"betas":[1],"gammas":[0]}',
     ):
         code, _, err = invoke(capsys, "validate", "--spec", spec)
         assert code == 1
@@ -220,7 +223,7 @@ def test_failures_exit_2_under_their_class_name(capsys, monkeypatch, error, labe
     def failing(spec, args):
         raise error("no answer")
 
-    monkeypatch.setitem(bforest.cli._COMMANDS, "count", failing)
+    monkeypatch.setitem(bforest.cli._COMMANDS, "count", (failing, "fails"))
     assert invoke(capsys, "count", "--spec", PRISM) == (2, "", f"{label}: no answer\n")
 
 
@@ -269,6 +272,39 @@ def test_max_order_below_one_is_a_spec_error(capsys, command, max_order):
     code, out, err = invoke(capsys, command, "--spec", PRISM, "--max-order", max_order)
     assert (code, out) == (1, "")
     assert "invalid spec" in err and "--max-order" in err
+
+
+@pytest.mark.parametrize("orders", [(), ("--n-start", "3", "--n-end", "5")], ids=["own-n", "range"])
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_step_below_one_is_a_spec_error(capsys, step, orders):
+    # refused with or without an n-range, before the spec is read
+    code, out, err = invoke(capsys, "count", "--spec", PRISM, "--step", step, *orders)
+    assert (code, out) == (1, "")
+    assert err == f"invalid spec: --step must be positive, got {step}\n"
+
+
+def test_help_lists_every_command_with_its_help_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = re.findall(r"^  (\w+) +(\S.*)$", out.split("\ncommands:\n")[1], re.M)
+    assert listed == [(name, text) for name, (_, text) in bforest.cli._COMMANDS.items()]
+    assert len(listed) == 8
+
+
+def test_flags_parse_the_same_before_and_after_the_command(capsys):
+    flags = ("--spec", FAM2, "--n-start", "4", "--n-end", "8", "--step", "2", "--format", "csv")
+    after = invoke(capsys, "count", *flags)
+    assert after[0] == 0 and invoke(capsys, *flags, "count") == after
+    assert invoke(capsys, *flags[:4], "count", *flags[4:]) == after
+
+
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["frobnicate", "--spec", PRISM])
+    assert exc.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 def test_arithmetic_rows(capsys):

@@ -90,6 +90,14 @@ def test_validation_neither_truncates_nor_coerces(field, value):
         validate_spec({"n": 12, "alphas": [1], "gammas": [0], field: value})
 
 
+def test_validation_refuses_unknown_keys():
+    # "alpha" for "alphas" once counted the graph without the layer: 5 trees, not 1805
+    with pytest.raises(SpecError, match=r"unknown keys \['alpha', 'n_start'\]"):
+        validate_spec({"n": 5, "alpha": [1], "betas": [1], "gammas": [0], "n_start": 3})
+    spec = validate_spec({"n": 5, "alphas": [1], "betas": [1], "gammas": [0]})
+    assert validate_spec(spec.to_dict()) == spec
+
+
 @pytest.mark.parametrize(
     "change, error",
     [

@@ -80,21 +80,15 @@ def test_quadrature_handles_vanishing_at_one():
     assert abs(est.value - (2 + math.sqrt(3))) < 1e-4
 
 
-# (value, error bound) of the prism's growth factors by subdivision cap,
+# (value, error bound) of the prism's growth factors on the 2^20-point grid,
 # re-recorded when every midpoint sum came to be a resultant: the midpoint rule
-# on the top grid, to within 2e-16 of the exact sum
-PRISM_QUADRATURE = {
-    2048: (3.7345778937187646, 0.009822038989307655),
-    3000: (3.7345778937187646, 0.007507378732263212),
-    5000: (3.7333141368202587, 0.004250194360278104),
-    1 << 20: (3.732055741616967, 1.9170714185071486e-05),
-}
+# on that grid, to within 2e-16 of the exact sum
+PRISM_QUADRATURE = (3.732055741616967, 1.9170714185071486e-05)
 
 
-@pytest.mark.parametrize("subdivisions", sorted(PRISM_QUADRATURE))
-def test_quadrature_uses_the_top_two_grids_bit_identically(family_specs, subdivisions):
-    est = mahler_quadrature(*growth_of(family_specs[1]), subdivisions=subdivisions)
-    assert (est.value, est.error_bound) == PRISM_QUADRATURE[subdivisions]
+def test_quadrature_uses_the_top_two_grids_bit_identically(family_specs):
+    est = mahler_quadrature(*growth_of(family_specs[1]))
+    assert (est.value, est.error_bound) == PRISM_QUADRATURE
 
 
 def test_quadrature_of_a_high_degree_growth_polynomial_is_pinned():
@@ -109,14 +103,9 @@ def test_quadrature_of_a_high_degree_growth_polynomial_is_pinned():
     assert (est.value, est.error_bound) == (4331.84954033477, 0.022251717331242524)
 
 
-def test_quadrature_needs_two_grids_and_a_nonzero_polynomial():
-    with pytest.raises(ValueError):
-        mahler_quadrature(IntPoly([-1, -1, 1]), subdivisions=7)
-    for cap in (8, 1024, 2047):
-        with pytest.raises(NonConvergence):
-            mahler_quadrature(IntPoly([-1, -1, 1]), subdivisions=cap)
+def test_quadrature_refuses_the_zero_polynomial():
     with pytest.raises(NonConvergence):
-        mahler_quadrature(IntPoly(), subdivisions=4096)
+        mahler_quadrature(IntPoly())
 
 
 BIG = {"alphas": [1, 3, 5], "betas": [2, 7], "gammas": [0, 1, 4]}
@@ -161,40 +150,37 @@ def grids(monkeypatch):
     return sizes
 
 
-def assert_exact_midpoint_rule(factors, cap: int):
-    # value and bound from the exact sums on the top grid and its half
-    top = 1024 << ((cap // 1024).bit_length() - 1)
+def assert_exact_midpoint_rule(factors):
+    # value and bound from the exact sums on the 2^20-point grid and its half
+    top = bforest.mahler.QUADRATURE_POINTS
     with mpmath.workdps(40):
         last, prev = (sum(midpoint_mean_exact(k, n) for k in factors) for n in (top, top // 2))
-    est = mahler_quadrature(*factors, subdivisions=cap)
+    est = mahler_quadrature(*factors)
     assert est.value == pytest.approx(float(mpmath.exp(last)), rel=1e-14, abs=0)
-    bound = est.value * (float(abs(last - prev)) + 4 / cap)
+    bound = est.value * (float(abs(last - prev)) + 4 / top)
     assert est.error_bound == pytest.approx(bound, rel=1e-9, abs=0)
 
 
-@pytest.mark.parametrize("cap", [2048, 5000, 1 << 20])
 @pytest.mark.parametrize("name", sorted(NAMED_GROWTH))
-def test_quadrature_is_the_exact_midpoint_sum_on_the_top_grid(grids, name, cap):
-    assert_exact_midpoint_rule(growth_of(NAMED_GROWTH[name]), cap)
+def test_quadrature_is_the_exact_midpoint_sum_on_the_top_grid(grids, name):
+    assert_exact_midpoint_rule(growth_of(NAMED_GROWTH[name]))
     assert max(grids) <= 2048
 
 
 def test_quadrature_of_random_specs_is_the_exact_midpoint_sum(grids):
     for spec in random_specs()[:40]:
-        for cap in (2048, 5000, 1 << 20):
-            assert_exact_midpoint_rule(growth_of(spec), cap)
+        assert_exact_midpoint_rule(growth_of(spec))
         assert max(grids) <= 2048, spec
 
 
 @pytest.mark.parametrize("index", [None, *SLOW_INDICES])
 def test_slow_path_is_the_two_grid_recipe_bit_for_bit(grids, index):
     # the specs of the former 2^20-point path now take the one path, the
-    # exact sums on 1024 and 2048 points per factor, at every cap
+    # exact sums on 1024 and 2048 points per factor
     spec = ROOTS_AT_MINUS_ONE if index is None else random_specs()[index]
     factors = growth_of(spec)
-    for cap in (2048, 5000, 1 << 20):
-        assert_exact_midpoint_rule(factors, cap)
-    assert grids == [1024, 2048] * (3 * len(factors))
+    assert_exact_midpoint_rule(factors)
+    assert grids == [1024, 2048] * len(factors)
 
 
 @pytest.mark.parametrize("spec", [NAMED_GROWTH["prism"], TWO_SPOKE, NAMED_GROWTH["big-family4"]])
