@@ -197,23 +197,15 @@ _COMMANDS = {
     "genfun": (_cmd_genfun, "minimal recurrence, rational GF and symmetry verdict"),
     "report": (_cmd_report, "everything above as one JSON document"),
 }
+_UNTABULAR = ("validate", "genfun", "report")  # no rows for --format csv
 
 
 def _emit_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _table_of(payload: dict) -> list[dict] | None:
-    for key in ("rows", "convergence"):
-        if key in payload:
-            return payload[key]
-    return None
-
-
 def _emit_csv(payload: dict) -> str:
-    rows = _table_of(payload)
-    if rows is None:
-        raise SpecError("csv output is only available for tabular subcommands")
+    rows = payload["rows"] if "rows" in payload else payload["convergence"]
     fields: list[str] = []
     for row in rows:
         for key in row:
@@ -278,6 +270,8 @@ def run(argv=None) -> int:
             raise SpecError(f"--max-order must be positive, got {args.max_order}")
         if args.step < 1:
             raise SpecError(f"--step must be positive, got {args.step}")
+        if args.format == "csv" and args.command in _UNTABULAR:
+            raise SpecError(f"--format csv needs a tabular command; {args.command} has no rows")
         spec = validate_spec(_load_spec_source(args.spec))
         command, _ = _COMMANDS[args.command]
         payload = command(spec, args)

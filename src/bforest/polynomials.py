@@ -11,8 +11,8 @@ A palindromic P(z) = eta_0 + sum_j eta_j (z^j + z^-j) is K(z + 1/z) for the
 trace polynomial K of the same degree (``trace_polynomial``); x -> z + 1/z
 is a ring map, so P's sums and products are formed on K.  The exact count's
 resultants against z^m + c run over the roots x of K as a fixed factor
-times a square, one resultant of K against Chebyshev U_k mod K with half
-the bits (``half_resultant``; ``half_resultants`` sweeps a run of orders).
+times a square, resultants of K against Chebyshev U_k mod K with half the
+bits or less (``half_resultant``; ``half_resultants`` sweeps a run of orders).
 ``squarefree_layers`` splits K for the float layer, ``mahler``, which finds
 the roots themselves.
 """
@@ -204,28 +204,31 @@ def _mul_add(a: list[int], b: list[int], c: list[int]) -> list[int]:
     return out
 
 
-def _chebyshev_u_mod(f: IntPoly, k: int) -> tuple[list[int], list[int], int]:
-    """(A, B, e) with U_k-1 = A / lc^e and U_k = B / lc^e (mod f), deg A, B < deg f.
+def _chebyshev_u_mod(f: IntPoly, k: int) -> list[tuple[int, list[int], list[int], int]]:
+    """(j, A, B, e) with U_j-1 = A / lc^e and U_j = B / lc^e (mod f), deg A, B < deg f,
+    at each prefix j of k's bits; the last has j = k.
 
     U_j(z + 1/z) = (z^(j+1) - z^-(j+1)) / (z - 1/z), U_-1 = 0, U_0 = 1, is the
-    Chebyshev polynomial of the second kind.  Scan the bits of k keeping
-    (U_j-1, U_j) over one shared exponent e, by U_2j = (U_j - U_j-1)(U_j +
-    U_j-1), U_2j-1 = U_j-1 (2 U_j - x U_j-1) and U_2j+1 = U_j (x U_j - 2 U_j-1);
-    a product of two terms over lc^e is over lc^2e before its reduction.
+    Chebyshev polynomial of the second kind.  Each bit doubles j by U_2j = (U_j -
+    U_j-1)(U_j + U_j-1) and U_2j+1 = U_j (x U_j - 2 U_j-1) or U_2j-1 = -U_j-1
+    (x U_j-1 - 2 U_j), with x U reduced mod f first: two products of terms of
+    degree < deg f per bit.  A product of two terms over lc^e is over lc^2e
+    before its reduction, plus the power that reducing x U took.
     """
-    lead = f.lead
+    lead, j, out = f.lead, 0, []
     a, b, e = [], [1], 0  # U_-1, U_0
     for bit in bin(k)[2:]:
         even = _mul_add(_mul_add([-1], a, b), _mul_add([1], a, b), [])
-        if bit == "1":
-            pair = (even, _mul_add(b, _mul_add([0, 1], b, [-2 * y for y in a]), []))
-        else:
-            pair = (_mul_add(a, _mul_add([0, -1], a, [2 * y for y in b]), []), even)
-        (a, ka), (b, kb) = (_pseudo_mod(v, f.coeffs) for v in pair)
-        top = max(ka, kb)
-        a, b = [y * lead ** (top - ka) for y in a], [y * lead ** (top - kb) for y in b]
-        e = 2 * e + top
-    return a, b, e
+        (u, w), sign = ((b, a), 1) if bit == "1" else ((a, b), -1)
+        xu, kx = _pseudo_mod([0] + u, f.coeffs)
+        odd = _mul_add(u, _mul_add([-2 * sign * lead**kx], w, [sign * y for y in xu]), [])
+        (even, ke), (odd, ko) = _pseudo_mod(even, f.coeffs), _pseudo_mod(odd, f.coeffs)
+        top = max(ke, ko + kx)
+        even, odd = [y * lead ** (top - ke) for y in even], [y * lead ** (top - ko - kx) for y in odd]
+        a, b = (even, odd) if bit == "1" else (odd, even)
+        e, j = 2 * e + top, 2 * j + (bit == "1")
+        out.append((j, a, b, e))
+    return out
 
 
 def fixed_part(k: IntPoly, m: int, c: int) -> int:
@@ -234,19 +237,28 @@ def fixed_part(k: IntPoly, m: int, c: int) -> int:
     return (k(2) if c < 0 else 1) * (k(-2) if c * (-1) ** m < 0 else 1)
 
 
-def _half_tail(f: IntPoly, m: int, c: int, a: list[int], b: list[int], e: int) -> tuple[int, int]:
-    """``half_resultant(f, m, c)`` from (U_k-1, U_k) = (a, b) / lc^e (mod f), k = m // 2."""
-    fixed, degree, lead = fixed_part(f, m, c), (m - (c < 0)) // 2, abs(f.lead)
+def _form(odd: int, c: int, a: list[int], b: list[int]) -> list[int]:
+    """P of ``half_resultant`` for (c, m mod 2) as a linear form of the pair (U_k-1, U_k)
+    = (a, b): U_k + U_k-1, U_k - U_k-1, U_k-1 or V_k = 2 U_k - x U_k-1."""
+    if odd:
+        return _mul_add([-c], a, b)
+    return list(a) if c < 0 else _mul_add([0, -1], a, [2 * y for y in b])
+
+
+def _half_tail(f: IntPoly, m: int, c: int, pieces: list[tuple[list[int], int, int]]) -> tuple[int, int]:
+    """``half_resultant(f, m, c)`` from P's monic pieces (p, n, e), of degree n with
+    piece = p / lc^e (mod f): a = prod |Res(f, R)| |lc f|^(n - deg R - (e + e') deg f),
+    R = lc^e' p mod f, each factor exact."""
+    fixed, lead = fixed_part(f, m, c), abs(f.lead)
     if f.degree == 0:  # no roots: |lc f|^m = |fixed| Res(f, P)^2
-        return fixed, lead**degree
-    if m % 2:
-        p = _mul_add([-c], a, b)
-    else:
-        p = list(a) if c < 0 else _mul_add([0, -1], a, [2 * y for y in b])
-    r, kp = _pseudo_mod(p, f.coeffs)
-    shift = degree - (len(r) - 1) - (e + kp) * f.degree
-    root = abs(resultant(f, IntPoly(r))) * lead ** max(shift, 0) if r else 0
-    return fixed, _divide(root, lead ** max(-shift, 0), f"Res(f, P) for z^{m} {c:+d}")
+        return fixed, lead ** ((m - (c < 0)) // 2)
+    a = 1
+    for p, n, e in pieces:
+        r, kp = _pseudo_mod(p, f.coeffs)
+        shift = n - (len(r) - 1) - (e + kp) * f.degree
+        root = abs(resultant(f, IntPoly(r))) * lead ** max(shift, 0) if r else 0
+        a *= _divide(root, lead ** max(-shift, 0), f"Res(f, P) for z^{m} {c:+d}")
+    return fixed, a
 
 
 def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
@@ -259,11 +271,33 @@ def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
     or U_k - U_k-1 for (c, m) = (-1, even), (-1, odd), (+1, even), (+1, odd).
     P is monic of degree (m - w) / 2, w the fixed degree (1 at odd m; 2 or 0
     at even m as c = -1 or +1), so lc(f) cancels: ``fixed`` is
-    ``fixed_part(f, m, c)``.  With P = R / lc^e (mod f),
-    a = |Res(f, R)| |lc f|^(deg P - deg R - e d).  U_k comes by doubling.
+    ``fixed_part(f, m, c)``, and a is a product of |Res(f, piece)| over P's
+    monic pieces, each over its own power of lc f (``_half_tail``).
+
+    The doubling stops at j = k // 2.  Only even m with c = -1 splits: with k =
+    2^t b, b = 2h + 1, U_k-1 = U_2h V_b V_2b ... V_k/2 and U_2h = (U_h + U_h-1)
+    (U_h - U_h-1), so each piece comes from the pair at a prefix of k's bits
+    and has at most half P's degree (Res(f, g h) = Res(f, g) Res(f, h)).  The
+    other three P take one product, P_2j+eps = P_j V_j+eps - P_-eps with
+    eps = k mod 2, P_-eps the same form of (U_-eps-1, U_-eps).
     """
-    pair = _chebyshev_u_mod(f, m // 2) if f.degree else ([], [], 0)  # a constant f needs none
-    return _half_tail(f, m, c, *pair)
+    if f.degree == 0:  # a constant f needs no pair
+        return _half_tail(f, m, c, [])
+    k, odd = m // 2, m % 2
+    pairs = _chebyshev_u_mod(f, k // 2)
+    if c < 0 and not odd and k:
+        h = k >> (k & -k).bit_length()  # k = 2^t (2h + 1); U_h -+ U_h-1 are 1 at h = 0
+        pieces = [(_form(1, s, a, b), h, e) for j, a, b, e in pairs if j == h > 0 for s in (1, -1)]
+        pieces += [(_form(0, 1, a, b), j, e) for j, a, b, e in pairs if j > h]  # V_b .. V_k/2
+    else:
+        _, a, b, e = pairs[-1]
+        eps = k % 2
+        v = _mul_add([0, 1], b, [-2 * y for y in a]) if eps else _form(0, 1, a, b)
+        (p, kp), (v, kv) = (_pseudo_mod(y, f.coeffs) for y in (_form(odd, c, a, b), v))
+        e = 2 * e + kp + kv
+        low = _form(odd, c, [-f.lead**e], []) if eps else _form(odd, c, [], [f.lead**e])
+        pieces = [(_mul_add(p, v, [-y for y in low]), (m - (c < 0)) // 2, e)]
+    return _half_tail(f, m, c, pieces)
 
 
 def half_resultants(f: IntPoly, c: int, count: int) -> list[tuple[int, int]]:
@@ -274,7 +308,7 @@ def half_resultants(f: IntPoly, c: int, count: int) -> list[tuple[int, int]]:
         if m % 2 == 0:  # k = m // 2 moves up by one
             r, j = _pseudo_mod(_mul_add([0, 1], b, [-y for y in a]), f.coeffs)
             a, b, e = [y * lead**j for y in b], r, e + j
-        out.append(_half_tail(f, m, c, a, b, e))
+        out.append(_half_tail(f, m, c, [(_form(m % 2, c, a, b), (m - (c < 0)) // 2, e)]))
     return out
 
 

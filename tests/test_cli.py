@@ -344,10 +344,16 @@ def test_csv_and_text_formats(capsys):
     assert "family: 1" in out
 
 
-def test_csv_rejected_for_non_tabular(capsys):
-    code, _, err = invoke(capsys, "genfun", "--spec", PRISM, "--format", "csv", "--max-order", "11")
-    assert code == 1
-    assert "csv" in err
+def test_csv_rejected_for_non_tabular(capsys, monkeypatch):
+    # refused before the command runs, not after a whole report
+    def never(spec, args):
+        raise AssertionError("the command ran before --format csv was refused")
+
+    for name in ("validate", "genfun", "report"):
+        monkeypatch.setitem(bforest.cli._COMMANDS, name, (never, bforest.cli._COMMANDS[name][1]))
+        code, out, err = invoke(capsys, name, "--spec", PRISM, "--format", "csv", "--max-order", "11")
+        assert (code, out) == (1, "")
+        assert "--format csv" in err and name in err, name
 
 
 def test_spec_from_file(tmp_path, capsys):

@@ -14,7 +14,10 @@ from bforest import (
     exact_divide,
     resultant,
     roots_numeric,
+    spectral_system,
     squarefree_part,
+    tree_count_closed,
+    validate_spec,
 )
 from bforest import polynomials
 from bforest.errors import InexactDivision, NonConvergence, NonIntegralResult, ZeroPolynomial
@@ -208,15 +211,40 @@ def test_lucas_mod_is_an_integral_pseudo_remainder(k, m):
 
 @given(trace_polys.filter(lambda k: k.degree >= 1), st.integers(0, 200))
 @settings(max_examples=80, deadline=None)
-def test_chebyshev_u_mod_is_an_integral_pseudo_remainder(k, j):
-    a, b, e = _chebyshev_u_mod(k, j)
-    a, b = IntPoly(a), IntPoly(b)
-    assert a.degree < k.degree and b.degree < k.degree
-    if abs(k.lead) == 1:
-        assert e == 0
-    # lc(K)^e U_j-1 - A and lc(K)^e U_j - B are multiples of K over Z
-    exact_divide(chebyshev_u(j - 1) * k.lead**e - a, k)
-    exact_divide(chebyshev_u(j) * k.lead**e - b, k)
+def test_chebyshev_u_mod_is_an_integral_pseudo_remainder(k, top):
+    prefixes = _chebyshev_u_mod(k, top)
+    assert [j for j, *_ in prefixes] == [top >> s for s in range(len(bin(top)) - 3, -1, -1)]
+    for j, a, b, e in prefixes:
+        a, b = IntPoly(a), IntPoly(b)
+        assert a.degree < k.degree and b.degree < k.degree
+        if abs(k.lead) == 1:
+            assert e == 0
+        # lc(K)^e U_j-1 - A and lc(K)^e U_j - B are multiples of K over Z
+        exact_divide(chebyshev_u(j - 1) * k.lead**e - a, k)
+        exact_divide(chebyshev_u(j) * k.lead**e - b, k)
+
+
+X = IntPoly([0, 1])
+# P of (c, m mod 2) as a linear form of the pair (U_k-1, U_k)
+P_FORMS = {
+    (-1, 0): lambda lo, hi: lo,
+    (-1, 1): lambda lo, hi: hi + lo,
+    (1, 0): lambda lo, hi: 2 * hi - X * lo,
+    (1, 1): lambda lo, hi: hi - lo,
+}
+
+
+@pytest.mark.parametrize("j", range(41))
+def test_chebyshev_products_split_the_doubling(j):
+    u_lo, u = chebyshev_u(j - 1), chebyshev_u(j)
+    assert chebyshev_u(2 * j - 1) == u_lo * lucas(j)
+    assert chebyshev_u(2 * j) == (u + u_lo) * (u - u_lo)
+    for form in P_FORMS.values():
+        # (U_-eps-1, U_-eps) is (0, 1) at eps = 0 and (U_-2, U_-1) = (-1, 0) at eps = 1
+        for eps, low in ((0, form(IntPoly(), IntPoly([1]))), (1, form(IntPoly([-1]), IntPoly()))):
+            k = 2 * j + eps
+            top = form(chebyshev_u(k - 1), chebyshev_u(k))
+            assert top == form(u_lo, u) * lucas(j + eps) - low, (k, eps)
 
 
 @given(trace_polys, st.integers(0, 200), st.sampled_from([-1, 1]))
@@ -246,9 +274,41 @@ def test_half_resultant_at_every_small_order(coeffs):
 def test_half_resultants_sweep_what_half_resultant_doubles_to(k, c):
     # stepping U_k+1 = x U_k - U_k-1 keeps another power of lc K than the
     # doubling, but every order's answer is the same integer pair
-    swept = half_resultants(k, c, 40)
-    for m in range(1, 41):
+    swept = half_resultants(k, c, 130)
+    for m in range(1, 131):
         assert swept[m - 1] == half_resultant(k, m, c), m
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[-3], [5], [1, 3], [1, 1, 3], [-4, 0, 1, 5], [2, -1, 0, -2, 1], [-1, 2, 1]]
+)
+@pytest.mark.parametrize("m", [2, 4, 6, 128, 192, 256, 384, 512])
+def test_half_resultant_at_every_split_depth(coeffs, m):
+    # m = 2^t (2h + 1) with t = 1..9 splits U_k-1 into t - 1 Lucas pieces and
+    # the two U_h +- U_h-1 (none at h = 0); c = +1 takes the one top product
+    k = IntPoly(coeffs)
+    for c in (-1, 1):
+        fixed, root = half_resultant(k, m, c)
+        assert abs(fixed) * root**2 == abs_resultant_with_power(k, m, c), c
+
+
+def test_split_resultants_take_at_most_half_the_bits(monkeypatch):
+    # big at n = 2000: U_999 mod K, the one remainder the base factor would take
+    # whole, against every input the split hands to the resultant
+    spec = validate_spec({"n": 2000, "alphas": [1, 3, 5], "betas": [2, 7], "gammas": [0, 1, 4]})
+    system = spectral_system(spec)
+    ((k, c),) = system.trace_factors
+    assert c == -1 and system.order(2000)[0] == 2000 and abs(k.lead) == 1
+    whole = max(abs(y).bit_length() for y in _chebyshev_u_mod(k, 1000)[-1][1])
+    real, sizes = polynomials.resultant, []
+
+    def record(f, g):
+        sizes.append(max(abs(y).bit_length() for y in f.coeffs + g.coeffs))
+        return real(f, g)
+
+    monkeypatch.setattr(polynomials, "resultant", record)
+    tree_count_closed(spec)
+    assert len(sizes) > 1 and max(sizes) <= 0.55 * whole, (sizes, whole)
 
 
 def test_half_resultant_rejects_a_witness_lc_does_not_divide(monkeypatch):
