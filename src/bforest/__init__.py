@@ -34,7 +34,6 @@ _FLOAT_NAMES = (
     "MahlerEstimate",
     "mahler_quadrature",
     "growth_base",
-    "asymptotic_prediction",
     "convergence_report",
 )
 

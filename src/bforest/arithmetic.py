@@ -3,7 +3,7 @@
 Every bicirculant tree count factors as (cofactor) * (integer witness)^2,
 where the cofactor depends only on parity data of the connection sets.
 ``verify_square_structure`` recovers the witness and checks the claimed
-branch exactly.
+branch exactly; ``square_witness`` does so over a table already built.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .errors import DegenerateSystem, NonDivisible, NonPositiveStructure, NotAPe
 from .graphs import ConnectionSpec
 from .polynomials import fixed_part, squarefree_part
 
-__all__ = ["ArithmeticProfile", "SquareWitness", "arithmetic_profile", "verify_square_structure"]
+__all__ = ["ArithmeticProfile", "SquareWitness", "arithmetic_profile", "square_witness",
+           "verify_square_structure"]
 
 
 @dataclass(frozen=True)
@@ -54,40 +55,34 @@ def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
     at m = 1 for stride 2.  Family 1 reports its even constant as its odd
     one, which no row uses: at odd n its constant is 1.
     """
-    k1 = sum(1 for a in spec.alphas if a % 2 == 1)
-    m1 = sum(1 for b in spec.betas if b % 2 == 1)
-    h1 = sum(1 for g in spec.gammas if g % 2 == 1)
+    odd = [sum(v % 2 for v in values) for values in (spec.alphas, spec.betas, spec.gammas)]
     try:
         sys = spectral_system(spec)
         structure_even = _structure(sys, 2)
         structure_odd = _structure(sys, 1) if sys.stride == 2 else structure_even
     except DegenerateSystem:  # a vanishing base or no spokes: no branches
         structure_odd = structure_even = None
-    return ArithmeticProfile(
-        odd_alphas=k1,
-        even_alphas=spec.r - k1,
-        odd_betas=m1,
-        even_betas=spec.t - m1,
-        odd_gammas=h1,
-        even_gammas=spec.s - h1,
-        structure_odd=structure_odd,
-        structure_even=structure_even,
-    )
+    even = [spec.r - odd[0], spec.t - odd[1], spec.s - odd[2]]
+    return ArithmeticProfile(odd[0], even[0], odd[1], even[1], odd[2], even[2], structure_odd, structure_even)
 
 
 def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> SquareWitness:
+    """``square_witness`` at the spec's order, over the spec's trace table."""
+    return square_witness(spectral_system(spec), spec.n, tau)
+
+
+def square_witness(sys: SpectralSystem, n: int, tau: TreeCount | int) -> SquareWitness:
     """Factor tau as cofactor * witness^2 and return the integer witness.
 
-    With (m, prefactor) = ``SpectralSystem.order(n)``, the branch is the
-    parity of m, and the cofactor is prefactor * q = n * s / stride^2 times
-    the structure constant at m, the one ``arithmetic_profile`` reports for
-    m's parity.  An order without a count raises as the count does.  Raises
+    With (m, prefactor) = ``sys.order(n)``, the branch is the parity of m,
+    and the cofactor is prefactor * q = n * s / stride^2 times the structure
+    constant at m, the one ``arithmetic_profile`` reports for m's parity.  An
+    order without a count raises as the count does.  Raises
     :class:`NotAPerfectSquare` (a negative tau included) or
     :class:`NonDivisible` if the claimed decomposition fails.
     """
     value = tau.tau if isinstance(tau, TreeCount) else int(tau)
-    sys = spectral_system(spec)
-    m, prefactor = sys.order(spec.n)
+    m, prefactor = sys.order(n)
     branch = "odd" if m % 2 == 1 else "even"
     structure = _structure(sys, m)
     if structure is None:
@@ -103,10 +98,8 @@ def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> Squar
     square = int(ratio)
     witness = math.isqrt(max(square, 0))
     if witness * witness != square:
-        raise NotAPerfectSquare(
-            f"tau/cofactor = {square} is not a perfect square (tau={value})"
-        )
+        raise NotAPerfectSquare(f"tau/cofactor = {square} is not a perfect square (tau={value})")
     # odd n/2, odd s and an odd structure constant force an even witness
-    if sys.stride == 2 and branch == "odd" and spec.s % 2 == 1 and structure % 2 == 1 and witness % 2:
+    if sys.stride == 2 and branch == "odd" and sys.spokes % 2 == 1 and structure % 2 == 1 and witness % 2:
         raise NonDivisible(f"odd n/2, s and structure force an even witness, got {witness}")
     return SquareWitness(branch, cofactor, witness)

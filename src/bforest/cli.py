@@ -6,32 +6,27 @@ machine-readable report.  One flat parser takes the command name and the
 eight flags that every command shares, in any order; ``_COMMANDS`` holds
 each command's function and help text, which ``bforest --help`` lists.
 JSON output is canonical and byte-deterministic; CSV and text cover the
-tabular commands.  Every row table, the convergence table included, is built
-by ``graphs.order_row`` one order at a time in the calling process, so all
-of them have their error rows at the same orders; ``--jobs`` is accepted and
-ignored.
+tabular commands.  A command counts each order once, by ``counting.count_rows``
+over one trace table; ``compare``, ``arithmetic`` and the convergence rows
+extend those rows, so all tables have their error rows at the same orders,
+and ``report`` hands one set to all three.  Rows run in the calling process;
+``--jobs`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
 
-from .arithmetic import arithmetic_profile, verify_square_structure
-from .counting import spectral_system, tree_count_closed
+from .arithmetic import arithmetic_profile, square_witness
+from .counting import closed_counts, count_rows, extend_rows, spectral_system
 from .errors import BforestError, InvariantViolation, OrderExceeded, SpecError
-from .genfun import (
-    find_recurrence,
-    genfun,
-    gf_eval,
-    symmetry_scale,
-    tau_sequence,
-    verify_symmetry,
-)
+from .genfun import find_recurrence, genfun, gf_eval, verify_symmetry
 from .graphs import ConnectionSpec, check_connectivity, order_row, validate_spec
 from .matrixtree import tree_count_oracle
 from .polynomials import IntPoly
@@ -67,34 +62,17 @@ def _n_values(args, spec: ConnectionSpec) -> list[int]:
     return values
 
 
-def _closed(sp):
-    return {"tau": tree_count_closed(sp).tau}
-
-
 def _oracle(sp):
     return {"tau": tree_count_oracle(sp)}
 
 
-def _compare(sp):
-    closed = tree_count_closed(sp).tau
+def _compare(sp, closed: int):
     oracle = tree_count_oracle(sp)
     return {"closed": closed, "oracle": oracle, "equal": closed == oracle}
 
 
-def _arithmetic(sp):
-    tau = tree_count_closed(sp)
-    witness = verify_square_structure(sp, tau)
-    return {
-        "tau": tau.tau,
-        "branch": witness.branch,
-        "cofactor_numerator": witness.cofactor.numerator,
-        "cofactor_denominator": witness.cofactor.denominator,
-        "witness": witness.witness,
-    }
-
-
-def _map_rows(compute, spec: ConnectionSpec, args) -> list[dict]:
-    return [order_row(compute, spec, n) for n in _n_values(args, spec)]
+def _counts(spec: ConnectionSpec, args) -> list[dict]:
+    return count_rows(spec, _n_values(args, spec))
 
 
 def _cmd_validate(spec: ConnectionSpec, args) -> dict:
@@ -108,33 +86,41 @@ def _cmd_validate(spec: ConnectionSpec, args) -> dict:
 
 
 def _cmd_count(spec: ConnectionSpec, args) -> dict:
-    return {"rows": _map_rows(_closed, spec, args)}
+    return {"rows": _counts(spec, args)}
 
 
 def _cmd_oracle(spec: ConnectionSpec, args) -> dict:
-    return {"rows": _map_rows(_oracle, spec, args)}
+    return {"rows": [order_row(_oracle, spec, n) for n in _n_values(args, spec)]}
 
 
-def _cmd_compare(spec: ConnectionSpec, args) -> dict:
-    rows = _map_rows(_compare, spec, args)
+def _cmd_compare(spec: ConnectionSpec, args, counts=None) -> dict:
+    rows = extend_rows(_compare, spec, counts or _counts(spec, args))
     checked = [r for r in rows if "equal" in r]
     return {"rows": rows, "all_equal": bool(checked) and all(r["equal"] for r in checked)}
 
 
-def _cmd_arithmetic(spec: ConnectionSpec, args) -> dict:
-    rows = _map_rows(_arithmetic, spec, args)
+def _cmd_arithmetic(spec: ConnectionSpec, args, counts=None) -> dict:
+    table = functools.cache(lambda: spectral_system(spec))  # raises per row if there is none
+
+    def arithmetic(sp, tau: int) -> dict:
+        witness = square_witness(table(), sp.n, tau)
+        return {
+            "tau": tau,
+            "branch": witness.branch,
+            "cofactor_numerator": witness.cofactor.numerator,
+            "cofactor_denominator": witness.cofactor.denominator,
+            "witness": witness.witness,
+        }
+
+    rows = extend_rows(arithmetic, spec, counts or _counts(spec, args))
     profile = arithmetic_profile(spec)
-    return {
-        "structure_odd": profile.structure_odd,
-        "structure_even": profile.structure_even,
-        "rows": rows,
-    }
+    return {"structure_odd": profile.structure_odd, "structure_even": profile.structure_even, "rows": rows}
 
 
-def _cmd_asymptotics(spec: ConnectionSpec, args) -> dict:
+def _cmd_asymptotics(spec: ConnectionSpec, args, counts=None) -> dict:
     from .mahler import _growth_report, mahler_quadrature  # the float layer, on first use
 
-    system, root, rows = _growth_report(spec, _n_values(args, spec), args.precision)
+    system, root, rows = _growth_report(spec, counts or _counts(spec, args), args.precision)
     quad = mahler_quadrature(IntPoly([-2, 1]), *(k for k, _ in system.trace_factors))
     return {
         "measure": {
@@ -149,13 +135,13 @@ def _cmd_genfun(spec: ConnectionSpec, args) -> dict:
     system = spectral_system(spec)
     bound, stride = system.recurrence_bound, system.stride
     # 2L terms fix a minimal recurrence of order L; two more are held out
-    seq = tau_sequence(spec, 2 * min(bound, args.max_order) + 2)
+    seq = [t.tau for t in closed_counts(system, 2 * min(bound, args.max_order) + 2)]
     try:
         recurrence = find_recurrence(seq, max_order=args.max_order)
     except OrderExceeded as exc:
         raise OrderExceeded(f"{exc}; the spectral degree bounds the order by {bound}") from None
     gf = genfun(seq, recurrence)
-    scale = symmetry_scale(spec)
+    scale = system.symmetry_scale
     indexing = (
         "term k is the tree count at group order k"
         if stride == 1
@@ -172,14 +158,16 @@ def _cmd_genfun(spec: ConnectionSpec, args) -> dict:
 
 
 def _cmd_report(spec: ConnectionSpec, args) -> dict:
+    counts = _counts(spec, args)
     report = {
         "validate": _cmd_validate(spec, args),
-        "compare": _cmd_compare(spec, args),
-        "arithmetic": _cmd_arithmetic(spec, args),
+        "compare": _cmd_compare(spec, args, counts),
+        "arithmetic": _cmd_arithmetic(spec, args, counts),
     }
-    for name, command in (("asymptotics", _cmd_asymptotics), ("genfun", _cmd_genfun)):
+    sections = {"asymptotics": functools.partial(_cmd_asymptotics, counts=counts), "genfun": _cmd_genfun}
+    for name, section in sections.items():
         try:
-            report[name] = command(spec, args)
+            report[name] = section(spec, args)
         except InvariantViolation:  # a bug, not a refusal: run() reports it as one
             raise
         except BforestError as exc:  # a refusal, such as OrderExceeded, keeps the other sections
@@ -206,13 +194,9 @@ def _emit_json(payload: dict) -> str:
 
 def _emit_csv(payload: dict) -> str:
     rows = payload["rows"] if "rows" in payload else payload["convergence"]
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
+    fields = dict.fromkeys(key for row in rows for key in row)  # in order of first appearance
+    writer = csv.DictWriter(out, fieldnames=list(fields), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return out.getvalue()
@@ -235,6 +219,9 @@ def _emit_text(payload: dict, indent: str = "") -> str:
     return "\n".join(line for line in lines if line != "")
 
 
+_EMITTERS = {"json": _emit_json, "csv": _emit_csv, "text": lambda payload: _emit_text(payload) + "\n"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     commands = "".join(f"\n  {name:<13}{text}" for name, (_, text) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
@@ -255,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=64,
         help=f"float-path decimal digits, {_MIN_PRECISION}-{_MAX_PRECISION} (default 64)",
     )
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    parser.add_argument("--format", choices=_EMITTERS, default="json")
     parser.add_argument("--jobs", type=int, default=1, help="ignored: rows run in the calling process")
     parser.add_argument("--max-order", type=int, default=128, help="recurrence order cap for genfun")
     return parser
@@ -275,12 +262,12 @@ def run(argv=None) -> int:
         spec = validate_spec(_load_spec_source(args.spec))
         command, _ = _COMMANDS[args.command]
         payload = command(spec, args)
-        if args.format == "json":
-            sys.stdout.write(_emit_json(payload))
-        elif args.format == "csv":
-            sys.stdout.write(_emit_csv(payload))
-        else:
-            sys.stdout.write(_emit_text(payload) + "\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # tau may pass 4300 digits; --spec was parsed under the limit
+        try:
+            sys.stdout.write(_EMITTERS[args.format](payload))
+        finally:
+            sys.set_int_max_str_digits(limit)
         return 0
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 ``spectral_system`` builds one self-checking table of (K, c) trace factors;
 ``tree_count_closed`` counts through integer resultants against cyclotomic
 factors, cheap even for n in the tens of thousands.  Its float cross-check,
-``tree_count_chebyshev``, lives in the float layer, ``mahler``.
+``tree_count_chebyshev``, lives in the float layer, ``mahler``.  ``count_rows``
+counts a run of orders over one table; ``extend_rows`` builds each other
+per-order table on those rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSystem, HalfWithoutEvenN, NonIntegralResult, OutOfRange
-from .graphs import ConnectionSpec, require_connected
+from .graphs import ConnectionSpec, order_row, require_connected
 from .polynomials import IntPoly, exact_divide, half_resultant, half_resultants, trace_polynomial
 
 __all__ = [
@@ -21,6 +23,8 @@ __all__ = [
     "TreeCount",
     "closed_count_formal",
     "closed_counts",
+    "count_rows",
+    "extend_rows",
     "spectral_system",
     "tree_count_closed",
 ]
@@ -61,6 +65,11 @@ class SpectralSystem:
         of the counts' minimal recurrence in m: each root adds 2 + c (rho^m +
         rho^-m), the sign is eps sigma^m, the prefactor linear in m."""
         return 2 * 3 ** sum(k.degree for k, _ in self.trace_factors)
+
+    @property
+    def symmetry_scale(self) -> int:
+        """|product of the leads of the trace factors| rescaling the symmetry."""
+        return abs(math.prod(k.lead for k, _ in self.trace_factors))
 
     def order(self, n: int) -> tuple[int, Fraction]:
         """(m, n s / (stride^2 q)): power and prefactor at group order n = stride * m.
@@ -156,3 +165,23 @@ def tree_count_closed(spec: ConnectionSpec) -> TreeCount:
     if require_connected(spec).r == spec.t == spec.s - 1 == 0:  # base R L - G = 0: connected
         return TreeCount(4 if spec.half_r and spec.half_t else 1)  # only as a tree or a 4-cycle
     return closed_count_formal(spectral_system(spec), spec.n)
+
+
+def count_rows(spec: ConnectionSpec, n_values) -> list[dict]:
+    """``order_row`` of ``{"tau": tau}`` per order over one trace table; a spec without
+    one (``DegenerateSystem``) counts or refuses each order by ``tree_count_closed``."""
+    try:
+        sys = spectral_system(spec)
+    except DegenerateSystem:
+        sys = None
+
+    def count(sp: ConnectionSpec) -> dict:
+        tau = tree_count_closed(sp) if sys is None else closed_count_formal(sys, require_connected(sp).n)
+        return {"tau": tau.tau}
+
+    return [order_row(count, spec, n) for n in n_values]
+
+
+def extend_rows(compute, spec: ConnectionSpec, counts: list[dict]) -> list[dict]:
+    """Each count row's error row as it is, else ``order_row`` of ``compute(spec at n, tau)``."""
+    return [r if "error" in r else order_row(lambda sp: compute(sp, r["tau"]), spec, r["n"]) for r in counts]

@@ -226,8 +226,8 @@ def expand_series(gf: RationalGF, count: int) -> list[int]:
 
 
 def symmetry_scale(spec: ConnectionSpec) -> int:
-    """|product of the leads of the trace factors| rescaling the symmetry."""
-    return abs(math.prod(k.lead for k, _ in spectral_system(spec).trace_factors))
+    """``SpectralSystem.symmetry_scale`` of the spec's trace table."""
+    return spectral_system(spec).symmetry_scale
 
 
 def _scaled(p: IntPoly, scale: int) -> IntPoly:

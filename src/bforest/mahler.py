@@ -22,14 +22,14 @@ is a resultant, ``half_resultant(K, N, +1)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath
 
 from . import _FLOAT_NAMES
-from .counting import SpectralSystem, closed_count_formal, spectral_system
+from .counting import SpectralSystem, count_rows, extend_rows, spectral_system
 from .errors import InexactDivision, NonConvergence, ZeroPolynomial
-from .graphs import ConnectionSpec, order_row, require_connected
+from .graphs import ConnectionSpec, require_connected
 from .polynomials import IntPoly, exact_divide, half_resultant, squarefree_layers
 
 __all__ = list(_FLOAT_NAMES)
@@ -200,29 +200,14 @@ def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:
     return MahlerEstimate(float(value), float(value * rel_error))
 
 
-def asymptotic_prediction(spec: ConnectionSpec, n: int, digits: int = 64):
-    """Leading-order prediction of the tree count at order n.
-
-    The count at n = stride * m grows like (n s / (stride^2 q)) M^m, with M
-    the measure of the product of the factor polynomials.  The spec moves to
-    order n by ``replace(spec, n=n)``, so an order without a count raises as
-    its convergence row reports: an invalid spec at n (n < 1, a generator
-    at or past n/2, odd n for families 2-4) or a disconnected graph.
-    """
-    sys = spectral_system(require_connected(replace(spec, n=n)))
-    m, prefactor = sys.order(n)
-    with mpmath.workdps(digits):
-        return prefactor * _trace_measure(sys, digits)[0] ** m
-
-
-def _growth_report(spec: ConnectionSpec, n_list, digits: int):
-    """(system, growth base, convergence rows) from one system and one root table."""
+def _growth_report(spec: ConnectionSpec, counts: list[dict], digits: int):
+    """(system, growth base, convergence rows) from one system and one root table: each
+    count row gains the prediction (n s / (stride^2 q)) M^m at n = stride * m, ratio and deviation."""
     sys = spectral_system(spec)
     with mpmath.workdps(digits):
         measure, rel_error = _trace_measure(sys, digits)
 
-        def convergence(at_n: ConnectionSpec) -> dict:
-            tau = closed_count_formal(sys, require_connected(at_n).n).tau
+        def convergence(at_n: ConnectionSpec, tau: int) -> dict:
             m, prefactor = sys.order(at_n.n)
             prediction = prefactor * measure**m
             ratio = prediction / mpmath.mpf(tau)
@@ -233,15 +218,15 @@ def _growth_report(spec: ConnectionSpec, n_list, digits: int):
                 "deviation": float(abs(ratio - 1)),
             }
 
-        rows = [order_row(convergence, spec, n) for n in n_list]
+        rows = extend_rows(convergence, spec, counts)
     return sys, MahlerEstimate(float(measure), float(measure * rel_error)), rows
 
 
 def convergence_report(spec: ConnectionSpec, n_list, digits: int = 64) -> list[dict]:
     """Table of (n, exact tau, asymptotic prediction, ratio, |ratio-1|).
 
-    Rows come from ``graphs.order_row``, as every per-order table does: an
-    order where ``bforest count`` has an error row, an invalid spec at that
-    order or a disconnected graph, gets the same error row here.
+    The rows extend ``count_rows``, as every per-order table does, so an order
+    without a count (an invalid spec there, a disconnected graph) keeps its
+    error row; a spec without a trace table raises :class:`DegenerateSystem`.
     """
-    return _growth_report(spec, n_list, digits)[2]
+    return _growth_report(spec, count_rows(spec, n_list), digits)[2]

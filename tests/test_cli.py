@@ -3,12 +3,13 @@
 import json
 import os
 import re
+import sys
 
 import jsonschema
 import pytest
 
 import bforest.cli
-from bforest import tau_sequence
+from bforest import closed_counts, tree_count_closed, validate_spec
 from bforest.cli import run
 from bforest.errors import InvariantViolation, NonConvergence
 from tests.conftest import ZERO_BASE
@@ -203,11 +204,11 @@ def test_genfun_asks_for_the_terms_the_spectral_bound_certifies(
     # 2 min(bound, cap) + 2 terms: the prism's bound is 6, two-spoke's 54
     asked = []
 
-    def recording(spec, count):
+    def recording(system, count):
         asked.append(count)
-        return tau_sequence(spec, count)
+        return closed_counts(system, count)
 
-    monkeypatch.setattr("bforest.cli.tau_sequence", recording)
+    monkeypatch.setattr("bforest.cli.closed_counts", recording)
     cap = ("--max-order", max_order) if max_order else ()
     status, _, err = invoke(capsys, "genfun", "--spec", spec, *cap)
     assert (asked, status) == ([terms], code)
@@ -230,8 +231,9 @@ def test_failures_exit_2_under_their_class_name(capsys, monkeypatch, error, labe
 @pytest.mark.parametrize("section", ["asymptotics", "genfun"])
 def test_report_fails_on_a_bug_in_a_section_it_keeps_refusals_in(capsys, monkeypatch, section):
     # a refusal becomes the section's error object; an InvariantViolation is
-    # a bug, so report exits 2 as an internal error
-    def failing(spec, args):
+    # a bug, so report exits 2 as an internal error; asymptotics takes the
+    # report's count rows
+    def failing(spec, args, counts=None):
         raise InvariantViolation("no answer")
 
     monkeypatch.setattr(f"bforest.cli._cmd_{section}", failing)
@@ -457,3 +459,51 @@ def test_oracle_rows_report_the_size_cap(capsys, monkeypatch, command):
     assert code == 0
     (row,) = json.loads(out)["rows"]
     assert row["n"] == n and "vertices" in row["error"]
+
+
+PRISM_7600 = '{"n":7600,"alphas":[1],"betas":[1],"gammas":[0]}'
+
+
+def test_answers_past_the_int_digit_limit_print_in_every_format(capsys):
+    # tau at n = 7600 has more decimal digits than str(int) converts by
+    # default (4300); run lifts the limit only while it writes its output
+    limit = sys.get_int_max_str_digits()
+    outs = {}
+    for fmt in ("json", "csv", "text"):
+        status, outs[fmt], err = invoke(capsys, "count", "--spec", PRISM_7600, "--format", fmt)
+        assert (status, err, sys.get_int_max_str_digits()) == (0, "", limit), fmt
+    # refusals before and after the command ran leave it as they found it
+    assert invoke(capsys, "genfun", "--spec", PRISM, "--format", "csv")[0] == 1
+    assert invoke(capsys, "genfun", "--spec", PRISM, "--max-order", "3")[0] == 2
+    assert sys.get_int_max_str_digits() == limit
+    tau = tree_count_closed(validate_spec(json.loads(PRISM_7600))).tau
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(tau)) > 4300
+        assert json.loads(outs["json"]) == {"rows": [{"n": 7600, "tau": tau}]}
+        assert outs["csv"] == f"n,tau\n7600,{tau}\n"
+        assert outs["text"] == f"rows:\n  n=7600 tau={tau}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_report_builds_few_tables_and_counts_each_order_once(capsys, monkeypatch):
+    # bench report-cli's first argv: 13 orders and 14 genfun terms, one fold
+    # each; compare, arithmetic and the convergence rows reuse the counts
+    calls = {"tables": 0, "folds": 0}
+    counting = bforest.counting
+    post_init, fold = counting.SpectralSystem.__post_init__, counting._fold
+
+    def counted_post_init(self):
+        calls["tables"] += 1
+        post_init(self)
+
+    def counted_fold(*args):
+        calls["folds"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(counting.SpectralSystem, "__post_init__", counted_post_init)
+    monkeypatch.setattr(counting, "_fold", counted_fold)
+    assert invoke(capsys, "report", "--spec", PRISM, "--n-end", "39", "--step", "3")[0] == 0
+    assert calls["tables"] <= 5
+    assert calls["folds"] == 13 + 14

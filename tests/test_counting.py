@@ -17,6 +17,7 @@ from bforest import (
     NotConnected,
     OutOfRange,
     closed_count_formal,
+    convergence_report,
     exact_divide,
     spectral_system,
     tree_count_chebyshev,
@@ -26,7 +27,6 @@ from bforest import (
     validate_spec,
     verify_square_structure,
 )
-from bforest.mahler import asymptotic_prediction
 from tests.conftest import ZERO_BASE, _cosine_coefficients, base_and_family, lift, random_connected_specs
 
 
@@ -251,7 +251,7 @@ NO_COUNT = {
 FOLDS = {
     "closed": tree_count_closed,
     "chebyshev": tree_count_chebyshev,
-    "prediction": lambda spec: asymptotic_prediction(spec, spec.n),
+    "prediction": lambda spec: convergence_report(spec, [spec.n]),
     "verify": lambda spec: verify_square_structure(spec, 75),
 }
 
@@ -262,8 +262,8 @@ def test_every_fold_refuses_an_order_without_a_count(case, fold):
     # the Chebyshev check once gave 20.0, -75.0 and 0.0 where the exact count
     # raises, and verify_square_structure a ValueError or ZeroDivisionError
     build, error = NO_COUNT[case]
-    if fold == "verify" and case == "spokeless":
-        error = DegenerateSystem  # no connectivity check: q = 0 is refused
+    if fold in ("prediction", "verify") and case == "spokeless":
+        error = DegenerateSystem  # the table comes first: q = 0 is refused
     with pytest.raises(BforestError) as info:
         FOLDS[fold](build())
     assert type(info.value) is error

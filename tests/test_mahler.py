@@ -9,9 +9,6 @@ import bforest.mahler
 from bforest import (
     IntPoly,
     NonConvergence,
-    NotConnected,
-    OutOfRange,
-    asymptotic_prediction,
     convergence_report,
     growth_base,
     mahler_quadrature,
@@ -212,33 +209,35 @@ def test_growth_bases_of_worked_examples(family_specs):
 
 
 def test_prediction_approaches_exact_count(family_specs):
-    spec = validate_spec({**family_specs[1].to_dict(), "n": 30})
-    tau = tree_count_closed(spec).tau
-    prediction = asymptotic_prediction(spec, 30)
-    assert abs(float(prediction) / tau - 1) < 1e-15
+    [row] = convergence_report(family_specs[1], [30])
+    assert row["tau"] == tree_count_closed(validate_spec({**family_specs[1].to_dict(), "n": 30})).tau
+    assert abs(row["prediction"] / row["tau"] - 1) < 1e-15
+
+
+def _error_type(spec, n):
+    [row] = convergence_report(spec, [n])
+    assert set(row) == {"n", "error", "error_type"}
+    return row["error_type"]
 
 
 def test_prediction_requires_even_order_for_variants(family_specs):
-    with pytest.raises(ValueError):
-        asymptotic_prediction(family_specs[2], 7)
+    assert _error_type(family_specs[2], 7) == "HalfWithoutEvenN"
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_prediction_rejects_non_positive_orders(family_specs, n):
     # no count to predict, as in closed_count_formal
-    with pytest.raises(OutOfRange):
-        asymptotic_prediction(family_specs[1], n)
+    assert _error_type(family_specs[1], n) == "OutOfRange"
 
 
 def test_prediction_rejects_disconnected_orders():
     # the gcd test at order n fails exactly where the formal count is 0
     disconnected = validate_spec({"n": 8, "alphas": [2], "betas": [2], "gammas": [0]})
-    with pytest.raises(NotConnected):
-        asymptotic_prediction(disconnected, 8)
+    assert _error_type(disconnected, 8) == "NotConnected"
     spec = validate_spec({"n": 5, "alphas": [2], "betas": [], "gammas": [0]})
-    assert asymptotic_prediction(spec, 5) > 0
-    with pytest.raises(NotConnected):
-        asymptotic_prediction(spec, 6)
+    [row] = convergence_report(spec, [5])
+    assert row["prediction"] > 0
+    assert _error_type(spec, 6) == "NotConnected"
 
 
 def test_convergence_report_deviation_shrinks(family_specs):
@@ -314,9 +313,9 @@ def test_growth_measures_come_from_the_trace_roots(monkeypatch, name):
 
     monkeypatch.setattr(bforest.mahler, "roots_numeric", no_z_roots)
     assert growth_base(spec).value == base
-    assert float(asymptotic_prediction(spec, 2 * spec.n)) == prediction
     report = convergence_report(spec, [n for n, _, _ in rows])
     assert [(row["n"], row["tau"], row["prediction"]) for row in report] == rows
+    assert {row["n"]: row["prediction"] for row in report}[2 * spec.n] == prediction
 
 
 def test_growth_base_error_bound_covers_rounding():

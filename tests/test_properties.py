@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from bforest import (
     ConnectionSpec,
     OutOfRange,
-    asymptotic_prediction,
     convergence_report,
     find_recurrence,
     growth_base,
@@ -114,8 +113,9 @@ def test_orders_where_a_generator_reaches_n_over_2_have_no_count(capsys):
     assert [row] == _count_rows(capsys, spec, 4, 4)
     assert set(row) == {"n", "error", "error_type"} and "alpha=2 outside" in row["error"]
     assert row["error_type"] == "OutOfRange"
-    with pytest.raises(OutOfRange):
-        asymptotic_prediction(spec, 4)
+    # the refused order leaves the next one's row as the count gives it
+    rows = convergence_report(spec, [4, 5])
+    assert rows[0] == row and rows[1]["tau"] == tree_count_closed(spec).tau
     simple = validate_spec({"n": 4, "betas": [1], "gammas": [0], "half_r": True})
     assert tree_count_closed(simple).tau == tree_count_oracle(simple) == 64
     # the prism at n = 2 once counted 12 in closed form and 4 by the oracle
