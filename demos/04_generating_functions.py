@@ -2,7 +2,7 @@
 
 The counts of a fixed connection pattern satisfy a short linear recurrence
 recovered exactly by Berlekamp-Massey modulo word-size primes, combined by
-CRT and rational reconstruction and checked on every term.  The resulting
+CRT, lifted to the balanced range and checked on every term.  The resulting
 rational function obeys an x <-> 1/x symmetry after rescaling by the
 leading spectral coefficients.
 """

@@ -9,6 +9,7 @@ branch exactly; ``square_witness`` does so over a table already built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,7 +82,7 @@ def square_witness(sys: SpectralSystem, n: int, tau: TreeCount | int) -> SquareW
     :class:`NotAPerfectSquare` (a negative tau included) or
     :class:`NonDivisible` if the claimed decomposition fails.
     """
-    value = tau.tau if isinstance(tau, TreeCount) else int(tau)
+    value = tau.tau if isinstance(tau, TreeCount) else operator.index(tau)
     m, prefactor = sys.order(n)
     branch = "odd" if m % 2 == 1 else "even"
     structure = _structure(sys, m)
@@ -92,14 +93,13 @@ def square_witness(sys: SpectralSystem, n: int, tau: TreeCount | int) -> SquareW
         )
     cofactor = prefactor * sys.degeneracy * structure
 
+    # sizes, not values, in the messages: tau may pass the int digit limit
     ratio = Fraction(value) / cofactor
     if ratio.denominator != 1:
-        raise NonDivisible(f"cofactor {cofactor} does not divide tau={value}")
+        raise NonDivisible(f"cofactor {cofactor} does not divide the {value.bit_length()}-bit tau")
     square = int(ratio)
     witness = math.isqrt(max(square, 0))
     if witness * witness != square:
-        raise NotAPerfectSquare(f"tau/cofactor = {square} is not a perfect square (tau={value})")
-    # odd n/2, odd s and an odd structure constant force an even witness
-    if sys.stride == 2 and branch == "odd" and sys.spokes % 2 == 1 and structure % 2 == 1 and witness % 2:
-        raise NonDivisible(f"odd n/2, s and structure force an even witness, got {witness}")
+        size = "negative" if square < 0 else f"{square.bit_length()}-bit"
+        raise NotAPerfectSquare(f"the {size} tau/cofactor is not a perfect square")
     return SquareWitness(branch, cofactor, witness)

@@ -147,8 +147,9 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     """Closed-form tree count as a formal function of n.
 
     prefactor * prod |fixed| * (prod a)^2 over ``half_resultant`` of each
-    trace factor.  No validity or connectivity check: this evaluates
-    the counting formula itself, which generating-function work needs for small n.
+    trace factor.  No validity or connectivity check: this evaluates the
+    counting formula itself at any order ``sys.order`` takes, a degenerate
+    graph's included; ``closed_counts`` sweeps it over n = stride, 2 stride, ...
     """
     m, prefactor = sys.order(n)
     return _fold(prefactor, [half_resultant(k, m, c) for k, c in sys.trace_factors])

@@ -3,21 +3,21 @@
 The tree counts of a fixed connection pattern, indexed by the group order,
 satisfy a linear recurrence; the generating function is therefore rational
 with integer coefficients and obeys an x <-> 1/x symmetry after rescaling
-by the leading spectral coefficients.  The recurrence is recovered exactly
-by Berlekamp-Massey modulo word-size primes, combined by CRT and
-maximal-quotient rational reconstruction, and certified by its exact fit
-to every term; an order over the cap modulo one prime is refused at once.
+by the leading spectral coefficients.  By Fatou's lemma its reduced
+denominator has integer coefficients and constant term 1, so the recurrence
+is recovered exactly by Berlekamp-Massey modulo word-size primes, combined
+by CRT and lifted to the balanced range, and certified by its exact fit to
+every term; an order over the cap modulo one prime is refused at once.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import closed_counts, spectral_system
-from .errors import InvariantViolation, NonMonicDenominator, OrderExceeded
+from .errors import NonMonicDenominator, OrderExceeded, OutOfRange
 from .graphs import ConnectionSpec
 from .polynomials import IntPoly
 
@@ -72,7 +72,7 @@ def tau_sequence(spec: ConnectionSpec, count: int) -> TauSequence:
     every n >= 1 even when the literal graph at that order would degenerate.
     """
     if count < 1:
-        raise ValueError("need at least one term")
+        raise OutOfRange(f"need at least one term, got {count}")
     return TauSequence(spec.family, tuple(t.tau for t in closed_counts(spectral_system(spec), count)))
 
 
@@ -116,43 +116,27 @@ def _massey(terms: list[int], p: int) -> tuple[int, list[int]]:
     return order, conn + [0] * (order + 1 - len(conn))
 
 
-def _rational(r: int, m: int) -> tuple[int, int] | None:
-    """(a, b) with a = b r (mod m), b > 0, gcd(a, b) = 1: the convergent of the
-    half extended Euclid before its largest partial quotient q > 2^20, if any;
-    q ~ m / (|a| b), so |a| b may reach m / 2^21 (Monagan, ISSAC 2004)."""
-    best, top, r0, r1, t0, t1 = None if r else (0, 1), 2**20, m, r, 0, 1
-    while r1 and r0 > top:
-        q = r0 // r1
-        if q > top:
-            best, top = (r1, t1), q
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if best is None or math.gcd(*best) != 1:
-        return None
-    return best if best[1] > 0 else (-best[0], -best[1])
-
-
 def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
-    """Minimal homogeneous linear recurrence, exactly: Berlekamp-Massey
-    modulo primes below 2^62, combined by CRT.
+    """Minimal homogeneous linear recurrence e0..eL, e0 = 1, of integer terms,
+    exactly: Berlekamp-Massey modulo primes below 2^62, combined by CRT.
 
-    Rational terms are scaled by one common denominator.  The primes that
-    agree on the order L_p of the terms mod p pool their connection
-    polynomials, and the first rebuild (``_rational``) that fits all N >= 2L + 1
-    terms is returned; a prime that disagrees is outvoted.  The fit certifies
-    it: it is a multiple of the minimal recurrence over Q, which Gauss's lemma
-    makes p-integral too, so of order L_Q >= L_p, and the two are equal.
-    Returns integer coefficients e0..eL (content-free, e0 > 0).
+    By Fatou's lemma a rational series with integer terms has its minimal
+    recurrence in this form, integral with e0 = 1, the one ``genfun`` needs.
+    The primes that agree on the order L_p of the terms mod p pool their
+    connection polynomials, and the first balanced lift with every coefficient
+    below M / 2^20 (M the pooled modulus) that fits all N >= 2L + 1 terms is
+    returned; a prime that disagrees is outvoted.  The fit certifies it: it is
+    a multiple of the minimal recurrence over Q, which Gauss's lemma makes
+    integral with e0 = 1, so of order L_Q >= L_p, and the two are equal.
 
-    Raises :class:`OrderExceeded` if one L_p exceeds ``max_order``, or two
-    agree on an order too large to certify from the given terms.  An integer
-    recurrence with e0 = 1 reduces mod p, so L_p > ``max_order`` proves that
-    no such recurrence of order <= ``max_order`` fits the terms: the form
-    ``genfun`` needs, which Fatou's lemma gives every rational series with
-    integer terms.  One with e0 != 1 may fit, as (p, -1) fits p^9, .., p, 1.
+    Raises :class:`TypeError` on a term that is not an integer, and
+    :class:`OrderExceeded` if one L_p exceeds ``max_order`` (no recurrence
+    with e0 = 1 of order <= ``max_order`` fits, as it would reduce mod p) or
+    two agree on an order too large to certify from the given terms.  One
+    with e0 != 1 may fit, as (p, -1) fits p^9, .., p, 1; when the primes run
+    out with no lift that fits, :class:`NonMonicDenominator`.
     """
-    values = [Fraction(v) for v in (seq.values if isinstance(seq, TauSequence) else seq)]
-    denom = math.lcm(*(v.denominator for v in values))
-    terms = [v.numerator * (denom // v.denominator) for v in values]
+    terms = [operator.index(v) for v in (seq.values if isinstance(seq, TauSequence) else seq)]
     # Hadamard: minors of the terms up to size L + 1 have at most `bits` bits.
     # They bound C's coefficients, and a prime that errs divides one or two
     # of them, so the run below holds enough good primes to settle on C
@@ -171,16 +155,12 @@ def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
         residues = [r + modulus * ((c - r) * inverse % p) for r, c in zip(residues, conn)]
         modulus *= p
         runs[order] = modulus, residues
-        rebuilt = [_rational(r, modulus) for r in residues]
-        if None in rebuilt or 2 * order + 2 > len(terms) + 1:
+        recurrence = tuple(r - modulus if 2 * r > modulus else r for r in residues)
+        if 2 * order + 2 > len(terms) + 1 or any(abs(e) << 20 >= modulus for e in recurrence):
             continue
-        # each a/b is in lowest terms and C[0] = 1, so the lcm of the b leaves
-        # e0 > 0 and no content
-        scale = math.lcm(*(b for _, b in rebuilt))
-        recurrence = tuple(a * (scale // b) for a, b in rebuilt)
         if all(sum(map(operator.mul, recurrence, terms[i::-1])) == 0 for i in range(order, len(terms))):
             return recurrence
-    raise InvariantViolation(f"Berlekamp-Massey modulo {k + 1} primes found no recurrence that fits")
+    raise NonMonicDenominator(f"Berlekamp-Massey modulo {k + 1} primes: no recurrence with e0 = 1 fits")
 
 
 def genfun(seq, recurrence) -> RationalGF:

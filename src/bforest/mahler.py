@@ -57,8 +57,8 @@ def roots_numeric(f: IntPoly, digits: int = 64):
             roots = mpmath.polyroots(coeffs, maxsteps=ROOT_STEPS, cleanup=False, extraprec=34)
         except mpmath.libmp.NoConvergence as exc:
             raise NonConvergence(
-                f"Durand-Kerner polyroots did not settle in {ROOT_STEPS} steps; "
-                "repeated roots converge only linearly"
+                f"Durand-Kerner polyroots did not settle in {ROOT_STEPS} steps "
+                f"on degree {deg} at {digits} digits"
             ) from exc
         results = []
         for x in roots:

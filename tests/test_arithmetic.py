@@ -1,11 +1,13 @@
 """Parity profiles and the perfect-square factorization of tree counts."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from bforest import (
+    NonDivisible,
     NonPositiveStructure,
     NotAPerfectSquare,
     NotConnected,
@@ -158,6 +160,24 @@ def test_rejects_wrong_value(family_specs):
         verify_square_structure(family_specs[1], 76 * 3)  # 76 is not a square
     with pytest.raises(NonDivisible):
         verify_square_structure(family_specs[1], 7)  # 3 does not divide 7
+
+
+@pytest.mark.parametrize("tau", [75.5, Fraction(151, 2), "75"])
+def test_tau_must_be_an_integer(family_specs, tau):
+    # int() once truncated each of these to 75, which verified as witness 5
+    with pytest.raises(TypeError):
+        verify_square_structure(family_specs[1], tau)
+
+
+def test_refusals_past_the_int_digit_limit_name_sizes():
+    # tau has 4351 digits, past the interpreter's limit on int -> str
+    spec = validate_spec({"n": 7600, "alphas": [1], "betas": [1], "gammas": [0]})
+    tau = tree_count_closed(spec).tau
+    assert 0 < sys.get_int_max_str_digits() < 4351
+    with pytest.raises(NonDivisible, match="14452-bit tau"):
+        verify_square_structure(spec, tau + 1)
+    with pytest.raises(NotAPerfectSquare, match="14438-bit tau/cofactor"):
+        verify_square_structure(spec, 3 * tau)
 
 
 def test_negative_count_is_not_a_perfect_square(family_specs):

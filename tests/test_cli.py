@@ -366,6 +366,23 @@ def test_spec_from_file(tmp_path, capsys):
     assert json.loads(out)["rows"] == [{"n": 3, "tau": 75}]
 
 
+def test_spec_file_that_cannot_be_read_is_a_spec_error(tmp_path, capsys):
+    missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
+    broken.write_text('{"n": 3,')
+    for path, message in [
+        (missing, "--spec is neither inline JSON nor a readable file"),
+        (broken, f"spec file {str(broken)!r} is not valid JSON"),
+    ]:
+        code, out, err = invoke(capsys, "count", "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"invalid spec: {message}: "), err
+
+
+def test_empty_n_range_is_a_spec_error(capsys):
+    code, out, err = invoke(capsys, "count", "--spec", PRISM, "--n-start", "10", "--n-end", "3")
+    assert (code, out, err) == (1, "", "invalid spec: empty n-range 10..3 step 1\n")
+
+
 def test_precision_floor(capsys):
     code, _, err = invoke(capsys, "asymptotics", "--spec", PRISM, "--precision", "8")
     assert code == 1

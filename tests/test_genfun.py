@@ -13,6 +13,7 @@ from bforest import (
     IntPoly,
     NonMonicDenominator,
     OrderExceeded,
+    OutOfRange,
     RationalGF,
     closed_count_formal,
     expand_series,
@@ -25,7 +26,7 @@ from bforest import (
     validate_spec,
     verify_symmetry,
 )
-from bforest.genfun import _massey, _prime, _rational
+from bforest.genfun import _massey, _prime
 from tests.conftest import find_recurrence_fractions, find_recurrence_integers, random_connected_specs
 
 
@@ -65,14 +66,26 @@ ORACLE_INPUTS = [
 ]
 
 
+def _massey_runs(monkeypatch) -> list[int]:
+    """The primes ``find_recurrence`` runs Massey's algorithm modulo, in order."""
+    module, primes = importlib.import_module("bforest.genfun"), []
+    monkeypatch.setattr(module, "_massey", lambda terms, p: primes.append(p) or _massey(terms, p))
+    return primes
+
+
 @pytest.mark.parametrize(
     "values,max_order",
     [([1, 0, 0, 1, 0], 128), ([1, 1, 2, 3, 5, 8, 13, 21], 1), ([Fraction(1, n) for n in range(1, 13)], 128)],
 )
-def test_integer_recurrence_refuses_where_the_oracle_does(values, max_order):
-    for recover in (find_recurrence, find_recurrence_fractions):
-        with pytest.raises(OrderExceeded):
-            recover(values, max_order=max_order)
+def test_integer_recurrence_refuses_where_the_oracle_does(values, max_order, monkeypatch):
+    with pytest.raises(OrderExceeded):
+        find_recurrence_fractions(values, max_order=max_order)
+    # a term that is not an integer is refused before any Massey run
+    primes = _massey_runs(monkeypatch)
+    integral = all(isinstance(v, int) for v in values)
+    with pytest.raises(OrderExceeded if integral else TypeError):
+        find_recurrence(values, max_order=max_order)
+    assert bool(primes) == integral
 
 
 P0 = _prime(0)  # the first prime the modular Berlekamp-Massey uses
@@ -85,13 +98,26 @@ UNLUCKY = [[P0 ** (9 - k) for k in range(10)], [P0 * 2**k + k for k in range(12)
 
 @pytest.mark.parametrize("values", ORACLE_INPUTS + UNLUCKY)
 def test_integer_recurrence_matches_the_fraction_oracle(values):
+    # the oracle's recurrence where it is integral with e0 = 1, the form
+    # Fatou's lemma gives integer terms; Fraction terms are not taken
     expected = find_recurrence_fractions(values)
-    assert find_recurrence(values) == expected == find_recurrence_integers(values)
+    if not all(isinstance(v, int) for v in values):
+        with pytest.raises(TypeError):
+            find_recurrence(values)
+    elif expected[0] != 1:
+        with pytest.raises(NonMonicDenominator, match="no recurrence with e0 = 1 fits"):
+            find_recurrence(values)
+    else:
+        assert find_recurrence(values) == expected == find_recurrence_integers(values)
 
 
 def test_unlucky_first_prime_is_outvoted():
     assert [_massey(values, P0)[0] for values in UNLUCKY] == [10, 2]
-    assert [find_recurrence(values) for values in UNLUCKY] == [(P0, -1), (1, -4, 5, -2)]
+    assert find_recurrence(UNLUCKY[1]) == (1, -4, 5, -2)
+    # the other primes agree on order 1 and C = 1 - x / P0, whose lift never
+    # falls below M / 2^20, so the primes run out
+    with pytest.raises(NonMonicDenominator):
+        find_recurrence(UNLUCKY[0])
 
 
 def test_refusal_proves_no_monic_recurrence_fits():
@@ -125,26 +151,15 @@ TWO_SPOKE = {"n": 4, "alphas": [1], "betas": [1], "gammas": [0, 1], "half_r": Tr
 
 
 def test_two_primes_settle_the_two_spoke_recurrence(monkeypatch):
-    # its 97-bit coefficients need four primes under the balanced bound
-    # sqrt(M / 2) and a fifth to see the rebuild stay; the largest quotient
-    # finds them in two, and the fit on every term certifies them
+    # its 97-bit coefficients lift from the 124-bit modulus of two primes,
+    # below M / 2^20, and the fit on every term certifies them
     seq = tau_sequence(validate_spec(TWO_SPOKE), 130)
-    module, primes = importlib.import_module("bforest.genfun"), []
-    monkeypatch.setattr(module, "_massey", lambda terms, p: primes.append(p) or _massey(terms, p))
+    primes = _massey_runs(monkeypatch)
     recurrence = find_recurrence(seq, max_order=64)
     assert len(primes) <= 2
     assert len(recurrence) == 55
     assert max(abs(e) for e in recurrence).bit_length() > 90
     assert recurrence == find_recurrence_integers(seq.values)
-
-
-def test_rational_reconstruction_takes_the_largest_quotient():
-    # |a| > sqrt(m / 2), past the balanced bound, but |a| b is 2^30 below m
-    m = _prime(0) * _prime(1)
-    for a, b in [(5**39, 3), (-(7**25), 2**20 + 1), (5, 1), (0, 1), (-1, 1)]:
-        assert _rational(a * pow(b, -1, m) % m, m) == (a, b)
-    # no quotient stands out in a residue of m's size with no small a/b
-    assert _rational(3**77 % m, m) is None
 
 
 def test_tau_sequence_is_the_closed_count_at_every_order():
@@ -156,6 +171,12 @@ def test_tau_sequence_is_the_closed_count_at_every_order():
         system = spectral_system(spec)
         expected = tuple(closed_count_formal(system, system.stride * k).tau for k in range(1, count + 1))
         assert tau_sequence(spec, count).values == expected, spec
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_tau_sequence_needs_a_positive_count(family_specs, count):
+    with pytest.raises(OutOfRange, match=f"got {count}"):
+        tau_sequence(family_specs[1], count)
 
 
 def test_import_finds_no_primes():
