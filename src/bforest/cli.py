@@ -26,7 +26,7 @@ from fractions import Fraction
 from .arithmetic import arithmetic_profile, square_witness
 from .counting import closed_counts, count_rows, extend_rows, spectral_system
 from .errors import BforestError, InvariantViolation, OrderExceeded, SpecError
-from .genfun import find_recurrence, genfun, gf_eval, verify_symmetry
+from .genfun import TauSequence, find_recurrence, genfun, gf_eval, verify_symmetry
 from .graphs import ConnectionSpec, check_connectivity, order_row, validate_spec
 from .matrixtree import tree_count_oracle
 from .polynomials import IntPoly
@@ -34,6 +34,7 @@ from .polynomials import IntPoly
 __all__ = ["main", "run"]
 
 _MIN_PRECISION, _MAX_PRECISION = 32, 256
+_MAX_ORDER = 512  # bounds 2 3^D to D <= 5 (486, 0.7 s); big refuses at 512 in 0.6 s
 
 
 def _load_spec_source(source: str) -> dict:
@@ -135,7 +136,8 @@ def _cmd_genfun(spec: ConnectionSpec, args) -> dict:
     system = spectral_system(spec)
     bound, stride = system.recurrence_bound, system.stride
     # 2L terms fix a minimal recurrence of order L; two more are held out
-    seq = [t.tau for t in closed_counts(system, 2 * min(bound, args.max_order) + 2)]
+    counts = closed_counts(system, 2 * min(bound, args.max_order) + 2)
+    seq = TauSequence(spec.family, tuple(t.tau for t in counts))
     try:
         recurrence = find_recurrence(seq, max_order=args.max_order)
     except OrderExceeded as exc:
@@ -244,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=_EMITTERS, default="json")
     parser.add_argument("--jobs", type=int, default=1, help="ignored: rows run in the calling process")
-    parser.add_argument("--max-order", type=int, default=128, help="recurrence order cap for genfun")
+    parser.add_argument("--max-order", type=int, default=128, help=f"genfun's order cap, 1-{_MAX_ORDER}")
     return parser
 
 
@@ -253,8 +255,8 @@ def run(argv=None) -> int:
     try:
         if not _MIN_PRECISION <= args.precision <= _MAX_PRECISION:
             raise SpecError(f"--precision must be between {_MIN_PRECISION} and {_MAX_PRECISION}")
-        if args.max_order < 1:
-            raise SpecError(f"--max-order must be positive, got {args.max_order}")
+        if not 1 <= args.max_order <= _MAX_ORDER:
+            raise SpecError(f"--max-order must be between 1 and {_MAX_ORDER}, got {args.max_order}")
         if args.step < 1:
             raise SpecError(f"--step must be positive, got {args.step}")
         if args.format == "csv" and args.command in _UNTABULAR:

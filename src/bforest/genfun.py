@@ -6,12 +6,17 @@ with integer coefficients and obeys an x <-> 1/x symmetry after rescaling
 by the leading spectral coefficients.  By Fatou's lemma its reduced
 denominator has integer coefficients and constant term 1, so the recurrence
 is recovered exactly by Berlekamp-Massey modulo word-size primes, combined
-by CRT and lifted to the balanced range, and certified by its exact fit to
-every term; an order over the cap modulo one prime is refused at once.
+by CRT, lifted to the balanced range and certified by its exact fit to every
+term.  A tree count is m times an exponential polynomial, whose recurrence,
+of half the order, is found and squared; an order over the cap modulo one
+prime is refused at once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +24,7 @@ from fractions import Fraction
 from .counting import closed_counts, spectral_system
 from .errors import NonMonicDenominator, OrderExceeded, OutOfRange
 from .graphs import ConnectionSpec
-from .polynomials import IntPoly
+from .polynomials import IntPoly, _pseudo_mod, _trim
 
 __all__ = [
     "TauSequence",
@@ -94,9 +99,9 @@ def _prime(k: int) -> int:
     return _PRIMES[k]
 
 
-def _massey(terms: list[int], p: int) -> tuple[int, list[int]]:
-    """Massey's algorithm over F_p: the order L of the terms mod p, and their
-    connection polynomial C, C[0] = 1, as L + 1 coefficients."""
+def _massey(terms: list[int], p: int, cap: int) -> tuple[int, list[int]]:
+    """Massey's algorithm over F_p, stopped once L passes ``cap``: the order L of
+    the terms mod p, and their connection polynomial C, C[0] = 1, as L + 1 coefficients."""
     rev = [t % p for t in reversed(terms)]
     conn, prev = [1], [1]  # C(x); B, C before its last length change
     order, gap, scale = 0, 1, 1  # scale: the inverse of B's discrepancy
@@ -113,39 +118,22 @@ def _massey(terms: list[int], p: int) -> tuple[int, list[int]]:
         else:
             gap += 1
         conn = update
+        if order > cap:
+            break
     return order, conn + [0] * (order + 1 - len(conn))
 
 
-def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
-    """Minimal homogeneous linear recurrence e0..eL, e0 = 1, of integer terms,
-    exactly: Berlekamp-Massey modulo primes below 2^62, combined by CRT.
-
-    By Fatou's lemma a rational series with integer terms has its minimal
-    recurrence in this form, integral with e0 = 1, the one ``genfun`` needs.
-    The primes that agree on the order L_p of the terms mod p pool their
-    connection polynomials, and the first balanced lift with every coefficient
-    below M / 2^20 (M the pooled modulus) that fits all N >= 2L + 1 terms is
-    returned; a prime that disagrees is outvoted.  The fit certifies it: it is
-    a multiple of the minimal recurrence over Q, which Gauss's lemma makes
-    integral with e0 = 1, so of order L_Q >= L_p, and the two are equal.
-
-    Raises :class:`TypeError` on a term that is not an integer, and
-    :class:`OrderExceeded` if one L_p exceeds ``max_order`` (no recurrence
-    with e0 = 1 of order <= ``max_order`` fits, as it would reduce mod p) or
-    two agree on an order too large to certify from the given terms.  One
-    with e0 != 1 may fit, as (p, -1) fits p^9, .., p, 1; when the primes run
-    out with no lift that fits, :class:`NonMonicDenominator`.
-    """
-    terms = [operator.index(v) for v in (seq.values if isinstance(seq, TauSequence) else seq)]
+def _recurrence(terms: list[int], max_order: int, cap: int) -> tuple[int, ...]:
+    """``find_recurrence``'s direct path; its Massey runs stop once L_p passes ``cap``."""
     # Hadamard: minors of the terms up to size L + 1 have at most `bits` bits.
-    # They bound C's coefficients, and a prime that errs divides one or two
-    # of them, so the run below holds enough good primes to settle on C
+    # They bound C's coefficients, and the primes that err divide one of them,
+    # so a pool whose modulus passes 2^(bits + 21) holds C exactly if it fits
     size = min(max_order, len(terms)) + 1
     bits = size * (max(map(abs, terms), default=1).bit_length() + size.bit_length())
     runs: dict[int, tuple] = {}  # L_p -> (modulus, CRT residues)
     for k in range(3 + 4 * bits // 61):
         p = _prime(k)
-        order, conn = _massey(terms, p)
+        order, conn = _massey(terms, p, cap)
         if order > max_order:
             raise OrderExceeded(f"recurrence order L_p = {order} modulo p = {p} exceeds cap {max_order}")
         modulus, residues = runs.get(order, (1, [0] * (order + 1)))
@@ -156,11 +144,58 @@ def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
         modulus *= p
         runs[order] = modulus, residues
         recurrence = tuple(r - modulus if 2 * r > modulus else r for r in residues)
-        if 2 * order + 2 > len(terms) + 1 or any(abs(e) << 20 >= modulus for e in recurrence):
-            continue
-        if all(sum(map(operator.mul, recurrence, terms[i::-1])) == 0 for i in range(order, len(terms))):
-            return recurrence
+        if 2 * order + 2 <= len(terms) + 1:
+            if all(sum(map(operator.mul, recurrence, terms[i::-1])) == 0 for i in range(order, len(terms))):
+                return recurrence
+            if modulus >> (bits + 21):
+                break
     raise NonMonicDenominator(f"Berlekamp-Massey modulo {k + 1} primes: no recurrence with e0 = 1 fits")
+
+
+def _distinct_roots(recurrence: tuple[int, ...]) -> bool:
+    """Whether C_rev = x^L C(1/x), monic, and its derivative are coprime over F_p,
+    p the first prime not dividing e_L, by Euclid on pseudo-remainders."""
+    p = next(p for p in map(_prime, itertools.count()) if recurrence[-1] % p)
+    f, g = list(reversed(recurrence)), [i * e for i, e in enumerate(reversed(recurrence))][1:]
+    while g := _trim(e % p for e in g):
+        f, g = g, _pseudo_mod(list(f), g)[0]
+    return len(f) == 1
+
+
+def find_recurrence(seq, max_order: int = 128) -> tuple[int, ...]:
+    """Minimal homogeneous linear recurrence e0..eL, e0 = 1, of integer terms,
+    exactly: Berlekamp-Massey modulo primes below 2^62, combined by CRT.
+
+    By Fatou's lemma a rational series with integer terms has its minimal
+    recurrence in this form, integral with e0 = 1, the one ``genfun`` needs.
+    The primes that agree on the order L_p of the terms mod p pool their
+    connection polynomials, and the first balanced lift that fits all
+    N >= 2L + 1 terms is returned; a prime that disagrees is outvoted.  The
+    fit certifies it, whatever its size: it is a multiple of the minimal
+    recurrence over Q, which Gauss's lemma makes integral with e0 = 1, so of
+    order L_Q >= L_p, and the two are equal.
+
+    A :class:`TauSequence` holds tree counts m w_m / D, D the lcm of m / gcd(m,
+    tau_m): w's recurrence C comes first, at half the cap.  If e_L != 0 and C_rev
+    has distinct roots, m w_m has C^2 (Everest et al., *Recurrence Sequences*,
+    2003, ch. 1), and with N >= 4L + 1 terms no other of order <= 2L fits them.
+    Else the terms, like a list's, take the direct path, which names refusals.
+
+    Raises :class:`TypeError` on a term that is not an integer, and
+    :class:`OrderExceeded` if one L_p exceeds ``max_order`` (no recurrence
+    with e0 = 1 of order <= ``max_order`` fits, as it would reduce mod p) or
+    two agree on an order too large to certify from the given terms.  One with e0 != 1
+    may fit, as (p, -1) fits p^9, .., p, 1; when no lift fits by the time a pool passes
+    2^21 times the Hadamard bound, or the primes run out, :class:`NonMonicDenominator`.
+    """
+    terms = [operator.index(v) for v in (seq.values if isinstance(seq, TauSequence) else seq)]
+    if isinstance(seq, TauSequence):
+        scale = math.lcm(*(m // math.gcd(m, t) for m, t in enumerate(terms, 1)))
+        with contextlib.suppress(OrderExceeded, NonMonicDenominator):
+            c = _recurrence([t * scale // m for m, t in enumerate(terms, 1)], max_order // 2, max_order // 2)
+            if c[-1] and len(terms) >= 4 * len(c) - 3 and _distinct_roots(c):
+                return (IntPoly(c) * IntPoly(c)).coeffs
+    return _recurrence(terms, max_order, len(terms))
 
 
 def genfun(seq, recurrence) -> RationalGF:

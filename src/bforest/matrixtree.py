@@ -4,11 +4,12 @@ The oracle reads the graph as neighbour lists (:func:`graphs.realize`) and
 orders the vertices by reverse Cuthill-McKee from a pseudo-peripheral vertex
 (Cuthill & McKee 1969; George & Liu, *Computer Solution of Large Sparse
 Positive Definite Systems*, 1981), which keeps the fill-in inside a narrow
-envelope, of constant width for a bicirculant graph.  Bareiss elimination
-then runs over the nonzeros of the reduced Laplacian's upper triangle.  All
-arithmetic uses Python's arbitrary-precision integers, so tree counts are
-bit-exact no matter how fast they grow.  Nothing here shares code with the
-spectral count.
+envelope, of constant width for a bicirculant graph; vertices of degree <= 2
+go first, as each of their steps touches at most two later rows.  Bareiss
+elimination then runs over the nonzeros of the reduced Laplacian's upper
+triangle.  All arithmetic uses Python's arbitrary-precision integers, so tree
+counts are bit-exact no matter how fast they grow.  Nothing here shares code
+with the spectral count.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def tree_count_oracle(spec: ConnectionSpec) -> int:
     """Exact number of spanning trees: any cofactor of the Laplacian.
 
     The vertices of ``realize(spec)`` are put in reverse Cuthill-McKee order,
+    those of degree <= 2 first (a symmetric permutation keeps the determinant),
     and the Laplacian's upper triangle, minus the last vertex in that order,
     is built as nonzeros straight from the neighbour lists: the degree on the
     diagonal, -1 for each edge to a later vertex.  Returns 0 iff the graph is
@@ -141,6 +143,7 @@ def tree_count_oracle(spec: ConnectionSpec) -> int:
         raise OutOfRange(f"the oracle takes at most {MAX_ORACLE_VERTICES} vertices, got {2 * spec.n}")
     neighbours = realize(spec)
     order = _reverse_cuthill_mckee(neighbours)
+    order.sort(key=lambda v: len(neighbours[v]) > 2)
     place = {v: p for p, v in enumerate(order)}
     last = len(order) - 1
     rows = [

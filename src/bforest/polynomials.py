@@ -149,11 +149,11 @@ def _pseudo_mod(r: list[int], b) -> tuple[list[int], int]:
     return r, k
 
 
-def _divide(num: int, den: int, what: str) -> int:
-    """num / den, or :class:`NonIntegralResult` naming ``what`` if it is not an integer."""
+def _divide(num: int, den: int, what: str, *args) -> int:
+    """num / den, or :class:`NonIntegralResult` naming ``what % args`` if it is not an integer."""
     quot, rem = divmod(num, den)
     if rem:
-        raise NonIntegralResult(f"{what} came out non-integral")
+        raise NonIntegralResult(f"{what % args} came out non-integral")
     return quot
 
 
@@ -245,19 +245,23 @@ def _form(odd: int, c: int, a: list[int], b: list[int]) -> list[int]:
     return list(a) if c < 0 else _mul_add([0, -1], a, [2 * y for y in b])
 
 
-def _half_tail(f: IntPoly, m: int, c: int, pieces: list[tuple[list[int], int, int]]) -> tuple[int, int]:
-    """``half_resultant(f, m, c)`` from P's monic pieces (p, n, e), of degree n with
-    piece = p / lc^e (mod f): a = prod |Res(f, R)| |lc f|^(n - deg R - (e + e') deg f),
-    R = lc^e' p mod f, each factor exact."""
-    fixed, lead = fixed_part(f, m, c), abs(f.lead)
-    if f.degree == 0:  # no roots: |lc f|^m = |fixed| Res(f, P)^2
+def _half_tail(f: IntPoly, fixed: int, m: int, c: int, pieces) -> tuple[int, int]:
+    """``half_resultant(f, m, c)`` from its ``fixed`` part and P's monic pieces (p, n, e),
+    of degree n with piece = p / lc^e (mod f): a = prod |Res(f, R)| |lc f|^(n - deg R -
+    (e + e') deg f), R = lc^e' p mod f, each factor exact; R of degree <= 1 takes
+    Res(f, R) in closed form."""
+    coeffs, d, lead = f.coeffs, f.degree, abs(f.coeffs[-1])
+    if d == 0:  # no roots: |lc f|^m = |fixed| Res(f, P)^2
         return fixed, lead ** ((m - (c < 0)) // 2)
     a = 1
     for p, n, e in pieces:
-        r, kp = _pseudo_mod(p, f.coeffs)
-        shift = n - (len(r) - 1) - (e + kp) * f.degree
-        root = abs(resultant(f, IntPoly(r))) * lead ** max(shift, 0) if r else 0
-        a *= _divide(root, lead ** max(-shift, 0), f"Res(f, P) for z^{m} {c:+d}")
+        r, kp = _pseudo_mod(p, coeffs)
+        shift = n + 1 - len(r) - (e + kp) * d
+        if len(r) == 2:  # Res(f, r0 + r1 x) = +-r1^d f(-r0 / r1)
+            root = abs(sum(y * (-r[0]) ** i * r[1] ** (d - i) for i, y in enumerate(coeffs)))
+        else:
+            root = abs(_subresultants(coeffs, r)[0] if len(r) > 2 else r[0] ** d) if r else 0
+        a *= root * lead**shift if shift >= 0 else _divide(root, lead**-shift, "Res(f, P) for z^%d %+d", m, c)
     return fixed, a
 
 
@@ -282,7 +286,7 @@ def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
     eps = k mod 2, P_-eps the same form of (U_-eps-1, U_-eps).
     """
     if f.degree == 0:  # a constant f needs no pair
-        return _half_tail(f, m, c, [])
+        return _half_tail(f, fixed_part(f, m, c), m, c, [])
     k, odd = m // 2, m % 2
     pairs = _chebyshev_u_mod(f, k // 2)
     if c < 0 and not odd and k:
@@ -297,18 +301,19 @@ def half_resultant(f: IntPoly, m: int, c: int) -> tuple[int, int]:
         e = 2 * e + kp + kv
         low = _form(odd, c, [-f.lead**e], []) if eps else _form(odd, c, [], [f.lead**e])
         pieces = [(_mul_add(p, v, [-y for y in low]), (m - (c < 0)) // 2, e)]
-    return _half_tail(f, m, c, pieces)
+    return _half_tail(f, fixed_part(f, m, c), m, c, pieces)
 
 
 def half_resultants(f: IntPoly, c: int, count: int) -> list[tuple[int, int]]:
     """``half_resultant(f, m, c)`` for m = 1..count: (U_k-1, U_k) steps by U_k+1 =
     x U_k - U_k-1 mod f, the older one scaled by the lc^j of that step's reduction."""
     lead, out, a, b, e = f.lead, [], [], [1], 0  # U_-1, U_0 over lc^e
+    fixed = fixed_part(f, 2, c), fixed_part(f, 1, c)  # by the parity of m
     for m in range(1, count + 1):
         if m % 2 == 0:  # k = m // 2 moves up by one
             r, j = _pseudo_mod(_mul_add([0, 1], b, [-y for y in a]), f.coeffs)
             a, b, e = [y * lead**j for y in b], r, e + j
-        out.append(_half_tail(f, m, c, [(_form(m % 2, c, a, b), (m - (c < 0)) // 2, e)]))
+        out.append(_half_tail(f, fixed[m % 2], m, c, [(_form(m % 2, c, a, b), (m - (c < 0)) // 2, e)]))
     return out
 
 

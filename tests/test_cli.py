@@ -1,7 +1,9 @@
 """CLI subcommands: output formats, determinism, exit codes, schema."""
 
+import importlib
 import json
 import os
+import pathlib
 import re
 import sys
 
@@ -276,6 +278,25 @@ def test_max_order_below_one_is_a_spec_error(capsys, command, max_order):
     assert "invalid spec" in err and "--max-order" in err
 
 
+ORDER_486 = '{"n":4,"alphas":[1],"betas":[],"gammas":[0,2,3],"half_r":true}'
+
+
+def test_max_order_above_the_cap_is_a_spec_error_before_any_count(capsys, monkeypatch):
+    # the cap, 512, admits every spectral bound 2 3^D with D <= 5, such as
+    # this spec's 486; above it genfun and report refuse before they count
+    code, out, _ = invoke(capsys, "genfun", "--spec", ORDER_486, "--max-order", "512")
+    assert code == 0 and len(json.loads(out)["recurrence"]) == 487
+
+    def no_count(*args):
+        raise AssertionError("counted before the refusal")
+
+    monkeypatch.setattr("bforest.cli.closed_counts", no_count)
+    monkeypatch.setattr("bforest.cli.count_rows", no_count)
+    refusal = "invalid spec: --max-order must be between 1 and 512, got 513\n"
+    for command in ("genfun", "report"):
+        assert invoke(capsys, command, "--spec", ORDER_486, "--max-order", "513") == (1, "", refusal)
+
+
 @pytest.mark.parametrize("orders", [(), ("--n-start", "3", "--n-end", "5")], ids=["own-n", "range"])
 @pytest.mark.parametrize("step", ["0", "-1"])
 def test_step_below_one_is_a_spec_error(capsys, step, orders):
@@ -524,3 +545,16 @@ def test_report_builds_few_tables_and_counts_each_order_once(capsys, monkeypatch
     assert invoke(capsys, "report", "--spec", PRISM, "--n-end", "39", "--step", "3")[0] == 0
     assert calls["tables"] <= 5
     assert calls["folds"] == 13 + 14
+
+
+def test_bench_report_calls_exit_0_with_their_reference_answers(monkeypatch):
+    # bench/worker.py runs each report-cli case through run() with its argv
+    # and --jobs 2, and checks the answer against bench/references.json; a
+    # change that breaks that call fails here, before any bench run
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
+    worker = importlib.import_module("worker")
+    workloads, references = worker.workloads, worker.load_references()["report-cli"]
+    tasks = worker.prepare(workloads.plan(workloads.WORKLOADS["report-cli"], seed=1))
+    assert len(tasks) == 2 and worker.CLI_JOBS == "2"
+    for task, spec in tasks:
+        worker.check(worker.answer_of(worker._report(spec, task.case)), references.get(task.id))

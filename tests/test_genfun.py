@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bforest import (
     IntPoly,
@@ -15,6 +17,7 @@ from bforest import (
     OrderExceeded,
     OutOfRange,
     RationalGF,
+    TauSequence,
     closed_count_formal,
     expand_series,
     find_recurrence,
@@ -66,11 +69,17 @@ ORACLE_INPUTS = [
 ]
 
 
-def _massey_runs(monkeypatch) -> list[int]:
-    """The primes ``find_recurrence`` runs Massey's algorithm modulo, in order."""
-    module, primes = importlib.import_module("bforest.genfun"), []
-    monkeypatch.setattr(module, "_massey", lambda terms, p: primes.append(p) or _massey(terms, p))
-    return primes
+def _massey_runs(monkeypatch) -> list[tuple[int, int]]:
+    """(p, L_p) of each Massey run ``find_recurrence`` makes, in order."""
+    module, runs = importlib.import_module("bforest.genfun"), []
+
+    def recorded(terms, p, cap):
+        order, conn = _massey(terms, p, cap)
+        runs.append((p, order))
+        return order, conn
+
+    monkeypatch.setattr(module, "_massey", recorded)
+    return runs
 
 
 @pytest.mark.parametrize(
@@ -111,13 +120,17 @@ def test_integer_recurrence_matches_the_fraction_oracle(values):
         assert find_recurrence(values) == expected == find_recurrence_integers(values)
 
 
-def test_unlucky_first_prime_is_outvoted():
-    assert [_massey(values, P0)[0] for values in UNLUCKY] == [10, 2]
+def test_unlucky_first_prime_is_outvoted(monkeypatch):
+    assert [_massey(values, P0, len(values))[0] for values in UNLUCKY] == [10, 2]
     assert find_recurrence(UNLUCKY[1]) == (1, -4, 5, -2)
     # the other primes agree on order 1 and C = 1 - x / P0, whose lift never
-    # falls below M / 2^20, so the primes run out
-    with pytest.raises(NonMonicDenominator):
+    # fits; a lift of an integral C would, once the pool's modulus passes the
+    # Hadamard bound of 6182 bits, so the primes stop at 2^(6182 + 21): 102
+    # Massey runs, a quarter of the 408 that the whole prime budget takes
+    runs = _massey_runs(monkeypatch)
+    with pytest.raises(NonMonicDenominator, match="modulo 102 primes"):
         find_recurrence(UNLUCKY[0])
+    assert len(runs) <= 408 // 4 and runs[0] == (P0, 10)
 
 
 def test_refusal_proves_no_monic_recurrence_fits():
@@ -151,15 +164,55 @@ TWO_SPOKE = {"n": 4, "alphas": [1], "betas": [1], "gammas": [0, 1], "half_r": Tr
 
 
 def test_two_primes_settle_the_two_spoke_recurrence(monkeypatch):
-    # its 97-bit coefficients lift from the 124-bit modulus of two primes,
-    # below M / 2^20, and the fit on every term certifies them
-    seq = tau_sequence(validate_spec(TWO_SPOKE), 130)
-    primes = _massey_runs(monkeypatch)
-    recurrence = find_recurrence(seq, max_order=64)
-    assert len(primes) <= 2
+    # as a plain list the terms take the direct path: the 97-bit coefficients
+    # lift from the 124-bit modulus of two primes, and the fit on every term
+    # certifies them
+    values = list(tau_sequence(validate_spec(TWO_SPOKE), 130).values)
+    runs = _massey_runs(monkeypatch)
+    recurrence = find_recurrence(values, max_order=64)
+    assert len(runs) <= 2 and {order for _, order in runs} == {54}
     assert len(recurrence) == 55
     assert max(abs(e) for e in recurrence).bit_length() > 90
-    assert recurrence == find_recurrence_integers(seq.values)
+    assert recurrence == find_recurrence_integers(values)
+
+
+def test_one_prime_settles_the_peeled_two_spoke_recurrence(monkeypatch):
+    # the tree counts are m w_m: w's order-27 recurrence C has 48-bit
+    # coefficients, which one 62-bit prime lifts, and the answer is C^2
+    seq = tau_sequence(validate_spec(TWO_SPOKE), 130)
+    runs = _massey_runs(monkeypatch)
+    recurrence = find_recurrence(seq, max_order=64)
+    assert runs == [(P0, 27)]
+    assert recurrence == find_recurrence(list(seq.values), max_order=64)
+    assert len(recurrence) == 55
+
+
+def _outcome(seq, max_order):
+    try:
+        return find_recurrence(seq, max_order=max_order)
+    except (OrderExceeded, NonMonicDenominator) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(
+    parts=st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4)), min_size=1, max_size=4),
+    repeated=st.integers(-2, 2),
+    scale=st.just(1),
+    max_order=st.sampled_from([3, 8, 128]),
+)
+@settings(max_examples=60, deadline=None)
+# m (3^m + 1) / 4: tau_m / m is a half-integer at even m, so D = 2
+@example(parts=[(1, 3), (1, 1)], repeated=0, scale=4, max_order=128)
+# w = 2^m + m 2^m has a double root: the peel falls back
+@example(parts=[(1, 2)], repeated=1, scale=1, max_order=128)
+def test_peeled_recurrence_equals_the_direct_one_on_exponential_polynomials(parts, repeated, scale, max_order):
+    # tau_m = m u_m / scale, u an exponential polynomial, with a double root
+    # when ``repeated`` is nonzero; peeled or not, the answer or the refusal
+    # is the direct path's
+    u = [sum(c * a**m for c, a in parts) + repeated * m * parts[0][1] ** m for m in range(1, 41)]
+    values = [m * v // scale for m, v in enumerate(u, 1)]
+    assert all(m * v % scale == 0 for m, v in enumerate(u, 1))
+    assert _outcome(TauSequence(1, tuple(values)), max_order) == _outcome(values, max_order)
 
 
 def test_tau_sequence_is_the_closed_count_at_every_order():

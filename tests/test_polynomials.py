@@ -300,22 +300,23 @@ def test_split_resultants_take_at_most_half_the_bits(monkeypatch):
     ((k, c),) = system.trace_factors
     assert c == -1 and system.order(2000)[0] == 2000 and abs(k.lead) == 1
     whole = max(abs(y).bit_length() for y in _chebyshev_u_mod(k, 1000)[-1][1])
-    real, sizes = polynomials.resultant, []
+    real, sizes = polynomials._subresultants, []
 
     def record(f, g):
-        sizes.append(max(abs(y).bit_length() for y in f.coeffs + g.coeffs))
+        sizes.append(max(abs(y).bit_length() for y in [*f, *g]))
         return real(f, g)
 
-    monkeypatch.setattr(polynomials, "resultant", record)
+    monkeypatch.setattr(polynomials, "_subresultants", record)
     tree_count_closed(spec)
     assert len(sizes) > 1 and max(sizes) <= 0.55 * whole, (sizes, whole)
 
 
 def test_half_resultant_rejects_a_witness_lc_does_not_divide(monkeypatch):
-    # a non-monic K reduces P over a power of lc K, which Res(K, R) must carry
-    monkeypatch.setattr(polynomials, "resultant", lambda f, g: 1)
-    with pytest.raises(NonIntegralResult):
-        half_resultant(IntPoly([1, 1, 3]), 50, -1)
+    # a non-monic K reduces P over a power of lc K, which Res(K, R) must carry;
+    # a cubic K, so that R of degree 2 takes the subresultant sequence
+    monkeypatch.setattr(polynomials, "_subresultants", lambda f, g: (1, [1]))
+    with pytest.raises(NonIntegralResult, match=r"Res\(f, P\) for z\^50 -1 came out non-integral"):
+        half_resultant(IntPoly([1, 1, 1, 3]), 50, -1)
 
 
 def test_resultant_rejects_nonintegral_accumulator(monkeypatch):

@@ -141,3 +141,14 @@ def test_spectral_degree_bounds_the_recurrence_order():
         assert find_recurrence(seq.values[: 2 * bound + 2], max_order=bound) == recurrence, spec
         checked.add(spec.family)
     assert checked == {1, 2, 3, 4}
+
+
+@given(connected_specs())
+@settings(max_examples=30, deadline=None)
+def test_peeled_recurrence_equals_the_direct_one(spec):
+    # a TauSequence finds the recurrence of tau_m D / m at half the order and
+    # squares it; the same terms as a list take the direct path
+    bound = spectral_system(spec).recurrence_bound
+    assume(bound <= 162)
+    seq = tau_sequence(spec, 2 * bound + 2)
+    assert find_recurrence(seq, max_order=bound) == find_recurrence(list(seq.values), max_order=bound)
