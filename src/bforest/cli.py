@@ -35,6 +35,7 @@ __all__ = ["main", "run"]
 
 _MIN_PRECISION, _MAX_PRECISION = 32, 256
 _MAX_ORDER = 512  # bounds 2 3^D to D <= 5 (486, 0.7 s); big refuses at 512 in 0.6 s
+_MAX_N_VALUES = 15000  # orders per call: `count` on the prism takes n = 1..15000 in about 9 s
 
 
 def _load_spec_source(source: str) -> dict:
@@ -57,10 +58,12 @@ def _n_values(args, spec: ConnectionSpec) -> list[int]:
         return [spec.n]
     start = args.n_start if args.n_start is not None else spec.n
     end = args.n_end if args.n_end is not None else start
-    values = list(range(start, end + 1, args.step))
+    values = range(start, end + 1, args.step)
     if not values:
         raise SpecError(f"empty n-range {start}..{end} step {args.step}")
-    return values
+    if values[_MAX_N_VALUES:]:  # a slice, not len(): a range past 2^63 has no len
+        raise SpecError(f"n-range {start}..{end} step {args.step} holds more than {_MAX_N_VALUES} orders")
+    return list(values)
 
 
 def _oracle(sp):

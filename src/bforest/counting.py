@@ -134,10 +134,13 @@ def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
     return SpectralSystem(s, q, stride, tuple(table))
 
 
-def _fold(prefactor: Fraction, parts) -> TreeCount:
-    """prefactor * prod |fixed| * (prod a)^2 over the (fixed, a) of each trace factor."""
-    fixed, witness = math.prod(abs(f) for f, _ in parts), math.prod(a for _, a in parts)
-    tau, rem = divmod(prefactor.numerator * fixed * witness**2, prefactor.denominator)
+def _fold(numerator: int, denominator: int, parts) -> TreeCount:
+    """numerator / denominator * prod |fixed| * (prod a)^2 over the (fixed, a) of each trace factor."""
+    witness = 1
+    for fixed, a in parts:
+        numerator *= abs(fixed)
+        witness *= a
+    tau, rem = divmod(numerator * witness**2, denominator)
     if rem:
         raise NonIntegralResult(f"closed-form count is not an integer: remainder {rem}")
     return TreeCount(tau)
@@ -152,13 +155,15 @@ def closed_count_formal(sys: SpectralSystem, n: int) -> TreeCount:
     graph's included; ``closed_counts`` sweeps it over n = stride, 2 stride, ...
     """
     m, prefactor = sys.order(n)
-    return _fold(prefactor, [half_resultant(k, m, c) for k, c in sys.trace_factors])
+    return _fold(*prefactor.as_integer_ratio(), [half_resultant(k, m, c) for k, c in sys.trace_factors])
 
 
 def closed_counts(sys: SpectralSystem, count: int) -> list[TreeCount]:
-    """``closed_count_formal(sys, stride * m)`` for m = 1..count, one sweep per trace factor."""
+    """``closed_count_formal(sys, stride * m)`` for m = 1..count, one sweep per trace
+    factor; the prefactor is linear in m, so it is read once, at m = 1."""
+    numerator, denominator = sys.order(sys.stride)[1].as_integer_ratio()
     columns = zip(*(half_resultants(k, c, count) for k, c in sys.trace_factors))
-    return [_fold(sys.order(sys.stride * m)[1], parts) for m, parts in enumerate(columns, 1)]
+    return [_fold(m * numerator, denominator, parts) for m, parts in enumerate(columns, 1)]
 
 
 def tree_count_closed(spec: ConnectionSpec) -> TreeCount:

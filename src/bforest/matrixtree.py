@@ -7,9 +7,10 @@ Positive Definite Systems*, 1981), which keeps the fill-in inside a narrow
 envelope, of constant width for a bicirculant graph; vertices of degree <= 2
 go first, as each of their steps touches at most two later rows.  Bareiss
 elimination then runs over the nonzeros of the reduced Laplacian's upper
-triangle.  All arithmetic uses Python's arbitrary-precision integers, so tree
-counts are bit-exact no matter how fast they grow.  Nothing here shares code
-with the spectral count.
+triangle, each stamped with the step of its last update, so that a step
+rescales only the entries it reads.  All arithmetic uses Python's
+arbitrary-precision integers, so tree counts are bit-exact no matter how
+fast they grow.  Nothing here shares code with the spectral count.
 """
 
 from __future__ import annotations
@@ -22,16 +23,10 @@ __all__ = ["tree_count_oracle"]
 # Largest graph the oracle takes (n = 400), a bound on time: the neighbour
 # lists take O(n * degree) memory, but the cost of elimination grows with the
 # envelope.  In reverse Cuthill-McKee order it stays banded: at V = 800 the
-# prism takes 0.025-0.045 s and family 4 0.02-0.04 s on one Xeon core, the
-# big spec (bandwidth 29, not 5-10) 1.8-3.0 s, as the host's speed drifts.
+# prism takes 0.025-0.041 s and family 4 0.015-0.028 s on one Xeon core, the
+# big spec (bandwidth 29, not 5-10) 2.2-2.9 s, as the host's speed drifts.
 MAX_ORACLE_VERTICES = 800
-
-
-def _divide(numerator: int, divisor: int) -> int:
-    quot, rem = divmod(numerator, divisor)
-    if rem:
-        raise InexactDivision("fraction-free elimination produced an inexact division")
-    return quot
+_INEXACT = "fraction-free elimination produced an inexact division"
 
 
 def _det_semidefinite(rows: list[dict[int, int]]) -> int:
@@ -42,26 +37,28 @@ def _det_semidefinite(rows: list[dict[int, int]]) -> int:
     Bareiss one-step fraction-free elimination (Bareiss, *Math. Comp.* 22,
     1968) keeps every intermediate matrix symmetric, and its pivots are the
     leading principal minors, never negative.  So no pivot needs a swap, and
-    step k updates only the rows i in ``rows[k]``, each on its columns j >= i,
-    with the lead a_ik = a_ki read off the pivot row.  A row that step k
-    skips would only be scaled by pivot_k / pivot_(k-1).  Instead it keeps
-    its stamp s, the step after its last update, and takes all the skipped
-    scalings at once, pivot_(k-1) / pivot_(s-1), when next touched; below
-    the pivot that scaling folds into the update, whose divisor becomes
-    pivot_(s-1), and whose lead is the stale one, a_ki pivot_(s-1) /
-    pivot_(k-1).  Every entry is an integer minor (Sylvester's identity), so
-    every division is exact: checked, not trusted.  A zero pivot means det 0,
-    as semidefiniteness forces the rest of its row to vanish; a nonzero rest
-    or a negative pivot raises :class:`InvariantViolation`.
+    step k updates only the entries (i, j) with i and j in the tail of
+    ``rows[k]``, to (pivot_k a_ij - a_ik a_kj) / pivot_(k-1), with a_ik = a_ki
+    read off the pivot row.  Any other entry would only be scaled by
+    pivot_k / pivot_(k-1).  Instead each entry keeps its stamp s, the step
+    after its last update, and takes all the skipped scalings at once,
+    pivot_(k-1) / pivot_(s-1), when read at step k: in the pivot row, or just
+    before its own update.  Every entry is an integer minor (Sylvester's
+    identity), so every division is exact: checked, not trusted.  A zero
+    pivot means det 0, as semidefiniteness forces the rest of its row to
+    vanish; a nonzero rest or a negative pivot raises
+    :class:`InvariantViolation`.
     """
-    # pivots[s] = pivot of step s - 1, the divisor for a row with stamp s
+    # pivots[s] = pivot of step s - 1, the divisor for an entry with stamp s
     pivots = [1]
-    stamp = [0] * len(rows)
+    stamps = [dict.fromkeys(row, 0) for row in rows]
     for k, pivot_row in enumerate(rows):
-        if stamp[k] < k:
-            scale, divisor = pivots[k], pivots[stamp[k]]
-            for j, x in pivot_row.items():
-                pivot_row[j] = _divide(x * scale, divisor)
+        scale, stamp = pivots[k], stamps[k]
+        for j, x in pivot_row.items():
+            if stamp[j] < k:
+                pivot_row[j], rem = divmod(x * scale, pivots[stamp[j]])
+                if rem:
+                    raise InexactDivision(_INEXACT)
         pivot = pivot_row.pop(k, 0)
         if pivot <= 0:
             if pivot or pivot_row:
@@ -69,19 +66,21 @@ def _det_semidefinite(rows: list[dict[int, int]]) -> int:
             return 0
         tail = sorted(pivot_row.items())
         for at, (i, lead) in enumerate(tail):
-            row, divisor = rows[i], pivots[stamp[i]]
-            if stamp[i] < k:
-                lead = _divide(lead * divisor, pivots[k])
-            for j in row:
-                row[j] *= pivot
+            row, stamp = rows[i], stamps[i]
             for j, x in tail[at:]:
-                row[j] = row.get(j, 0) - lead * x
-            for j, x in list(row.items()):
-                if x:
-                    row[j] = _divide(x, divisor)
+                a = row.get(j, 0)
+                if stamp.get(j, k) < k:
+                    a, rem = divmod(a * scale, pivots[stamp[j]])
+                    if rem:
+                        raise InexactDivision(_INEXACT)
+                a, rem = divmod(pivot * a - lead * x, scale)
+                if rem:
+                    raise InexactDivision(_INEXACT)
+                if a:
+                    row[j], stamp[j] = a, k + 1
                 else:
-                    del row[j]
-            stamp[i] = k + 1
+                    row.pop(j, None)
+                    stamp.pop(j, None)
         pivots.append(pivot)
     return pivots[-1]
 

@@ -26,7 +26,6 @@ from bforest.errors import (
     ZeroPolynomial,
 )
 from bforest.mahler import MahlerEstimate, roots_numeric
-from bforest.matrixtree import _divide
 from bforest.polynomials import _mul_add, _pseudo_mod, squarefree_layers, squarefree_part
 
 
@@ -56,6 +55,13 @@ def _nonzeros(row, size: int) -> dict[int, int]:
     if (dense and len(row) != size) or any(not 0 <= j < size for j in entries):
         raise ValueError("determinant needs a square matrix")
     return entries
+
+
+def _divide(numerator: int, divisor: int) -> int:
+    quot, rem = divmod(numerator, divisor)
+    if rem:
+        raise InexactDivision("fraction-free elimination produced an inexact division")
+    return quot
 
 
 def det_fraction_free(matrix) -> int:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -402,6 +403,25 @@ def test_spec_file_that_cannot_be_read_is_a_spec_error(tmp_path, capsys):
 def test_empty_n_range_is_a_spec_error(capsys):
     code, out, err = invoke(capsys, "count", "--spec", PRISM, "--n-start", "10", "--n-end", "3")
     assert (code, out, err) == (1, "", "invalid spec: empty n-range 10..3 step 1\n")
+
+
+@pytest.mark.parametrize("command", ["count", "oracle", "report"])
+def test_n_range_over_the_cap_is_refused_before_its_list(capsys, monkeypatch, command):
+    # one order over the cap, and 10^5 orders between ends past 10^30: the
+    # refusal names the cap and comes before the range becomes a list
+    def no_list(values):
+        raise AssertionError("the n-range was listed")
+
+    monkeypatch.setattr(bforest.cli, "list", no_list, raising=False)
+    cap = bforest.cli._MAX_N_VALUES
+    for start, end, step in [(1, cap + 1, 1), (1, 10**30, 10**25)]:
+        begin = time.perf_counter()
+        code, out, err = invoke(
+            capsys, command, "--spec", PRISM, "--n-start", str(start), "--n-end", str(end), "--step", str(step)
+        )
+        assert time.perf_counter() - begin < 0.2
+        assert (code, out) == (1, "")
+        assert err == f"invalid spec: n-range {start}..{end} step {step} holds more than {cap} orders\n"
 
 
 def test_precision_floor(capsys):

@@ -1,6 +1,8 @@
 """Fraction-free determinant and the Kirchhoff spanning-tree oracle."""
 
+import importlib
 import math
+import pathlib
 import random
 from dataclasses import replace
 
@@ -340,3 +342,94 @@ def test_reverse_cuthill_mckee_does_not_start_in_the_middle_of_a_path():
     order = _reverse_cuthill_mckee(neighbours)
     assert sorted(order) == list(range(5))
     assert eccentricity(neighbours, order[-1]) == 4
+
+
+def reduced_laplacian(size, edges, drop):
+    """The Laplacian of weighted ``edges`` (v, w, weight) on ``size`` vertices,
+    less row and column ``drop``, in natural order."""
+    lap = [[0] * size for _ in range(size)]
+    for v, w, weight in edges:
+        lap[v][w] -= weight
+        lap[w][v] -= weight
+        lap[v][v] += weight
+        lap[w][w] += weight
+    return [row[:drop] + row[drop + 1 :] for row in lap[:drop] + lap[drop + 1 :]]
+
+
+def lucas(k):
+    a, b = 2, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("size", [3, 4, 7, 20, 41])
+def test_semidefinite_determinant_with_entries_stale_for_many_steps(size):
+    # in natural order each step updates a wrap column (the cycle less a middle
+    # vertex keeps its edge 0 - (size - 1); the wheel keeps its hub, last)
+    # while the band ahead of the pivot goes untouched for many steps
+    cycle = reduced_laplacian(size, [(v, (v + 1) % size, 1) for v in range(size)], size // 2)
+    hub = size
+    rim = [(v, (v + 1) % size, 1) for v in range(size)] + [(v, hub, 1) for v in range(size)]
+    wheel = reduced_laplacian(size + 1, rim, size - 1)
+    assert _det_semidefinite(upper(cycle)) == det_bareiss_dense(cycle) == size
+    assert _det_semidefinite(upper(wheel)) == det_bareiss_dense(wheel) == lucas(2 * size) - 2
+
+
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_semidefinite_determinant_of_an_arrowhead_matrix(size, seed):
+    # diagonal heads, one dense last column: each step updates only the corner,
+    # and every other entry is read once, at its own row's step
+    rng = random.Random(seed)
+    heads = [rng.randint(1, 5) for _ in range(size)]
+    column = [rng.randint(-3, 3) for _ in range(size)]
+    matrix = [[0] * (size + 1) for _ in range(size + 1)]
+    for i, (head, b) in enumerate(zip(heads, column)):
+        matrix[i][i], matrix[i][size], matrix[size][i] = head, b, b
+    matrix[size][size] = sum(b * b for b in column) + rng.randint(0, 2)  # >= sum b^2 / head
+    assert _det_semidefinite(upper(matrix)) == det_bareiss_dense(matrix) >= 0
+
+
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_semidefinite_determinant_of_a_banded_matrix_with_a_gap(size, seed):
+    # a weighted Laplacian with edges 1 and 3 apart, none 2 apart, and one
+    # edge 1 apart missing: fill enters the gap, and entries past the missing
+    # edge stay stale
+    rng = random.Random(seed)
+    missing = rng.randrange(size - 1)
+    edges = [(v, v + d, rng.randint(1, 5)) for d in (1, 3) for v in range(size - d) if (v, d) != (missing, 1)]
+    reduced = reduced_laplacian(size, edges, size - 1)
+    assert _det_semidefinite(upper(reduced)) == det_bareiss_dense(reduced) >= 0
+
+
+@pytest.mark.parametrize("family, divisions", [(1, 2925), (4, 2263)])
+def test_oracle_divides_only_what_it_reads(monkeypatch, family_specs, family, divisions):
+    # entry stamps: a step divides only its tail block and the stale entries it
+    # reads; rescaling whole rows took 3787 and 2870 divisions
+    from bforest import matrixtree
+
+    calls = []
+
+    def counted(numerator, divisor):
+        calls.append(divisor)
+        return divmod(numerator, divisor)
+
+    spec = replace(family_specs[family], n=100)
+    monkeypatch.setattr(matrixtree, "divmod", counted, raising=False)
+    assert tree_count_oracle(spec) == tree_count_closed(spec).tau
+    assert len(calls) == divisions
+
+
+def test_bench_oracle_genfun_tasks_give_their_reference_answers(monkeypatch):
+    # bench/worker.py runs each oracle-genfun task through run_task and checks
+    # the answer against bench/references.json; a change that breaks one of
+    # them fails here, before any bench run
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
+    worker = importlib.import_module("worker")
+    workloads, references = worker.workloads, worker.load_references()["oracle-genfun"]
+    tasks = worker.prepare(workloads.plan(workloads.WORKLOADS["oracle-genfun"], seed=1))
+    assert [task.case.kind for task, _ in tasks] == ["oracle"] * 8 + ["genfun"]
+    for task, spec in tasks:
+        worker.check(worker.answer_of(worker.run_task(task.case.kind, spec, task.case)), references.get(task.id))
