@@ -4,12 +4,13 @@
 ``tree_count_closed`` counts through integer resultants against cyclotomic
 factors, cheap even for n in the tens of thousands.  Its float cross-check,
 ``tree_count_chebyshev``, lives in the float layer, ``mahler``.  ``count_rows``
-counts a run of orders over one table; ``extend_rows`` builds each other
-per-order table on those rows.
+counts a run of orders over one table, built at the first order that needs it;
+``extend_rows`` builds each other per-order table on those rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,31 +90,22 @@ class TreeCount:
     tau: int
 
 
-def _spoke_gram(gammas) -> IntPoly:
-    """C(1/z) C(z) as a trace polynomial: s, plus z^d + z^-d per pair of spokes d apart."""
-    eta = [0] * (max(gammas) - min(gammas) + 1 if gammas else 1)
-    eta[0] = len(gammas)
-    for i, gl in enumerate(gammas):
-        for gk in gammas[:i]:
-            eta[abs(gl - gk)] += 1
-    return trace_polynomial(eta)
-
-
-def _vertex_factor(count: int, spokes: int, generators) -> IntPoly:
-    top = max(generators) if generators else 0
-    eta = [0] * (top + 1)
-    eta[0] = 2 * count + spokes
-    for g in generators:
-        eta[g] -= 1
+def _cosines(constant: int, sign: int, offsets) -> IntPoly:
+    """constant + sign * sum of (z^d + z^-d) over ``offsets`` as a trace polynomial."""
+    eta = [0] * (max(offsets, default=0) + 1)
+    eta[0] = constant
+    for d in offsets:
+        eta[d] += sign
     return trace_polynomial(eta)
 
 
 def spectral_system(spec: ConnectionSpec) -> SpectralSystem:
     """The exact trace table of a spec: (F, +1) for families 2-4, then (B / (x - 2), -1)."""
     s = spec.s
-    right = _vertex_factor(spec.r, s, spec.alphas)
-    left = _vertex_factor(spec.t, s, spec.betas)
-    gram = _spoke_gram(spec.gammas)
+    right = _cosines(2 * spec.r + s, -1, spec.alphas)
+    left = _cosines(2 * spec.t + s, -1, spec.betas)
+    # C(1/z) C(z): s, plus z^d + z^-d per pair of spokes d apart
+    gram = _cosines(s, 1, [abs(gl - gk) for i, gl in enumerate(spec.gammas) for gk in spec.gammas[:i]])
 
     base = right * left - gram
     if base.is_zero:
@@ -166,26 +158,24 @@ def closed_counts(sys: SpectralSystem, count: int) -> list[TreeCount]:
     return [_fold(m * numerator, denominator, parts) for m, parts in enumerate(columns, 1)]
 
 
-def tree_count_closed(spec: ConnectionSpec) -> TreeCount:
-    """Exact spanning-tree count via the resultant reformulation."""
+def _count(table, spec: ConnectionSpec) -> TreeCount:
+    """The count of ``spec``, or :class:`NotConnected`; ``table()`` gives its trace
+    table and is called only for a connected spec whose base R L - G is not 0."""
     if require_connected(spec).r == spec.t == spec.s - 1 == 0:  # base R L - G = 0: connected
         return TreeCount(4 if spec.half_r and spec.half_t else 1)  # only as a tree or a 4-cycle
-    return closed_count_formal(spectral_system(spec), spec.n)
+    return closed_count_formal(table(), spec.n)
+
+
+def tree_count_closed(spec: ConnectionSpec) -> TreeCount:
+    """Exact spanning-tree count via the resultant reformulation."""
+    return _count(lambda: spectral_system(spec), spec)
 
 
 def count_rows(spec: ConnectionSpec, n_values) -> list[dict]:
-    """``order_row`` of ``{"tau": tau}`` per order over one trace table; a spec without
-    one (``DegenerateSystem``) counts or refuses each order by ``tree_count_closed``."""
-    try:
-        sys = spectral_system(spec)
-    except DegenerateSystem:
-        sys = None
-
-    def count(sp: ConnectionSpec) -> dict:
-        tau = tree_count_closed(sp) if sys is None else closed_count_formal(sys, require_connected(sp).n)
-        return {"tau": tau.tau}
-
-    return [order_row(count, spec, n) for n in n_values]
+    """``order_row`` of ``{"tau": tau}`` per order over one trace table, built at
+    the first order that needs it: none if no order is connected."""
+    table = functools.cache(lambda: spectral_system(spec))
+    return [order_row(lambda sp: {"tau": _count(table, sp).tau}, spec, n) for n in n_values]
 
 
 def extend_rows(compute, spec: ConnectionSpec, counts: list[dict]) -> list[dict]:

@@ -157,17 +157,13 @@ def check_connectivity(spec: ConnectionSpec) -> dict:
     """Sufficient gcd conditions plus the exact connectivity verdict.
 
     The three gcd flags are sufficient but not necessary, so both are
-    reported; ``connected`` is the exact test of :func:`is_connected`.  For a
-    single spoke the pairwise-difference gcd condition has an empty
-    difference set and is reported as False.
+    reported; ``connected`` is the exact test of :func:`is_connected`.  The
+    spoke flag takes g_i - g_0, which generate every g_i - g_j; a single
+    spoke has none, and its flag is False.
     """
     cond_a = spec.s > 0 and math.gcd(spec.n, *spec.alphas) == 1
     cond_b = spec.s > 0 and math.gcd(spec.n, *spec.betas) == 1
-    diffs = [
-        spec.gammas[i] - spec.gammas[j]
-        for j in range(spec.s)
-        for i in range(j + 1, spec.s)
-    ]
+    diffs = [g - spec.gammas[0] for g in spec.gammas[1:]]
     cond_c = bool(diffs) and math.gcd(spec.n, *diffs) == 1
     return {"gcd_flags": (cond_a, cond_b, cond_c), "connected": is_connected(spec)}
 

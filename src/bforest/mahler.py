@@ -196,8 +196,7 @@ def mahler_quadrature(*factors: IntPoly) -> MahlerEstimate:
 
 def growth_base(spec: ConnectionSpec, digits: int = 64) -> MahlerEstimate:
     """Mahler measure governing the growth of the tree counts."""
-    value, rel_error = _trace_measure(spectral_system(spec), digits)
-    return MahlerEstimate(float(value), float(value * rel_error))
+    return _growth_report(spec, [], digits)[1]
 
 
 def _growth_report(spec: ConnectionSpec, counts: list[dict], digits: int):

@@ -1,16 +1,17 @@
 """Exact spanning-tree oracle: Laplacian cofactor via symmetric fraction-free elimination.
 
 The oracle reads the graph as neighbour lists (:func:`graphs.realize`) and
-orders the vertices by reverse Cuthill-McKee from a pseudo-peripheral vertex
-(Cuthill & McKee 1969; George & Liu, *Computer Solution of Large Sparse
-Positive Definite Systems*, 1981), which keeps the fill-in inside a narrow
-envelope, of constant width for a bicirculant graph; vertices of degree <= 2
-go first, as each of their steps touches at most two later rows.  Bareiss
-elimination then runs over the nonzeros of the reduced Laplacian's upper
-triangle, each stamped with the step of its last update, so that a step
-rescales only the entries it reads.  All arithmetic uses Python's
-arbitrary-precision integers, so tree counts are bit-exact no matter how
-fast they grow.  Nothing here shares code with the spectral count.
+orders the vertices by reverse Cuthill-McKee: the breadth-first levels from
+a pseudo-peripheral vertex, kept from the search that found it (Cuthill &
+McKee 1969; George & Liu, *Computer Solution of Large Sparse Positive
+Definite Systems*, 1981), which keeps the fill-in inside a narrow envelope,
+of constant width for a bicirculant graph; vertices of degree <= 2 go first,
+as each of their steps touches at most two later rows.  Bareiss elimination
+then runs over the nonzeros of the reduced Laplacian's upper triangle, each
+stamped with the step of its last update, so that a step rescales only the
+entries it reads.  All arithmetic uses Python's arbitrary-precision
+integers, so tree counts are bit-exact no matter how fast they grow.
+Nothing here shares code with the spectral count.
 """
 
 from __future__ import annotations
@@ -101,26 +102,22 @@ def _levels(neighbours: list[list[int]], root: int, seen: list[bool]) -> list[li
         levels.append(ahead)
 
 
-def _pseudo_peripheral(neighbours: list[list[int]]) -> int:
-    """A vertex of near-maximal eccentricity in the component of vertex 0,
-    found the George-Liu way (*ACM TOMS* 5, 1979): search from vertex 0, then
-    restart from a least-degree vertex of the last level while the
-    eccentricity grows."""
-    levels = _levels(neighbours, 0, [False] * len(neighbours))
-    while True:
-        start = min(levels[-1], key=lambda v: len(neighbours[v]))
-        ahead = _levels(neighbours, start, [False] * len(neighbours))
-        if len(ahead) <= len(levels):
-            return levels[0][0]
-        levels = ahead
-
-
 def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
     """Breadth-first order, reversed.  The first search starts at a
-    pseudo-peripheral vertex, which narrows the envelope; each further
-    component restarts at its least vertex."""
-    order, seen = [], [False] * len(neighbours)
-    for root in [_pseudo_peripheral(neighbours), *range(len(neighbours))]:
+    pseudo-peripheral vertex, found the George-Liu way (*ACM TOMS* 5, 1979):
+    search from vertex 0, then from a least-degree vertex of the last level
+    while the eccentricity grows; the levels from the vertex it settles on
+    are the first component's order.  Each further component restarts at
+    its least vertex."""
+    levels, root = [], 0
+    while True:
+        marks = [False] * len(neighbours)
+        ahead = _levels(neighbours, root, marks)
+        if len(ahead) <= len(levels):
+            break
+        levels, seen, root = ahead, marks, min(ahead[-1], key=lambda v: len(neighbours[v]))
+    order = [v for level in levels for v in level]
+    for root in range(len(neighbours)):
         if not seen[root]:
             order += (v for level in _levels(neighbours, root, seen) for v in level)
     order.reverse()

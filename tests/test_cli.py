@@ -51,6 +51,13 @@ def test_validate_rejects_bad_spec(capsys):
         assert "invalid spec" in err
 
 
+@pytest.mark.parametrize("value, shown", [("Infinity", "inf"), ("NaN", "nan")])
+def test_count_refuses_a_non_finite_order(capsys, value, shown):
+    # Python's json reads Infinity and NaN as floats; int() of them raises
+    code, out, err = invoke(capsys, "count", "--spec", f'{{"n": {value}, "gammas": [0]}}')
+    assert (code, out, err) == (1, "", f"invalid spec: group order n must be an integer, got {shown}\n")
+
+
 def test_count_range(capsys):
     code, out, _ = invoke(capsys, "count", "--spec", PRISM, "--n-start", "3", "--n-end", "6")
     assert code == 0

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import importlib
+import pathlib
 from fractions import Fraction
 
 import mpmath
@@ -61,6 +63,9 @@ def test_spectral_polynomials_are_the_laurent_products():
         base, family = base_and_family(spectral_system(spec))
         assert base(z + 1 / z) == right * left - gram, spec
         assert family(z + 1 / z) == (right + 2 * spec.half_r) * (left + 2 * spec.half_t) - gram, spec
+        # a hand-built spec need not list its spokes in order; the table is the same
+        unsorted = dataclasses.replace(spec, gammas=spec.gammas[::-1])
+        assert spectral_system(unsorted) == spectral_system(spec), spec
 
 
 def test_degeneracy_report_structure(family_specs):
@@ -155,6 +160,32 @@ def test_sweep_builds_the_trace_table_once(monkeypatch, data, digest):
     monkeypatch.setattr(bforest.counting, "exact_divide", refuse)
     counts = [hex(closed_count_formal(sys, sys.stride * m).tau) for m in range(1, 51)]
     assert hashlib.sha256(",".join(counts).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n_values, tables", [([6, 8], 0), ([6, 7, 8, 9], 1)], ids=["disconnected", "mixed"])
+def test_count_rows_builds_its_table_at_the_first_connected_order(monkeypatch, n_values, tables):
+    # steps of 2 and spokes 2 apart: connected at odd n only
+    spec, calls = validate_spec({"n": 6, "alphas": [2], "betas": [2], "gammas": [0, 2]}), []
+    build = bforest.counting.spectral_system
+    monkeypatch.setattr(bforest.counting, "spectral_system", lambda sp: calls.append(sp) or build(sp))
+    rows = bforest.counting.count_rows(spec, n_values)
+    assert len(calls) == tables
+    oracle = [tree_count_oracle(dataclasses.replace(spec, n=n)) for n in n_values]
+    assert [r.get("tau", r.get("error_type")) for r in rows] == [tau or "NotConnected" for tau in oracle]
+
+
+@pytest.mark.parametrize("workload", ["count-large-n", "count-high-degree"])
+def test_bench_count_tasks_give_their_reference_answers(monkeypatch, workload):
+    # bench/worker.py runs each count task through run_task and checks the
+    # answer against bench/references.json; a change that breaks one of them
+    # fails here, before any bench run
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "bench"))
+    worker = importlib.import_module("worker")
+    workloads, references = worker.workloads, worker.load_references()[workload]
+    tasks = worker.prepare(workloads.plan(workloads.WORKLOADS[workload], seed=1))
+    assert {task.case.kind for task, _ in tasks} == {"count"}
+    for task, spec in tasks:
+        worker.check(worker.answer_of(worker.run_task(task.case.kind, spec, task.case)), references.get(task.id))
 
 
 def test_families_need_even_order(family_specs):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -83,6 +84,11 @@ def test_range_checks():
         ("half_t", 1),
         ("n", True),
         ("alphas", [True]),
+        ("n", None),
+        ("n", float("inf")),
+        ("n", float("nan")),
+        ("gammas", 3),
+        ("gammas", [None]),
     ],
 )
 def test_validation_neither_truncates_nor_coerces(field, value):
@@ -114,6 +120,11 @@ def test_a_spec_checks_itself(change, error):
     assert validate_spec(spec) is spec
     with pytest.raises(error):
         dataclasses.replace(spec, **change)
+
+
+def test_validation_refuses_a_spec_without_an_order():
+    with pytest.raises(SpecError, match="missing group order n"):
+        validate_spec({"alphas": [1], "gammas": [0]})
 
 
 def test_validation_refuses_a_bool_order():
@@ -180,6 +191,18 @@ def test_single_spoke_difference_condition_is_false():
     report = check_connectivity(spec)
     assert report["gcd_flags"][2] is False
     assert report["connected"]
+
+
+def test_gcd_flags_follow_their_pairwise_definition():
+    specs = random_connected_specs(200, seed=16, n_max=30, r_max=3, t_max=3, s_max=4)
+    for spec in specs + [dataclasses.replace(sp, gammas=sp.gammas[:k]) for sp in specs[:50] for k in (0, 1)]:
+        pairs = [gl - gk for i, gl in enumerate(spec.gammas) for gk in spec.gammas[:i]]
+        flags = (
+            spec.s > 0 and math.gcd(spec.n, *spec.alphas) == 1,
+            spec.s > 0 and math.gcd(spec.n, *spec.betas) == 1,
+            bool(pairs) and math.gcd(spec.n, *pairs) == 1,
+        )
+        assert check_connectivity(spec)["gcd_flags"] == flags, spec
 
 
 def test_disconnected_layers():

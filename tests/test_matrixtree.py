@@ -344,6 +344,26 @@ def test_reverse_cuthill_mckee_does_not_start_in_the_middle_of_a_path():
     assert eccentricity(neighbours, order[-1]) == 4
 
 
+@pytest.mark.parametrize(
+    "data, searches",
+    [
+        ({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]}, 2),
+        ({"n": 100, "alphas": [1], "betas": [], "gammas": [0], "half_t": True}, 3),
+    ],
+    ids=["prism", "family3-100"],
+)
+def test_reverse_cuthill_mckee_orders_by_the_search_that_found_its_start(monkeypatch, data, searches):
+    # the George-Liu searches from vertex 0 and from the start it settles on;
+    # the start's own levels are the order, not searched for a second time
+    from bforest import matrixtree
+
+    calls, real = [], matrixtree._levels
+    monkeypatch.setattr(matrixtree, "_levels", lambda *args: calls.append(args[1]) or real(*args))
+    spec = validate_spec(data)
+    assert tree_count_oracle(spec) == tree_count_closed(spec).tau
+    assert len(calls) == searches
+
+
 def reduced_laplacian(size, edges, drop):
     """The Laplacian of weighted ``edges`` (v, w, weight) on ``size`` vertices,
     less row and column ``drop``, in natural order."""
