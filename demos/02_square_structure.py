@@ -17,7 +17,7 @@ from bforest import (
 
 spec = validate_spec({"n": 3, "alphas": [1], "betas": [1], "gammas": [0]})
 profile = arithmetic_profile(spec)
-print("parity profile:", profile)
+print("structure constants:", profile)
 print()
 
 sys = spectral_system(spec)

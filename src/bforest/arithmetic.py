@@ -24,12 +24,6 @@ __all__ = ["ArithmeticProfile", "SquareWitness", "arithmetic_profile", "square_w
 
 @dataclass(frozen=True)
 class ArithmeticProfile:
-    odd_alphas: int
-    even_alphas: int
-    odd_betas: int
-    even_betas: int
-    odd_gammas: int
-    even_gammas: int
     structure_odd: int | None  # square-free constant for the odd branch; family 1 uses none
     structure_even: int | None  # None when the evaluation at z=-1 vanishes
 
@@ -50,21 +44,19 @@ def _structure(sys: SpectralSystem, m: int) -> int | None:
 
 
 def arithmetic_profile(spec: ConnectionSpec) -> ArithmeticProfile:
-    """Parity counts plus the two square-free structure constants.
+    """The two square-free structure constants of the spec's trace table.
 
     ``structure_even`` is the constant at m = 2, ``structure_odd`` the one
     at m = 1 for stride 2.  Family 1 reports its even constant as its odd
     one, which no row uses: at odd n its constant is 1.
     """
-    odd = [sum(v % 2 for v in values) for values in (spec.alphas, spec.betas, spec.gammas)]
     try:
         sys = spectral_system(spec)
         structure_even = _structure(sys, 2)
         structure_odd = _structure(sys, 1) if sys.stride == 2 else structure_even
     except DegenerateSystem:  # a vanishing base or no spokes: no branches
         structure_odd = structure_even = None
-    even = [spec.r - odd[0], spec.t - odd[1], spec.s - odd[2]]
-    return ArithmeticProfile(odd[0], even[0], odd[1], even[1], odd[2], even[2], structure_odd, structure_even)
+    return ArithmeticProfile(structure_odd, structure_even)
 
 
 def verify_square_structure(spec: ConnectionSpec, tau: TreeCount | int) -> SquareWitness:

@@ -10,7 +10,9 @@ tabular commands.  A command counts each order once, by ``counting.count_rows``
 over one trace table; ``compare``, ``arithmetic`` and the convergence rows
 extend those rows, so all tables have their error rows at the same orders,
 and ``report`` hands one set to all three.  Rows run in the calling process;
-``--jobs`` is accepted and ignored.
+``--jobs`` is accepted and ignored.  A :class:`Refusal` becomes an error row
+or a ``report`` section, or exits 2 under its class name; ``run`` reads any
+other ``BforestError`` as a bug and exits 2 with ``internal error``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .arithmetic import arithmetic_profile, square_witness
 from .counting import closed_counts, count_rows, extend_rows, spectral_system
-from .errors import BforestError, InvariantViolation, OrderExceeded, SpecError
+from .errors import BforestError, OrderExceeded, Refusal, SpecError
 from .genfun import TauSequence, find_recurrence, genfun, gf_eval, verify_symmetry
 from .graphs import ConnectionSpec, check_connectivity, order_row, validate_spec
 from .matrixtree import tree_count_oracle
@@ -173,9 +175,7 @@ def _cmd_report(spec: ConnectionSpec, args) -> dict:
     for name, section in sections.items():
         try:
             report[name] = section(spec, args)
-        except InvariantViolation:  # a bug, not a refusal: run() reports it as one
-            raise
-        except BforestError as exc:  # a refusal, such as OrderExceeded, keeps the other sections
+        except Refusal as exc:  # such as OrderExceeded; the other sections stay
             report[name] = {"error": str(exc), "error_type": type(exc).__name__}
     return report
 
@@ -194,7 +194,7 @@ _UNTABULAR = ("validate", "genfun", "report")  # no rows for --format csv
 
 
 def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _emit_csv(payload: dict) -> str:
@@ -278,7 +278,7 @@ def run(argv=None) -> int:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 1
     except BforestError as exc:
-        label = "internal error" if isinstance(exc, InvariantViolation) else type(exc).__name__
+        label = type(exc).__name__ if isinstance(exc, Refusal) else "internal error"
         print(f"{label}: {exc}", file=sys.stderr)
         return 2
 

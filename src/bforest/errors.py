@@ -5,7 +5,11 @@ class BforestError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SpecError(BforestError, ValueError):
+class Refusal(BforestError):
+    """A spec, order or request outside what a path answers; any other BforestError is a bug."""
+
+
+class SpecError(Refusal, ValueError):
     """Invalid bicirculant connection data."""
 
 
@@ -17,7 +21,7 @@ class OutOfRange(SpecError):
     pass
 
 
-class NotConnected(BforestError, ValueError):
+class NotConnected(Refusal, ValueError):
     pass
 
 
@@ -29,7 +33,7 @@ class InexactDivision(BforestError, ArithmeticError):
     pass
 
 
-class DegenerateSystem(BforestError, ArithmeticError):
+class DegenerateSystem(Refusal, ArithmeticError):
     pass
 
 
@@ -37,7 +41,7 @@ class NonIntegralResult(BforestError, ArithmeticError):
     pass
 
 
-class NonConvergence(BforestError, ArithmeticError):
+class NonConvergence(Refusal, ArithmeticError):
     pass
 
 
@@ -53,7 +57,7 @@ class NonPositiveStructure(BforestError, ArithmeticError):
     pass
 
 
-class OrderExceeded(BforestError, ValueError):
+class OrderExceeded(Refusal, ValueError):
     pass
 
 

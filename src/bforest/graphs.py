@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import BforestError, HalfWithoutEvenN, NotConnected, OutOfRange, SpecError
+from .errors import HalfWithoutEvenN, NotConnected, OutOfRange, Refusal, SpecError
 
 __all__ = [
     "ConnectionSpec",
@@ -143,13 +143,13 @@ def validate_spec(raw) -> ConnectionSpec:
 def order_row(compute, spec: ConnectionSpec, n: int) -> dict:
     """One row of a per-order table: ``{"n": n, **compute(replace(spec, n=n))}``.
 
-    Where ``replace`` or ``compute`` raises a :class:`BforestError`, the row
-    is ``{"n", "error", "error_type"}`` instead, the last the exception's
-    class name.
+    Where ``replace`` or ``compute`` raises a :class:`Refusal`, the row is
+    ``{"n", "error", "error_type"}`` instead, the last the exception's class
+    name; any other error is a bug and propagates.
     """
     try:
         return {"n": n, **compute(replace(spec, n=n))}
-    except BforestError as exc:
+    except Refusal as exc:
         return {"n": n, "error": str(exc), "error_type": type(exc).__name__}
 
 

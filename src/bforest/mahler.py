@@ -210,9 +210,10 @@ def _growth_report(spec: ConnectionSpec, counts: list[dict], digits: int):
             m, prefactor = sys.order(at_n.n)
             prediction = prefactor * measure**m
             ratio = prediction / mpmath.mpf(tau)
+            prediction = float(prediction)  # inf past the float range, printed as null
             return {
                 "tau": tau,
-                "prediction": float(prediction),
+                "prediction": prediction if prediction < math.inf else None,
                 "ratio": float(ratio),
                 "deviation": float(abs(ratio - 1)),
             }

@@ -27,7 +27,6 @@ from .errors import InexactDivision, NonIntegralResult, ZeroPolynomial
 __all__ = [
     "IntPoly",
     "trace_polynomial",
-    "resultant",
     "half_resultant",
     "half_resultants",
     "fixed_part",
@@ -185,13 +184,6 @@ def _subresultants(a, b) -> tuple[int, list[int]]:
     # b is a nonzero constant; h = 1 while a is constant too
     res = _divide(b[0] ** (len(a) - 1), h ** max(len(a) - 2, 0), "the resultant")
     return sign * res, b
-
-
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Exact signed resultant by the subresultant sequence (Collins 1967)."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
-    return _subresultants(f.coeffs, g.coeffs)[0]
 
 
 def _mul_add(a: list[int], b: list[int], c: list[int]) -> list[int]:

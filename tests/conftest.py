@@ -14,7 +14,6 @@ from bforest import (
     IntPoly,
     is_connected,
     realize,
-    resultant,
     spectral_system,
     validate_spec,
 )
@@ -26,7 +25,7 @@ from bforest.errors import (
     ZeroPolynomial,
 )
 from bforest.mahler import MahlerEstimate, roots_numeric
-from bforest.polynomials import _mul_add, _pseudo_mod, squarefree_layers, squarefree_part
+from bforest.polynomials import _mul_add, _pseudo_mod, _subresultants, squarefree_layers, squarefree_part
 
 
 def connected_by_search(spec) -> bool:
@@ -141,6 +140,14 @@ def sylvester_matrix(f, g):
     rows = [[0] * i + fdesc + [0] * (size - n - 1 - i) for i in range(m)]
     rows += [[0] * i + gdesc + [0] * (size - m - 1 - i) for i in range(n)]
     return rows
+
+
+def resultant(f, g) -> int:
+    """Exact signed resultant by the package's subresultant sequence (Collins
+    1967), the one the half resultants end in; ``resultant_sylvester`` checks it."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
+    return _subresultants(f.coeffs, g.coeffs)[0]
 
 
 def resultant_sylvester(f, g) -> int:

@@ -1,4 +1,4 @@
-"""Parity profiles and the perfect-square factorization of tree counts."""
+"""Structure constants and the perfect-square factorization of tree counts."""
 
 import sys
 from dataclasses import replace
@@ -22,14 +22,6 @@ from bforest import (
 from tests.conftest import random_connected_specs, structure_reference
 
 
-def test_profile_parity_counts():
-    spec = validate_spec({"n": 12, "alphas": [1, 2], "betas": [3, 4], "gammas": [0, 1, 5]})
-    p = arithmetic_profile(spec)
-    assert (p.odd_alphas, p.even_alphas) == (1, 1)
-    assert (p.odd_betas, p.even_betas) == (1, 1)
-    assert (p.odd_gammas, p.even_gammas) == (2, 1)
-
-
 def test_structure_constants_in_the_parity_counts():
     # the theorem's form: with k1, m1, h1 the odd alphas, betas and gammas,
     # the even constant is sqfree(|(s + 4 k1)(s + 4 m1) - (s - 2 h1)^2| / 4)
@@ -41,9 +33,7 @@ def test_structure_constants_in_the_parity_counts():
     seen = set()
     for spec in random_connected_specs(300, seed=8, n_max=20, r_max=3, t_max=3, s_max=4):
         p, s = arithmetic_profile(spec), spec.s
-        assert (p.odd_alphas + p.even_alphas, p.odd_betas + p.even_betas) == (spec.r, spec.t)
-        assert p.odd_gammas + p.even_gammas == s
-        k1, m1, h1 = p.odd_alphas, p.odd_betas, p.odd_gammas
+        k1, m1, h1 = (sum(v % 2 for v in values) for values in (spec.alphas, spec.betas, spec.gammas))
         even = (s + 4 * k1) * (s + 4 * m1) - (s - 2 * h1) ** 2
         assert even % 4 == 0, spec
         odd = (s + 4 * k1 + 2 * spec.half_r) * (s + 4 * m1 + 2 * spec.half_t) - (s - 2 * h1) ** 2

@@ -14,7 +14,26 @@ import pytest
 import bforest.cli
 from bforest import closed_counts, tree_count_closed, validate_spec
 from bforest.cli import run
-from bforest.errors import InvariantViolation, NonConvergence
+from bforest import errors
+from bforest.errors import (
+    BforestError,
+    DegenerateSystem,
+    HalfWithoutEvenN,
+    InexactDivision,
+    InvariantViolation,
+    NonConvergence,
+    NonDivisible,
+    NonIntegralResult,
+    NonMonicDenominator,
+    NonPositiveStructure,
+    NotAPerfectSquare,
+    NotConnected,
+    OrderExceeded,
+    OutOfRange,
+    Refusal,
+    SpecError,
+    ZeroPolynomial,
+)
 from tests.conftest import ZERO_BASE
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "report.schema.json")
@@ -223,12 +242,36 @@ def test_genfun_asks_for_the_terms_the_spectral_bound_certifies(
     status, _, err = invoke(capsys, "genfun", "--spec", spec, *cap)
     assert (asked, status) == ([terms], code)
     if code:
-        # a refusal is named by its class; "internal error" is kept for InvariantViolation
+        # a refusal is named by its class; any other error reads "internal error"
         assert err.startswith("OrderExceeded: ") and "bounds the order by 6" in err
 
 
+# the split every catch site reads: a refusal says the spec, order or request
+# lies outside what a path answers; any other error breaks an identity the
+# mathematics guarantees for the package's own inputs, so it is a bug
+REFUSALS = [SpecError, OutOfRange, HalfWithoutEvenN, NotConnected, DegenerateSystem, NonConvergence, OrderExceeded]
+BUGS = [
+    InvariantViolation,
+    NonIntegralResult,
+    InexactDivision,
+    NotAPerfectSquare,
+    NonDivisible,
+    NonPositiveStructure,
+    ZeroPolynomial,
+    NonMonicDenominator,
+]
+
+
+def test_every_error_class_is_a_refusal_or_a_bug():
+    classes = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, BforestError)}
+    assert {c for c in classes if issubclass(c, Refusal)} == set(REFUSALS) | {Refusal}
+    assert classes - set(REFUSALS) - {Refusal} == set(BUGS) | {BforestError}
+
+
 @pytest.mark.parametrize(
-    "error,label", [(InvariantViolation, "internal error"), (NonConvergence, "NonConvergence")]
+    "error,label",
+    [(error, "internal error") for error in BUGS]
+    + [(error, error.__name__) for error in REFUSALS if not issubclass(error, SpecError)],
 )
 def test_failures_exit_2_under_their_class_name(capsys, monkeypatch, error, label):
     def failing(spec, args):
@@ -236,6 +279,73 @@ def test_failures_exit_2_under_their_class_name(capsys, monkeypatch, error, labe
 
     monkeypatch.setitem(bforest.cli._COMMANDS, "count", (failing, "fails"))
     assert invoke(capsys, "count", "--spec", PRISM) == (2, "", f"{label}: no answer\n")
+
+
+CONVERGENCE = "the convergence rows"  # the per-order function of asymptotics
+
+
+def plant(monkeypatch, layer, error):
+    """Make ``layer``, a dotted name or CONVERGENCE, raise ``error("planted")``."""
+
+    def failing(*args, **kwargs):
+        raise error("planted")
+
+    if layer == CONVERGENCE:
+        real = bforest.counting.extend_rows
+        monkeypatch.setattr("bforest.mahler.extend_rows", lambda compute, spec, rows: real(failing, spec, rows))
+    else:
+        monkeypatch.setattr(layer, failing)
+
+
+# each command's per-order layers: the count rows, then the rows built on them
+ROW_LAYERS = [
+    ("count", "bforest.counting.closed_count_formal"),
+    ("oracle", "bforest.cli.tree_count_oracle"),
+    ("compare", "bforest.counting.closed_count_formal"),
+    ("compare", "bforest.cli.tree_count_oracle"),
+    ("arithmetic", "bforest.counting.closed_count_formal"),
+    ("arithmetic", "bforest.cli.square_witness"),
+    ("asymptotics", "bforest.counting.closed_count_formal"),
+    ("asymptotics", CONVERGENCE),
+    ("report", "bforest.counting.closed_count_formal"),
+    ("report", "bforest.cli.tree_count_oracle"),
+    ("report", "bforest.cli.square_witness"),
+    ("report", CONVERGENCE),
+]
+
+
+@pytest.mark.parametrize("command,layer", ROW_LAYERS, ids=lambda v: v.split(".")[-1].replace(" ", "-"))
+@pytest.mark.parametrize("error", BUGS, ids=lambda e: e.__name__)
+def test_a_bug_inside_a_row_exits_2_as_an_internal_error(capsys, monkeypatch, error, command, layer):
+    # an invariant failure is no error row and no report section: the command
+    # prints nothing and exits 2 naming it a bug
+    plant(monkeypatch, layer, error)
+    assert invoke(capsys, command, "--spec", PRISM) == (2, "", "internal error: planted\n")
+
+
+@pytest.mark.parametrize("error", REFUSALS, ids=lambda e: e.__name__)
+def test_a_refusal_is_its_error_row_or_its_report_section(capsys, monkeypatch, error):
+    # in a count row, in a convergence row (asymptotics and report) and as a
+    # report section, each exiting 0
+    row = {"error": "planted", "error_type": error.__name__}
+    orders = ("--n-start", "3", "--n-end", "4")
+    plant(monkeypatch, "bforest.counting.closed_count_formal", error)
+    code, out, err = invoke(capsys, "count", "--spec", PRISM)
+    assert (code, err, json.loads(out)["rows"]) == (0, "", [{"n": 3, **row}])
+    monkeypatch.undo()
+    plant(monkeypatch, CONVERGENCE, error)
+    rows = [{"n": n, **row} for n in (3, 4)]
+    code, out, err = invoke(capsys, "asymptotics", "--spec", PRISM, *orders)
+    assert (code, err, json.loads(out)["convergence"]) == (0, "", rows)
+    code, out, err = invoke(capsys, "report", "--spec", PRISM, *orders)
+    assert (code, err, json.loads(out)["asymptotics"]["convergence"]) == (0, "", rows)
+    monkeypatch.undo()
+    plant(monkeypatch, "bforest.cli._cmd_genfun", error)
+    code, out, err = invoke(capsys, "report", "--spec", PRISM)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["genfun"] == row
+    assert report["compare"]["all_equal"] is True
 
 
 @pytest.mark.parametrize("section", ["asymptotics", "genfun"])
@@ -483,6 +593,44 @@ def test_report_validates_against_shipped_schema(capsys):
         "error_type": "OutOfRange",
     }
     jsonschema.validate(doc, schema)
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-JSON tokens Infinity, -Infinity and NaN."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "spec,start,end,first_null", [(PRISM, 530, 545, 535), (BIG, 180, 191, 183)], ids=["prism", "big"]
+)
+def test_predictions_past_the_float_range_print_as_null(capsys, monkeypatch, spec, start, end, first_null):
+    # the prediction is the same float while it fits one, null past about
+    # 1.8e308; tau, ratio and deviation are computed exactly or in mpmath
+    # and stay finite.  The oracle's 360-vertex eliminations on big take
+    # seconds and give the closed counts, which compare checks elsewhere
+    monkeypatch.setattr("bforest.cli.tree_count_oracle", lambda sp: tree_count_closed(sp).tau)
+    orders = ("--n-start", str(start), "--n-end", str(end))
+    _, out, _ = invoke(capsys, "count", "--spec", spec, *orders)
+    taus = {row["n"]: row["tau"] for row in strict_json(out)["rows"]}
+    with open(SCHEMA_PATH, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    for command in ("asymptotics", "report"):
+        code, out, err = invoke(capsys, command, "--spec", spec, *orders)
+        assert (code, err) == (0, ""), command
+        doc = strict_json(out)
+        rows = doc["convergence"] if command == "asymptotics" else doc["asymptotics"]["convergence"]
+        assert [row["n"] for row in rows if row["prediction"] is None] == list(range(first_null, end + 1))
+        for row in rows:
+            assert row["tau"] == taus[row["n"]]
+            assert 0 <= row["deviation"] < 1e-15 and abs(row["ratio"] - 1) <= row["deviation"] + 2**-52
+            if row["prediction"] is not None:
+                assert row["prediction"] == pytest.approx(row["ratio"] * row["tau"], rel=1e-15)
+        if command == "report":
+            jsonschema.validate(doc, schema)
 
 
 def test_precision_capped_at_the_measure_limit(capsys):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bforest import (
     IntPoly,
     exact_divide,
-    resultant,
     roots_numeric,
     spectral_system,
     squarefree_part,
@@ -36,6 +35,7 @@ from tests.conftest import (
     lift,
     lucas_mod,
     mahler_root_product,
+    resultant,
     resultant_sylvester,
 )
 

@@ -1,6 +1,6 @@
 """Source guards over src/bforest: no asserts, no process pools, no import
 beyond the stdlib outside the float layer, no private name taken from
-counting, and at most 2000 lines in all."""
+counting, one catch of every BforestError, and at most 2000 lines in all."""
 
 import ast
 import contextlib
@@ -77,6 +77,32 @@ def test_no_private_names_from_counting(path):
     # the order and root maps are reached through SpectralSystem, so every
     # module folds the same (m, prefactor) and the same outer roots
     assert [name for name in _names_from(path, "counting") if name.startswith("_")] == []
+
+
+def _broad_handlers(path):
+    """(module, enclosing function) of each ``except`` that names BforestError,
+    Exception or BaseException, or names nothing."""
+    broad = {"BforestError", "Exception", "BaseException"}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(child.type or ast.Pass())}
+                if child.type is None or names & broad:
+                    found.append((path.stem, scope))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_only_run_tells_a_refusal_from_a_bug():
+    # a row or a report section catches Refusal; only cli.run catches every
+    # BforestError, to print a refusal's class or "internal error", so the
+    # split cannot drift back into a second site
+    assert [site for path in SOURCES for site in _broad_handlers(path)] == [("cli", "run")]
 
 
 def test_source_stays_within_its_line_budget():
