@@ -30,7 +30,7 @@ closed = tree_count_closed(spec)
 value, rel_error = tree_count_chebyshev(spec)
 print(f"matrix-tree oracle : {oracle}")
 print(f"resultant closed   : {closed.tau}")
-print(f"chebyshev float    : {value} (relative error bound {rel_error:.1e})")
+print(f"chebyshev decimal  : {value:.30g} (relative error bound {rel_error:.1e})")
 assert oracle == closed.tau == 75
 
 # The closed form takes one small integer resultant per trace factor, with the

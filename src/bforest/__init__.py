@@ -6,9 +6,9 @@ resultants, high-precision Chebyshev evaluation) and exposes the
 arithmetic square structure, Mahler-measure asymptotics and rational
 generating functions of the resulting integer sequences.
 
-The exact core imports only the standard library.  The float names (roots,
-Mahler measures, asymptotics, the Chebyshev check) live in ``mahler``,
-which this package imports, with mpmath, on first use of one.
+The package imports only the standard library.  The float names (roots,
+Mahler measures, asymptotics, the Chebyshev check) live in ``mahler``, whose
+arithmetic is ``decimal``, and which this package imports on first use of one.
 Each module's ``__all__`` is the one list of its public names; the package
 exports their union.
 """
@@ -27,7 +27,7 @@ __version__ = "1.0.0"
 
 _EXACT_MODULES = ("arithmetic", "counting", "errors", "genfun", "graphs", "matrixtree", "polynomials")
 # the float layer's public names: mahler takes its __all__ from here, so
-# importing the package loads no float library
+# importing the package leaves the float layer unloaded
 _FLOAT_NAMES = (
     "roots_numeric",
     "tree_count_chebyshev",

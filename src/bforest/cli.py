@@ -207,6 +207,11 @@ def _emit_csv(payload: dict) -> str:
     return out.getvalue()
 
 
+def _text(value) -> str:
+    """A value as ``_emit_json`` writes it (null, true, false, [1, 2]); a string bare."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def _emit_text(payload: dict, indent: str = "") -> str:
     lines = []
     for key in sorted(payload):
@@ -217,16 +222,17 @@ def _emit_text(payload: dict, indent: str = "") -> str:
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{indent}{key}:")
             for row in value:
-                cells = " ".join(f"{k}={row[k]}" for k in sorted(row))
+                cells = " ".join(f"{k}={_text(row[k])}" for k in sorted(row))
                 lines.append(f"{indent}  {cells}")
         else:
-            lines.append(f"{indent}{key}: {value}")
+            lines.append(f"{indent}{key}: {_text(value)}")
     return "\n".join(line for line in lines if line != "")
 
 
 _EMITTERS = {"json": _emit_json, "csv": _emit_csv, "text": lambda payload: _emit_text(payload) + "\n"}
 
 
+@functools.cache  # built once per process: every call of run would leave one behind as cyclic garbage
 def _build_parser() -> argparse.ArgumentParser:
     commands = "".join(f"\n  {name:<13}{text}" for name, (_, text) in _COMMANDS.items())
     parser = argparse.ArgumentParser(

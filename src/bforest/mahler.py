@@ -1,11 +1,11 @@
 """The float layer: roots, Mahler measures and tree-count asymptotics.
 
-This is the one module that imports mpmath; the exact core needs only the
-standard library, and ``bforest`` loads this module on first use
-of one of its names.  ``roots_numeric`` finds the roots of a square-free
-integer polynomial, and ``trace_roots`` maps those of a system's trace
-factors to their outer z-roots.  ``tree_count_chebyshev`` folds the
-Chebyshev product over them, a float cross-check of the exact count.
+Its arithmetic is the standard library's ``decimal`` over one complex type,
+``Complex``; ``bforest`` loads the module on first use of one of its names.
+``roots_numeric`` finds the roots of a square-free integer polynomial, and
+``trace_roots`` maps those of a system's trace factors to their outer
+z-roots.  ``tree_count_chebyshev`` folds the Chebyshev product over them, a
+float cross-check of the exact count.
 
 Tree counts grow geometrically; the growth base is the Mahler measure
 M(P) = |lead| prod max(1, |z|) of the product P(z) = K(z + 1/z) of the
@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from typing import NamedTuple
 
 from . import _FLOAT_NAMES
 from .counting import SpectralSystem, count_rows, extend_rows, spectral_system
@@ -36,38 +36,107 @@ __all__ = list(_FLOAT_NAMES)
 
 
 ROOT_STEPS = 400  # Durand-Kerner sweeps before NonConvergence
+GUARD_DIGITS = 11  # the sweeps' digits above digits + 10: 37 bits, where mpmath's polyroots has 34
 QUADRATURE_POINTS = 1 << 20  # the midpoint grid mahler_quadrature stands for
 
 
-def roots_numeric(f: IntPoly, digits: int = 64):
-    """All complex roots by mpmath's Durand-Kerner ``polyroots``.
+def _precision(digits: int):
+    """A ``with`` block at mpmath's (digits + 1) log2(10) bits for ``digits``, and no
+    exponent limit to speak of: M^m passes the default context's 10^999999."""
+    return localcontext(Context(prec=digits + 1, Emax=MAX_EMAX, Emin=MIN_EMIN))
 
-    Returns ``(root, radius)`` pairs: the root a full-precision ``mpc``,
-    ``radius`` = deg |f/f'| there, which bounds its distance to a true root
-    up to the root's own rounding at ``digits + 10`` (callers add that).
-    The iteration runs 34 bits above that precision, so its rounding stays
-    below the step it stops at even for roots in the thousands.  Repeated
-    roots converge only linearly: split into ``squarefree_layers`` first.
+
+class Complex(NamedTuple):
+    """A complex number over ``Decimal``: each operator rounds in the current context."""
+
+    real: Decimal
+    imag: Decimal
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __neg__(self):
+        return Complex(-self.real, -self.imag)
+
+    def __add__(self, other):
+        c, d = _complex(other)
+        return Complex(self.real + c, self.imag + d)
+
+    def __sub__(self, other):
+        c, d = _complex(other)
+        return Complex(self.real - c, self.imag - d)
+
+    def __mul__(self, other):
+        (a, b), (c, d) = self, _complex(other)
+        return Complex(a * c - b * d, a * d + b * c)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, other):
+        c, d = _complex(other)
+        return self * Complex(c, -d) * (1 / Decimal(c * c + d * d))
+
+    def __pow__(self, n: int):
+        """By repeated squaring; a negative power inverts the positive one."""
+        one = Complex(Decimal(1), Decimal(0))
+        if n < 0:
+            return one / self**-n
+        half = self ** (n // 2) if n > 1 else one
+        return half * half * self if n % 2 else half * half
+
+    def __abs__(self):
+        return (self.real * self.real + self.imag * self.imag).sqrt()
+
+    def sqrt(self):
+        """The principal root by mpmath's branches: sqrt((|z| + |re z|) / 2) is one part."""
+        (a, b), half = self, ((abs(self) + abs(self.real)) / 2).sqrt()
+        other = b / (2 * half) if half else b  # half is 0 at z = 0 alone
+        return Complex(half, other) if a >= 0 else Complex(abs(other), half if b >= 0 else -half)
+
+
+def _complex(z) -> Complex:
+    return z if isinstance(z, Complex) else Complex(z, 0)
+
+
+def roots_numeric(f: IntPoly, digits: int = 64):
+    """All complex roots by mpmath's Durand-Kerner ``polyroots``, ported to ``decimal``.
+
+    Returns ``(root, radius)`` pairs: the root a :class:`Complex` rounded to
+    ``digits + 10`` digits, ``radius`` = deg |f/f'| there by one Horner pass,
+    which bounds its distance to a true root up to the root's own rounding
+    (callers add that).  The sweeps start at (0.4 + 0.9i)^k, update each root
+    in place, and stop once no step reaches 10^-(digits + 10).  They run
+    ``GUARD_DIGITS`` above that precision, so their rounding stays below the
+    step they stop at even for roots in the thousands.  Repeated roots
+    converge only linearly: split into ``squarefree_layers`` first.
     """
     if f.is_zero or f.degree < 1:
         raise ZeroPolynomial("root finding needs degree >= 1")
     deg, coeffs = f.degree, f.coeffs[::-1]
-    with mpmath.workdps(digits + 10):
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=ROOT_STEPS, cleanup=False, extraprec=34)
-        except mpmath.libmp.NoConvergence as exc:
+    with _precision(digits + 10 + GUARD_DIGITS):
+        roots = [Complex(Decimal(z.real), Decimal(z.imag)) for z in ((0.4 + 0.9j) ** k for k in range(deg))]
+        tol, err = Decimal(10) ** -(digits + 10), [Decimal(1)] * deg
+        for _ in range(ROOT_STEPS):
+            if max(err) < tol:
+                break
+            for i, p in enumerate(roots):
+                # f(p) over lc times its differences to the other roots, a zero one skipped as in mpmath
+                scale = f.lead * math.prod(gap for j, q in enumerate(roots) if j != i and (gap := p - q))
+                step = f(p) / scale
+                roots[i], err[i] = p - step, abs(step)
+        if max(err) >= tol:
             raise NonConvergence(
                 f"Durand-Kerner polyroots did not settle in {ROOT_STEPS} steps "
                 f"on degree {deg} at {digits} digits"
-            ) from exc
+            )
+    with _precision(digits + 10):  # rounded here, a root at a branch point x = +-2 lands on it, as in mpmath
         results = []
-        for x in roots:
-            value, slope = mpmath.polyval(coeffs, x, derivative=True)
-            if slope != 0:
-                radius = deg * abs(value / slope)
-            else:
-                radius = deg * (abs(value) / abs(f.lead)) ** (mpmath.mpf(1) / deg)
-            results.append((x, float(radius)))
+        for x in sorted((Complex(+z.real, +z.imag) for z in roots), key=lambda z: (abs(z.imag), z.real)):
+            value, slope = coeffs[0], 0
+            for c in coeffs[1:]:
+                value, slope = c + x * value, value + x * slope
+            radius = abs(value / slope) if slope else (abs(value) / abs(f.lead)) ** (Decimal(1) / deg)
+            results.append((x, float(deg * radius)))
         return results
 
 
@@ -75,17 +144,17 @@ def trace_roots(sys: SpectralSystem, digits: int) -> list[tuple[IntPoly, int, li
     """(K, c, [(rho, s, radius)]) per entry of ``sys.trace_factors``.
 
     Each root x of K (a constant K has none), found with multiplicity by
-    mpmath's ``polyroots`` on each square-free layer, as its outer z-root:
+    ``roots_numeric`` on each square-free layer, as its outer z-root:
     rho + 1/rho = x, |rho| >= 1 and s = rho - 1/rho, taken as
     +-sqrt((x - 2)(x + 2)) to keep its relative accuracy near x = +-2.
     """
     table = []
-    with mpmath.workdps(digits):
+    with _precision(digits):
         for k, c in sys.trace_factors:
             roots = []
             for layer in squarefree_layers(k):
                 for x, radius in roots_numeric(layer, digits=digits):
-                    s = mpmath.sqrt((x - 2) * (x + 2))
+                    s = ((x - 2) * (x + 2)).sqrt()
                     if abs(x - s) > abs(x + s):
                         s = -s
                     roots.append(((x + s) / 2, s, radius))
@@ -98,23 +167,23 @@ def tree_count_chebyshev(spec: ConnectionSpec, digits: int = 64):
 
     The prefactor times |lead K|^m per trace factor (K, c) and
     |2 T_m(x/2) + 2c| = |rho^m + rho^-m + 2c| per outer root rho.  Cross-checks
-    the exact path; returns ``(value, relative_error_bound)``.
+    the exact path; returns ``(value, relative_error_bound)``, the value a ``Decimal``.
     """
     sys = spectral_system(require_connected(spec))
     m, prefactor = sys.order(spec.n)
 
     def evaluate(dps):
-        with mpmath.workdps(dps):
-            value = mpmath.mpf(1)
+        with _precision(dps):
+            value = Decimal(1)
             for k, c, roots in trace_roots(sys, dps):
-                value *= mpmath.mpf(abs(k.lead)) ** m
+                value *= Decimal(abs(k.lead)) ** m
                 for rho, _, _ in roots:
                     value *= abs(rho**m + rho**-m + 2 * c)
-            return prefactor * value
+            return value * prefactor.numerator / prefactor.denominator
 
     value = evaluate(digits)
     check = evaluate(digits + 16)
-    with mpmath.workdps(digits + 16):
+    with _precision(digits + 16):
         rel_error = float(abs(value - check) / abs(check)) if check != 0 else 0.0
     return value, rel_error
 
@@ -126,24 +195,22 @@ class MahlerEstimate:
 
 
 def _trace_measure(sys: SpectralSystem, digits: int):
-    """(M, relative error bound) as mpf values, from ``trace_roots``.
+    """(M, relative error bound) as Decimals, from ``trace_roots``.
 
     M = prod |lc K| prod |rho| over the outer roots rho.  A root x adds its
     rounding, 10^(1 - digits), and radius / |s|, the first-order change of
     log |rho| as x moves (s = rho - 1/rho); near the branch points x = +-2,
     where |s|^2 <= 8 radius, it adds 2 sqrt(radius) instead.
     """
-    with mpmath.workdps(digits):
-        value = mpmath.mpf(1)
-        rel_error = mpmath.mpf(0)
+    with _precision(digits):
+        value = Decimal(1)
+        rel_error = Decimal(0)
         for k, _, roots in trace_roots(sys, digits):
             value *= abs(k.lead)
             for rho, s, radius in roots:
-                value *= abs(rho)
+                value, radius = value * abs(rho), Decimal(radius)
                 near = abs(s) ** 2 <= 8 * radius
-                rel_error += mpmath.mpf(10) ** (1 - digits) + (
-                    2 * mpmath.sqrt(radius) if near else radius / abs(s)
-                )
+                rel_error += Decimal(10) ** (1 - digits) + (2 * radius.sqrt() if near else radius / abs(s))
         return value, rel_error
 
 
@@ -203,13 +270,14 @@ def _growth_report(spec: ConnectionSpec, counts: list[dict], digits: int):
     """(system, growth base, convergence rows) from one system and one root table: each
     count row gains the prediction (n s / (stride^2 q)) M^m at n = stride * m, ratio and deviation."""
     sys = spectral_system(spec)
-    with mpmath.workdps(digits):
+    with _precision(digits):
         measure, rel_error = _trace_measure(sys, digits)
 
         def convergence(at_n: ConnectionSpec, tau: int) -> dict:
             m, prefactor = sys.order(at_n.n)
-            prediction = prefactor * measure**m
-            ratio = prediction / mpmath.mpf(tau)
+            prediction = measure**m * prefactor.numerator / prefactor.denominator
+            shift = max(tau.bit_length() - 4 * digits, 0)  # tau by its top bits: Decimal(tau) is quadratic
+            ratio = prediction / (Decimal(tau >> shift) * Decimal(2) ** shift)
             prediction = float(prediction)  # inf past the float range, printed as null
             return {
                 "tau": tau,

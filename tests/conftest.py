@@ -24,7 +24,7 @@ from bforest.errors import (
     OrderExceeded,
     ZeroPolynomial,
 )
-from bforest.mahler import MahlerEstimate, roots_numeric
+from bforest.mahler import MahlerEstimate
 from bforest.polynomials import _mul_add, _pseudo_mod, _subresultants, squarefree_layers, squarefree_part
 
 
@@ -332,6 +332,38 @@ def lift(k: IntPoly) -> IntPoly:
     return out
 
 
+def mpmath_roots(f: IntPoly, digits: int) -> list:
+    """(root, radius) per root of a square-free ``f``, as mpc values: mpmath's own
+    Durand-Kerner ``polyroots`` at ``digits + 10`` digits and 34 guard bits, and
+    radius = deg |f/f'| at the root.  The reference ``roots_numeric``, the
+    float layer's port of it to ``decimal``, is checked against."""
+    coeffs = f.coeffs[::-1]
+    with mpmath.workdps(digits + 10):
+        roots = mpmath.polyroots(coeffs, maxsteps=400, cleanup=False, extraprec=34)
+        derivatives = (mpmath.polyval(coeffs, x, derivative=True) for x in roots)
+        return [(x, float(f.degree * abs(value / slope))) for x, (value, slope) in zip(roots, derivatives)]
+
+
+def as_mpc(z) -> mpmath.mpc:
+    """A ``Complex`` of the float layer as an mpc, exact from its decimal
+    strings up to the current mpmath precision."""
+    return mpmath.mpc(str(z.real), str(z.imag))
+
+
+def growth_base_reference(spec, digits: int = 64) -> float:
+    """``growth_base``'s value from mpmath's roots: prod |lc K| times, per
+    root x of each trace factor K, the larger modulus of the two roots of
+    z^2 - x z + 1.  Shares no root finding or complex arithmetic with it."""
+    value = mpmath.mpf(1)
+    with mpmath.workdps(digits):
+        for k, _ in spectral_system(spec).trace_factors:
+            value *= abs(k.lead)
+            for x, _ in (r for layer in squarefree_layers(k) for r in mpmath_roots(layer, digits)):
+                s = mpmath.sqrt((x - 2) * (x + 2))
+                value *= max(abs(x + s), abs(x - s)) / 2
+        return float(value)
+
+
 @functools.lru_cache(maxsize=None)
 def _lift_roots(k: IntPoly) -> tuple:
     """The 2d roots of ``lift(k)`` with multiplicity, as mpc values: the two
@@ -350,11 +382,12 @@ def mahler_root_product(poly: IntPoly, digits: int = 64) -> MahlerEstimate:
     the Mahler measure from the roots of the lift, the oracle the trace-root
     ``growth_base`` and the quadrature are cross-checked against.
 
-    The roots are found per square-free layer.  Each root adds its rounding,
+    The roots are found per square-free layer, by mpmath (``mpmath_roots``), so
+    the oracle shares no code with the float layer.  Each root adds its rounding,
     10^(1 - digits), and radius / max(1, |z|) to the relative error bound, as
     max(1, |z|) is 1-Lipschitz.
     """
-    roots = [r for layer in squarefree_layers(poly) for r in roots_numeric(layer, digits=digits)]
+    roots = [r for layer in squarefree_layers(poly) for r in mpmath_roots(layer, digits)]
     with mpmath.workdps(digits):
         value = mpmath.mpf(abs(poly.lead))
         rel_error = mpmath.mpf(0)

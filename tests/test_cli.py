@@ -609,9 +609,10 @@ def strict_json(text):
 )
 def test_predictions_past_the_float_range_print_as_null(capsys, monkeypatch, spec, start, end, first_null):
     # the prediction is the same float while it fits one, null past about
-    # 1.8e308; tau, ratio and deviation are computed exactly or in mpmath
-    # and stay finite.  The oracle's 360-vertex eliminations on big take
-    # seconds and give the closed counts, which compare checks elsewhere
+    # 1.8e308, in text output too; tau, ratio and deviation are computed
+    # exactly or in decimal and stay finite.  The oracle's 360-vertex
+    # eliminations on big take seconds and give the closed counts, which
+    # compare checks elsewhere
     monkeypatch.setattr("bforest.cli.tree_count_oracle", lambda sp: tree_count_closed(sp).tau)
     orders = ("--n-start", str(start), "--n-end", str(end))
     _, out, _ = invoke(capsys, "count", "--spec", spec, *orders)
@@ -631,6 +632,34 @@ def test_predictions_past_the_float_range_print_as_null(capsys, monkeypatch, spe
                 assert row["prediction"] == pytest.approx(row["ratio"] * row["tau"], rel=1e-15)
         if command == "report":
             jsonschema.validate(doc, schema)
+    _, out, _ = invoke(capsys, "asymptotics", "--spec", spec, *orders, "--format", "text")
+    cells = [dict(cell.split("=") for cell in line.split()) for line in out.splitlines() if "prediction=" in line]
+    assert [int(row["n"]) for row in cells if row["prediction"] == "null"] == list(range(first_null, end + 1))
+    assert "None" not in out
+
+
+def test_text_output_writes_values_as_json_does(capsys):
+    # null, true and false as the JSON output writes them, not Python's
+    # reprs, in lists too; numbers as before, and strings bare
+    text = bforest.cli._text
+    assert (text(None), text(True), text(False), text([True, False])) == ("null", "true", "false", "[true, false]")
+    assert (text(1), text(0), text(0.5), text([1, -2]), text("a b")) == ("1", "0", "0.5", "[1, -2]", "a b")
+    code, out, _ = invoke(capsys, "compare", "--spec", PRISM, "--format", "text")
+    assert code == 0 and "all_equal: true" in out and "equal=true" in out
+    code, out, _ = invoke(capsys, "validate", "--spec", PRISM, "--format", "text")
+    assert code == 0 and "gcd_flags: [true, true, false]" in out and "connected: true" in out
+
+
+def test_successive_runs_share_one_parser_and_keep_their_own_flags(capsys):
+    # the parser is built once per process; each call still reads only its own argv
+    bforest.cli._build_parser.cache_clear()
+    first = invoke(capsys, "count", "--spec", PRISM, "--n-start", "3", "--n-end", "4", "--format", "csv")
+    second = invoke(capsys, "count", "--spec", PRISM)
+    third = invoke(capsys, "validate", "--spec", PRISM, "--format", "text")
+    assert first == (0, "n,tau\n3,75\n4,384\n", "")
+    assert second[0] == 0 and json.loads(second[1]) == {"rows": [{"n": 3, "tau": 75}]}
+    assert third[0] == 0 and "family: 1" in third[1]
+    assert bforest.cli._build_parser.cache_info().misses == 1
 
 
 def test_precision_capped_at_the_measure_limit(capsys):

@@ -29,7 +29,14 @@ from bforest import (
     validate_spec,
     verify_square_structure,
 )
-from tests.conftest import ZERO_BASE, _cosine_coefficients, base_and_family, lift, random_connected_specs
+from tests.conftest import (
+    ZERO_BASE,
+    _cosine_coefficients,
+    as_mpc,
+    base_and_family,
+    lift,
+    random_connected_specs,
+)
 
 
 def test_prism_spectral_polynomials(family_specs):
@@ -236,25 +243,20 @@ def test_closed_form_at_large_order_builds_no_adjacency(monkeypatch, data):
 
 
 def test_chebyshev_path_agrees_with_exact(family_specs):
-    import mpmath
-
+    # the value is a Decimal; Fraction compares it with the count exactly
     for fam in (1, 2, 3, 4):
         exact = tree_count_closed(family_specs[fam]).tau
         value, rel_error = tree_count_chebyshev(family_specs[fam])
         assert rel_error < 1e-40
-        with mpmath.workdps(64):
-            assert abs(value / exact - 1) < mpmath.mpf("1e-30")
+        assert abs(Fraction(value) / exact - 1) < Fraction(1, 10**30)
 
 
 def test_chebyshev_path_on_larger_instance():
-    import mpmath
-
     spec = validate_spec({"n": 15, "alphas": [1, 2], "betas": [1], "gammas": [0, 4]})
     exact = tree_count_closed(spec).tau
     value, rel_error = tree_count_chebyshev(spec)
     assert rel_error < 1e-30
-    with mpmath.workdps(64):
-        assert abs(value / exact - 1) < mpmath.mpf("1e-25")
+    assert abs(Fraction(value) / exact - 1) < Fraction(1, 10**25)
 
 
 def test_order_gives_the_power_and_the_exact_prefactor(family_specs):
@@ -301,13 +303,15 @@ def test_every_fold_refuses_an_order_without_a_count(case, fold):
 
 
 def test_trace_roots_are_the_outer_z_roots():
-    # rho + 1/rho = x is a root of K, |rho| >= 1 and s = rho - 1/rho
+    # rho + 1/rho = x is a root of K, |rho| >= 1 and s = rho - 1/rho,
+    # checked in mpmath on the Decimal parts
     specs = random_connected_specs(24, seed=3, n_max=16, r_max=3, t_max=3, s_max=3)
     for spec in specs:
         for k, _, roots in bforest.mahler.trace_roots(spectral_system(spec), 40):
             assert len(roots) == k.degree
             with mpmath.workdps(40):
                 for rho, s, _ in roots:
+                    rho, s = as_mpc(rho), as_mpc(s)
                     x = rho + 1 / rho
                     assert abs(rho) >= 1 - mpmath.mpf(10) ** -30, spec
                     assert abs(rho - 1 / rho - s) <= mpmath.mpf(10) ** -30 * max(1, abs(rho)), spec

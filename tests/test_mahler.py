@@ -19,6 +19,7 @@ from bforest import (
 )
 from tests.conftest import (
     base_and_family,
+    growth_base_reference,
     lift,
     mahler_root_product,
     midpoint_mean_exact,
@@ -26,6 +27,25 @@ from tests.conftest import (
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+@pytest.mark.parametrize("z", [3 + 4j, -3 + 4j, -3 - 4j, 3 - 4j, -4 + 0j, 4 + 0j, -2j, 0j, 1e-30 - 1j, -1 + 1e-30j])
+def test_complex_type_agrees_with_builtin_complex(z):
+    # every operator the float layer uses, the square root on each branch
+    # and axis, against Python's complex at 40 digits
+    from decimal import Decimal
+
+    with bforest.mahler._precision(40):
+        w = bforest.mahler.Complex(Decimal(z.real), Decimal(z.imag))
+        other = bforest.mahler.Complex(Decimal("0.5"), Decimal("-1.25"))
+        pairs = [(w.sqrt(), z**0.5), (w + other, z + (0.5 - 1.25j)), (w - 2, z - 2), (3 * w, 3 * z), (-w, -z)]
+        pairs += [(w * other, z * (0.5 - 1.25j)), (w / other, z / (0.5 - 1.25j)), (other**5, (0.5 - 1.25j) ** 5)]
+        pairs += [(other**-3, (0.5 - 1.25j) ** -3), (other**0, 1)]
+        if z:
+            pairs += [(w / 2, z / 2), (w**-2, z**-2)]
+        for got, want in pairs:
+            assert abs(complex(float(got.real), float(got.imag)) - want) <= 1e-15 * max(1, abs(want))
+        assert float(abs(w)) == pytest.approx(abs(z), rel=1e-15) and bool(w) == bool(z)
 
 
 def test_root_product_known_measures():
@@ -316,6 +336,23 @@ def test_growth_measures_come_from_the_trace_roots(monkeypatch, name):
     report = convergence_report(spec, [n for n, _, _ in rows])
     assert [(row["n"], row["tau"], row["prediction"]) for row in report] == rows
     assert {row["n"]: row["prediction"] for row in report}[2 * spec.n] == prediction
+
+
+# every 9th of the 900 specs: 100 specs over all four families
+SAMPLE_900 = [
+    spec
+    for seed in (7, 8, 9)
+    for spec in random_connected_specs(300, seed=seed, n_max=20, r_max=3, t_max=3, s_max=4)
+][::9]
+
+
+def test_growth_base_agrees_with_mpmath_roots_on_100_of_the_900_specs():
+    # mpmath's own polyroots is the independent reference: the decimal port
+    # must give the same float on every spec
+    assert len(SAMPLE_900) == 100 and {spec.family for spec in SAMPLE_900} == {1, 2, 3, 4}
+    assert [growth_base(spec).value for spec in SAMPLE_900] == [
+        growth_base_reference(spec) for spec in SAMPLE_900
+    ]
 
 
 def test_growth_base_error_bound_covers_rounding():

@@ -5,6 +5,7 @@ import math
 import operator
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -30,11 +31,13 @@ from bforest.polynomials import (
 from tests.conftest import (
     _cosine_coefficients,
     abs_resultant_with_power,
+    as_mpc,
     chebyshev_T,
     cyclotomic_quotient,
     lift,
     lucas_mod,
     mahler_root_product,
+    mpmath_roots,
     resultant,
     resultant_sylvester,
 )
@@ -421,6 +424,27 @@ def test_roots_error_bounds_cover_true_roots():
     f = IntPoly([-6, 11, -6, 1])  # roots 1, 2, 3
     for root, radius in roots_numeric(f, digits=40):
         assert min(abs(root - k) for k in (1, 2, 3)) <= max(radius, 1e-35)
+
+
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=12),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    st.sampled_from([40, 64]),
+)
+@settings(max_examples=40, deadline=None)
+def test_roots_agree_with_mpmath_polyroots(low, lead, digits):
+    # mpmath's Durand-Kerner, which roots_numeric ports to decimal, is the
+    # independent reference: on a square-free integer polynomial of degree
+    # up to 12, each root lies within the two radii and the rounding of the other
+    f = squarefree_layers(IntPoly(low + [lead]))[0]
+    assume(f.degree >= 1)
+    ours, theirs = roots_numeric(f, digits), mpmath_roots(f, digits)
+    assert len(ours) == len(theirs) == f.degree
+    with mpmath.workdps(digits + 30):
+        for root, radius in ours:
+            x = as_mpc(root)
+            y, other = theirs.pop(min(range(len(theirs)), key=lambda j: abs(theirs[j][0] - x)))
+            assert abs(x - y) <= radius + other + mpmath.mpf(10) ** -(digits + 9) * max(1, abs(x))
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ orders."""
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -65,8 +65,7 @@ def test_factor_table_folds_agree_with_cross_checks(spec):
     assert witness.cofactor * witness.witness**2 == tau.tau
 
     value, rel_error = tree_count_chebyshev(spec)
-    with mpmath.workdps(64):
-        assert abs(value / tau.tau - 1) <= max(10 * rel_error, mpmath.mpf("1e-50"))
+    assert abs(Fraction(value) / tau.tau - 1) <= max(10 * rel_error, 1e-50)
 
     factors = spectral_system(spec).trace_factors
     product = math.prod(mahler_root_product(lift(k)).value for k, _ in factors)

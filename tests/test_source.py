@@ -1,6 +1,6 @@
 """Source guards over src/bforest: no asserts, no process pools, no import
-beyond the stdlib outside the float layer, no private name taken from
-counting, one catch of every BforestError, and at most 2000 lines in all."""
+beyond the stdlib, no private name taken from counting, one catch of every
+BforestError, and at most 2000 lines in all."""
 
 import ast
 import contextlib
@@ -8,7 +8,6 @@ import io
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import tomllib
@@ -20,12 +19,6 @@ from bforest import cli
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src"
 SOURCES = sorted((SRC / "bforest").glob("*.py"))
-# the distribution names of the [project] dependencies, e.g. "mpmath>=1.3" -> mpmath
-RUNTIME = {
-    re.match(r"[\w.-]+", dep).group()
-    for dep in tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
-}
-FLOAT_LAYER = "mahler.py"  # the one module that imports them
 
 
 def _nodes(path):
@@ -50,10 +43,15 @@ def _imports(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_are_stdlib_or_runtime_dependencies(path):
-    # the exact core imports only the stdlib; the runtime dependencies enter
-    # through the float layer alone
-    allowed = set(sys.stdlib_module_names) | (RUNTIME if path.name == FLOAT_LAYER else set())
-    assert [name for name in _imports(path) if name not in allowed] == []
+    # every module, the float layer too, imports only the stdlib
+    assert [name for name in _imports(path) if name not in sys.stdlib_module_names] == []
+
+
+def test_there_are_no_runtime_dependencies():
+    # the float layer's arithmetic is decimal; mpmath is a test-only reference
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert any(dep.startswith("mpmath") for dep in project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -114,8 +112,8 @@ def test_source_stays_within_its_line_budget():
 
 PRISM = '{"n": 3, "alphas": [1], "betas": [1], "gammas": [0]}'
 EXACT_COMMANDS = ["count", "compare", "arithmetic", "genfun", "validate"]
-# prints, as JSON: each exact command's exit code and stdout, the runtime
-# dependencies loaded by then, and the module a float name resolves to after
+# prints, as JSON: each exact command's exit code and stdout, the mpmath and
+# numpy modules loaded by then, and the module a float name resolves to after
 EXACT_RUN = f"""
 import contextlib, io, json, sys
 import bforest
@@ -126,7 +124,7 @@ for command in {EXACT_COMMANDS!r}:
     with contextlib.redirect_stdout(out):
         code = cli.run([command, "--spec", {PRISM!r}])
     outputs.append([code, out.getvalue()])
-loaded = sorted(name for name in sys.modules if name.split(".")[0] in {sorted(RUNTIME)!r})
+loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("mpmath", "numpy"))
 print(json.dumps([outputs, loaded, bforest.growth_base.__module__]))
 """
 
@@ -171,6 +169,7 @@ print(json.dumps([codes, "numpy" in sys.modules, "mpmath" in sys.modules]))
 """
 
 
-def test_float_paths_load_mpmath_but_not_numpy():
-    # the quadrature sums exactly, so the float layer needs mpmath alone
-    assert _python("-c", FLOAT_RUN) == [[0, 0], False, True]
+def test_float_paths_load_neither_mpmath_nor_numpy():
+    # the quadrature sums exactly and the roots are found in decimal, so the
+    # float layer needs the standard library alone
+    assert _python("-c", FLOAT_RUN) == [[0, 0], False, False]
